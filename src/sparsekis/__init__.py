@@ -40,10 +40,7 @@ from .hypergraph import (
     Graph,
     HgrError,
     Hypergraph,
-    Matching,
-    closed_neighborhood,
     complement,
-    enumerate_matchings,
     format_hgr,
     parse_hypergraph,
     underlying_graph,
@@ -53,8 +50,6 @@ from .kis import (
     count_k_is_hypergraph,
     count_k_is_mixed,
     decide_k_is,
-    resolve_intersections,
-    strip_foreign_high_arity,
 )
 from .nand_impl import (
     balance_partition,
@@ -93,7 +88,6 @@ __all__ = [
     "Hypergraph",
     "IMPL",
     "MAX_ARITY",
-    "Matching",
     "NAND2",
     "NEVER1",
     "NOR2",
@@ -111,7 +105,6 @@ __all__ = [
     "build_groups",
     "build_less_than",
     "classify_binary_family",
-    "closed_neighborhood",
     "complement",
     "count_invalid",
     "count_k_cliques",
@@ -121,7 +114,6 @@ __all__ = [
     "count_triangles_tripartite",
     "decide_k_is",
     "dense_embed",
-    "enumerate_matchings",
     "eq_components_subset_sum",
     "find_k_is_sparse",
     "format_csp",
@@ -135,7 +127,6 @@ __all__ = [
     "permute_arguments",
     "preprocess_easy",
     "remove_two_cycles",
-    "resolve_intersections",
     "restrict_instance",
     "s_min",
     "solve_csp",

@@ -6,6 +6,12 @@ compatibility structure; every unordered k-clique shows up once per
 ordered partition into the three block sizes, so the triangle count is
 divided by that exact factor.
 
+The engine works on adjacency bitmask rows restricted to a vertex mask
+`alive`, so callers that already hold rows count on a subset without
+building a relabeled graph; independent sets are cliques over
+complement rows formed inside `alive`.  The `Graph` entry points are
+thin wrappers over it.
+
 All arithmetic is exact.  Matrix products run in float64 blocks, which
 is lossless here: entries are 0/1, so every intermediate value is an
 integer bounded by the inner dimension, far below 2^53.  Totals are
@@ -20,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResourceLimit
-from .hypergraph import Graph, closed_neighborhood, complement, induced_graph
+from .hypergraph import Graph, _vertices
 
 #: Cliques materialized per part before giving up; three boolean
 #: matrices of this side length must fit in memory.
@@ -60,9 +66,11 @@ def count_triangles_tripartite(ab, bc, ac) -> int:
     return total
 
 
-def _cliques_of_size(G: Graph, size: int, node_cap: int) -> tuple[list[int], list[int]]:
-    """Vertex bitmasks of all size-cliques, with their common-neighbor masks."""
-    adj = G.adjacency
+def _cliques_of_size(
+    rows: Sequence[int], alive: int, size: int, node_cap: int
+) -> tuple[list[int], list[int]]:
+    """Vertex bitmasks of all size-cliques inside `alive`, with their
+    common-neighbor masks (also inside `alive`)."""
     masks: list[int] = []
     commons: list[int] = []
 
@@ -81,13 +89,13 @@ def _cliques_of_size(G: Graph, size: int, node_cap: int) -> tuple[list[int], lis
             bit = cand & -cand
             cand ^= bit
             v = bit.bit_length()
-            rec(mask | bit, common & adj[v - 1], v, depth + 1)
+            rec(mask | bit, common & rows[v - 1], v, depth + 1)
 
     if size == 0:
-        found(0, (1 << G.n) - 1)
+        found(0, alive)
     else:
-        for v in range(1, G.n + 1):
-            rec(1 << (v - 1), adj[v - 1], v, 1)
+        for v in _vertices(alive):
+            rec(1 << (v - 1), rows[v - 1] & alive, v, 1)
     return masks, commons
 
 
@@ -115,25 +123,32 @@ def _compat(commons_x: np.ndarray, masks_y: np.ndarray) -> np.ndarray:
     return (~bad).astype(np.uint8)
 
 
-def count_k_cliques(G: Graph, k: int, node_cap: int = DEFAULT_NODE_CAP) -> int:
-    """Exact number of k-vertex cliques."""
+def count_k_cliques_masks(
+    rows: Sequence[int], alive: int, k: int, node_cap: int = DEFAULT_NODE_CAP
+) -> int:
+    """Exact number of k-cliques among the vertices of `alive`.
+
+    rows[v - 1] is vertex v's neighbor bitmask (bit u - 1 for vertex u),
+    symmetric and without v's own bit; bits outside `alive` are ignored.
+    """
     if k < 0:
         raise ValueError(f"negative k {k}")
-    if k > G.n:
+    if k > alive.bit_count():
         return 0
     if k == 0:
         return 1
     if k == 1:
-        return G.n
+        return alive.bit_count()
     if k == 2:
-        return G.m
+        return sum((rows[v - 1] & alive).bit_count() for v in _vertices(alive)) // 2
     a = k // 3
     c = -(-k // 3)
     b = k - a - c
+    n = alive.bit_length()
     parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for size in {a, b, c}:
-        masks, commons = _cliques_of_size(G, size, node_cap)
-        parts[size] = (_pack(masks, G.n), _pack(commons, G.n))
+        masks, commons = _cliques_of_size(rows, alive, size, node_cap)
+        parts[size] = (_pack(masks, n), _pack(commons, n))
     mats: dict[tuple[int, int], np.ndarray] = {}
     for sx, sy in {(a, b), (b, c), (a, c)}:
         mats[(sx, sy)] = _compat(parts[sx][1], parts[sy][0])
@@ -143,21 +158,23 @@ def count_k_cliques(G: Graph, k: int, node_cap: int = DEFAULT_NODE_CAP) -> int:
     return total // denom
 
 
+def count_k_is_masks(
+    adj: Sequence[int], alive: int, k: int, node_cap: int = DEFAULT_NODE_CAP
+) -> int:
+    """Exact number of independent k-sets among the vertices of `alive`.
+
+    `adj` is laid out as `rows` in count_k_cliques_masks; the count is
+    the clique count over complement rows formed inside `alive`.
+    """
+    rows = [alive & ~a & ~(1 << i) for i, a in enumerate(adj)]
+    return count_k_cliques_masks(rows, alive, k, node_cap)
+
+
+def count_k_cliques(G: Graph, k: int, node_cap: int = DEFAULT_NODE_CAP) -> int:
+    """Exact number of k-vertex cliques."""
+    return count_k_cliques_masks(G.adjacency, (1 << G.n) - 1, k, node_cap)
+
+
 def count_k_is(G: Graph, k: int, node_cap: int = DEFAULT_NODE_CAP) -> int:
     """Exact number of independent k-sets: clique count in the complement."""
-    return count_k_cliques(complement(G), k, node_cap)
-
-
-def count_k_is_containing(
-    G: Graph, k: int, W, node_cap: int = DEFAULT_NODE_CAP
-) -> int:
-    """Exact number of independent k-sets that contain all of W."""
-    W = frozenset(W)
-    if len(W) > k:
-        return 0
-    if not G.is_independent(W):
-        return 0
-    sub, _ = induced_graph(
-        G, set(range(1, G.n + 1)) - closed_neighborhood(G, W)
-    )
-    return count_k_is(sub, k - len(W), node_cap)
+    return count_k_is_masks(G.adjacency, (1 << G.n) - 1, k, node_cap)

@@ -425,7 +425,7 @@ def _compose_labels(inst: CspInstance, kept: Sequence[int]) -> tuple[int, ...]:
     return tuple(inst.label_of(v) for v in kept)
 
 
-def _rebuild(
+def set_variables(
     inst: CspInstance,
     fixed: dict[int, int],
 ) -> Optional[CspInstance]:
@@ -453,11 +453,6 @@ def _rebuild(
     return CspInstance(len(kept), tuple(out), labels=_compose_labels(inst, kept))
 
 
-def set_variables(inst: CspInstance, fixed: dict[int, int]) -> Optional[CspInstance]:
-    """Public wrapper over `_rebuild`: fix variables to bits and relabel."""
-    return _rebuild(inst, fixed)
-
-
 def preprocess_easy(phi: CspInstance, k: int) -> CspInstance:
     """Propagate away every variable some constraint pins false.
 
@@ -477,7 +472,7 @@ def preprocess_easy(phi: CspInstance, k: int) -> CspInstance:
                 forced.add(vs[p - 1])
         if not forced:
             return inst
-        nxt = _rebuild(inst, {v: 0 for v in forced})
+        nxt = set_variables(inst, {v: 0 for v in forced})
         if nxt is None:
             # Pinned-false contradiction: keep an explicitly unsatisfiable remnant.
             if inst.n >= 1:
@@ -522,7 +517,7 @@ def branch_and_bound(phi: CspInstance, k: int) -> list[BranchLeaf]:
             return
         _, vs = viol
         for v in vs:
-            child = _rebuild(inst, {v: 1})
+            child = set_variables(inst, {v: 1})
             if child is None:
                 continue
             rec(child, budget - 1, forced | {inst.label_of(v)})
@@ -668,7 +663,7 @@ def impl_prune(phi: CspInstance, k: int) -> CspInstance:
             bad |= structure.ancestors[v]
     if not bad:
         return inst
-    nxt = _rebuild(inst, {v: 0 for v in bad})
+    nxt = set_variables(inst, {v: 0 for v in bad})
     if nxt is None:
         if inst.n >= 1:
             return CspInstance(inst.n, ((NEVER1, (1,)),), labels=inst.labels)
@@ -837,12 +832,12 @@ def _witness_on_nand_impl(inst: CspInstance, k: int) -> set[int]:
     while budget:
         progressed = False
         for v in range(1, work.n + 1):
-            dropped = _rebuild(work, {v: 0})
+            dropped = set_variables(work, {v: 0})
             if dropped is not None and _nand_impl.solve_nand_impl(dropped, budget):
                 work = dropped
                 progressed = True
                 break
-            taken = _rebuild(work, {v: 1})
+            taken = set_variables(work, {v: 1})
             if taken is None:
                 continue
             if budget - 1 == 0 or _nand_impl.solve_nand_impl(taken, budget - 1):

@@ -13,9 +13,9 @@ inclusion-exclusion counter in the solver module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Sequence
 
 MAX_ARITY = 6
 
@@ -57,6 +57,16 @@ def _mask(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << (v - 1)
     return m
+
+
+def _vertices(mask: int) -> list[int]:
+    """Vertices whose bits are set in `mask`, ascending."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out.append(bit.bit_length())
+    return out
 
 
 @dataclass(frozen=True)
@@ -106,10 +116,6 @@ class Hypergraph:
         """1-based position of an edge in the list (the edge order)."""
         return self._index_of[frozenset(edge)] + 1
 
-    def high_arity_positions(self) -> list[int]:
-        """0-based positions of the arity >= 3 edges, in list order."""
-        return [i for i, e in enumerate(self.edges) if len(e) >= 3]
-
     def sorted_by_arity(self) -> "Hypergraph":
         """Copy with edges stably re-sorted by arity (smaller arity first)."""
         return Hypergraph(self.n, tuple(sorted(self.edges, key=len)))
@@ -151,12 +157,6 @@ class Graph:
             adj[v - 1] |= 1 << (u - 1)
         return tuple(adj)
 
-    def degree(self, v: int) -> int:
-        return self.adjacency[v - 1].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adjacency[u - 1] >> (v - 1) & 1)
-
     def is_independent(self, vertices: Iterable[int]) -> bool:
         """True iff no graph edge has both endpoints in `vertices`."""
         m = _mask(vertices)
@@ -167,27 +167,6 @@ class Graph:
                 return False
             rest ^= low
         return True
-
-
-@dataclass(frozen=True)
-class Matching:
-    """Pairwise-disjoint arity >= 3 hyperedges, with their vertex union."""
-
-    edges: tuple[frozenset[int], ...]
-    span: frozenset[int] = field(default=frozenset())
-
-    def __post_init__(self) -> None:
-        union: set[int] = set()
-        total = 0
-        for e in self.edges:
-            union |= e
-            total += len(e)
-        if len(union) != total:
-            raise ValueError("matching edges are not pairwise disjoint")
-        object.__setattr__(self, "span", frozenset(union))
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -271,67 +250,6 @@ def complement(G: Graph) -> Graph:
         if frozenset((u, v)) not in present
     ]
     return Graph(G.n, tuple(edges))
-
-
-def closed_neighborhood(G: Graph, W: Iterable[int]) -> frozenset[int]:
-    """W plus every vertex adjacent to some member of W."""
-    out = set(W)
-    m = 0
-    for w in out:
-        m |= G.adjacency[w - 1]
-    while m:
-        low = m & -m
-        out.add(low.bit_length())
-        m ^= low
-    return frozenset(out)
-
-
-def enumerate_matchings(
-    H: Hypergraph, size: int, arity_cap: Optional[int] = None
-) -> Iterator[Matching]:
-    """Yield every matching of `size` pairwise-disjoint arity >= 3 edges.
-
-    Edges of arity above `arity_cap` (when given) do not participate.
-    Yields in lexicographic order of the edges' order-index tuples, each
-    matching exactly once.
-    """
-    positions = [
-        i
-        for i in H.high_arity_positions()
-        if arity_cap is None or len(H.edges[i]) <= arity_cap
-    ]
-    masks = H.edge_masks
-    chosen: list[int] = []
-
-    def walk(start: int, used: int) -> Iterator[Matching]:
-        if len(chosen) == size:
-            yield Matching(tuple(H.edges[i] for i in chosen))
-            return
-        for idx in range(start, len(positions)):
-            p = positions[idx]
-            if masks[p] & used:
-                continue
-            chosen.append(p)
-            yield from walk(idx + 1, used | masks[p])
-            chosen.pop()
-
-    if size < 0:
-        return
-    yield from walk(0, 0)
-
-
-def induced_graph(G: Graph, X: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph on X with vertices relabeled 1..|X|; old_ids[new - 1] = old."""
-    old_ids = tuple(sorted(set(X)))
-    for v in old_ids:
-        if not 1 <= v <= G.n:
-            raise ValueError(f"vertex {v} out of range 1..{G.n}")
-    new_id = {v: i + 1 for i, v in enumerate(old_ids)}
-    keep = set(old_ids)
-    edges = tuple(
-        frozenset(new_id[v] for v in e) for e in G.edges if e <= keep
-    )
-    return Graph(len(old_ids), edges), old_ids
 
 
 def induced(H: Hypergraph, X: Iterable[int]) -> tuple[Hypergraph, tuple[int, ...]]:

@@ -19,127 +19,18 @@ pruned; their terms vanish.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import cliques
-from .hypergraph import (
-    Graph,
-    Hypergraph,
-    Matching,
-    induced,
-    underlying_graph,
-)
-
-
-def _bit(v: int) -> int:
-    return 1 << (v - 1)
-
-
-def _mask_of(vs: Iterable[int]) -> int:
-    m = 0
-    for v in vs:
-        m |= 1 << (v - 1)
-    return m
-
-
-def _vertices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        out.append(bit.bit_length())
-    return out
-
-
-def resolve_intersections(
-    H: Hypergraph, S: Matching
-) -> tuple[Hypergraph, tuple[int, ...]]:
-    """Rewrite edges that touch the matching from earlier in the order.
-
-    For each matching edge e and each earlier large edge e' meeting it,
-    the leftover e' minus e either names a single vertex, which is
-    deleted (along with every edge through it), or becomes a new edge
-    replacing e'.  Everything else is kept.  Returns the rewritten
-    hypergraph and old_ids with old_ids[new - 1] = original id.
-    """
-    for e in S.edges:
-        if len(e) == 2:
-            raise ValueError("matching contains an arity-2 edge")
-    s_index = {e: H.order_index(e) for e in S.edges}
-    big = [(H.order_index(e), e) for e in H.edges if len(e) >= 3]
-    deleted: set[int] = set()
-    replaced: set[int] = set()
-    added: list[tuple[tuple[int, int], frozenset[int]]] = []
-    for e, idx_e in s_index.items():
-        for idx_p, ep in big:
-            if idx_p >= idx_e or not ep & e:
-                continue
-            rest = ep - e
-            if not rest:
-                # No leftover to delete or span; the rewrite has no edge
-                # that could express this.
-                raise ValueError(
-                    f"edge {sorted(ep)} lies inside matching edge {sorted(e)}"
-                )
-            if len(rest) == 1:
-                deleted.add(next(iter(rest)))
-            else:
-                added.append(((idx_p, idx_e), rest))
-            replaced.add(idx_p)
-    keep = [v for v in range(1, H.n + 1) if v not in deleted]
-    new_id = {v: i + 1 for i, v in enumerate(keep)}
-    alive = set(keep)
-    out: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    for idx, e in enumerate(H.edges, start=1):
-        if idx in replaced or not e <= alive:
-            continue
-        mapped = frozenset(new_id[v] for v in e)
-        if mapped not in seen:
-            seen.add(mapped)
-            out.append(mapped)
-    for _, rest in sorted(added):
-        if not rest <= alive:
-            continue
-        mapped = frozenset(new_id[v] for v in rest)
-        if mapped not in seen:
-            seen.add(mapped)
-            out.append(mapped)
-    return Hypergraph(len(keep), tuple(out)), tuple(keep)
-
-
-def strip_foreign_high_arity(
-    H_prime: Hypergraph,
-    H: Hypergraph,
-    old_ids: Optional[tuple[int, ...]] = None,
-) -> Hypergraph:
-    """Drop every large edge of H_prime already present in H.
-
-    Keeps arity-2 edges and only the large edges the rewrite introduced.
-    `old_ids` maps H_prime's vertices back to H's when vertices were
-    deleted; identity when omitted.
-    """
-    if old_ids is None:
-        old_ids = tuple(range(1, H_prime.n + 1))
-    originals = {e for e in H.edges if len(e) >= 3}
-    out = []
-    for e in H_prime.edges:
-        if len(e) >= 3 and frozenset(old_ids[v - 1] for v in e) in originals:
-            continue
-        out.append(e)
-    return Hypergraph(H_prime.n, tuple(out))
+from .hypergraph import Hypergraph, _mask, _vertices, induced, underlying_graph
 
 
 class _InvalidCounter:
     """Shared state for one count_invalid run."""
 
     def __init__(self, H: Hypergraph, k: int) -> None:
-        self.H = H
         self.k = k
-        self.n = H.n
-        G = underlying_graph(H)
-        self.adj = G.adjacency
-        self.pair_masks = [m for e, m in zip(H.edges, H.edge_masks) if len(e) == 2]
+        self.adj = underlying_graph(H).adjacency
         self.full = (1 << H.n) - 1
         # Large edges in order, with span masks and span neighborhoods.
         self.big: list[tuple[int, frozenset[int]]] = [
@@ -149,7 +40,7 @@ class _InvalidCounter:
         self.nbrs = {}
         self.internally_ok = {}
         for idx, e in self.big:
-            m = _mask_of(e)
+            m = _mask(e)
             self.span[idx] = m
             nb = 0
             ok = True
@@ -176,7 +67,7 @@ class _InvalidCounter:
             acts = []
             for p in sorted(earlier):
                 rest = pos_edge[p] - e
-                acts.append((_mask_of(rest), rest))
+                acts.append((_mask(rest), rest))
             self.actions[idx] = acts
             for v in e:
                 incident.setdefault(v, []).append(idx)
@@ -206,7 +97,7 @@ class _InvalidCounter:
                     p = pos_of.get(sub)
                     if p is None:
                         continue
-                    sm = _mask_of(sub)
+                    sm = _mask(sub)
                     for m in members:
                         if p < m and span[m] & sm:
                             return 0
@@ -233,32 +124,30 @@ class _InvalidCounter:
         universe = self.full & ~forbidden
         if universe.bit_count() < k2:
             return 0
-        pairs: set[frozenset[int]] = set()
-        hypers: set[frozenset[int]] = set()
+        # Leftover pairs join the graph rows; larger leftovers make the
+        # residual a hypergraph, which needs the relabeled recursion.
+        rows = list(self.adj)
+        hypers: set[int] = set()
         for rem, pc in leftovers:
-            if pc >= 2 and rem & ~universe == 0:
-                vs = frozenset(_vertices(rem))
-                (pairs if pc == 2 else hypers).add(vs)
+            if pc < 2 or rem & ~universe:
+                continue
+            if pc == 2:
+                low = rem & -rem
+                rows[low.bit_length() - 1] |= rem ^ low
+                rows[(rem ^ low).bit_length() - 1] |= low
+            else:
+                hypers.add(rem)
+        if not hypers:
+            return cliques.count_k_is_masks(rows, universe, k2)
         old_ids = _vertices(universe)
         new_id = {v: i + 1 for i, v in enumerate(old_ids)}
-        edge_list: list[frozenset[int]] = []
-        seen: set[frozenset[int]] = set()
-        for v in old_ids:
-            lower = self.adj[v - 1] & universe & (_bit(v) - 1)
-            for u in _vertices(lower):
-                e = frozenset((new_id[u], new_id[v]))
-                if e not in seen:
-                    seen.add(e)
-                    edge_list.append(e)
-        for p in sorted(pairs, key=sorted):
-            e = frozenset(new_id[v] for v in p)
-            if e not in seen:
-                seen.add(e)
-                edge_list.append(e)
-        if not hypers:
-            return cliques.count_k_is(Graph(len(old_ids), tuple(edge_list)), k2)
-        for hset in sorted(hypers, key=sorted):
-            edge_list.append(frozenset(new_id[v] for v in hset))
+        edge_list = [
+            frozenset((new_id[u], new_id[v]))
+            for v in old_ids
+            for u in _vertices(rows[v - 1] & universe & ((1 << (v - 1)) - 1))
+        ]
+        for h in sorted(hypers, key=_vertices):
+            edge_list.append(frozenset(new_id[v] for v in _vertices(h)))
         return count_k_is_hypergraph(
             Hypergraph(len(old_ids), tuple(edge_list)), k2
         )
@@ -305,6 +194,9 @@ def count_k_is_hypergraph(H: Hypergraph, k: int) -> int:
     if k < 0:
         raise ValueError(f"negative k {k}")
     base = cliques.count_k_is(underlying_graph(H), k)
+    if base == 0:
+        # Invalid sets are independent in the graph, so none exist either.
+        return 0
     bad = count_invalid(H, k)
     result = base - bad
     assert result >= 0, f"negative count {result} ({base} - {bad})"
@@ -357,7 +249,7 @@ def count_k_is_mixed(H: Hypergraph, k: int) -> int:
     adj = G.adjacency
     big_sparse = [m for e, m in zip(H.edges, H.edge_masks)
                   if len(e) >= 3 and len(e) in sparse]
-    dense_masks = [(pos, _mask_of(e)) for pos, e in dense_edges]
+    dense_masks = [(pos, _mask(e)) for pos, e in dense_edges]
     bad = 0
     for which, (pos, e) in enumerate(dense_edges):
         emask = dense_masks[which][1]
@@ -368,7 +260,7 @@ def count_k_is_mixed(H: Hypergraph, k: int) -> int:
         if need < 0:
             continue
         for ext in itertools.combinations(others, need):
-            x = emask | _mask_of(ext)
+            x = emask | _mask(ext)
             ok = True
             for v in ext:
                 if adj[v - 1] & x:
@@ -444,7 +336,7 @@ def decide_k_is(
         budget -= 1
     witness = frozenset(chosen)
     assert len(witness) == k, "witness has wrong size"
-    wmask = _mask_of(witness)
+    wmask = _mask(witness)
     for em in H.edge_masks:
         assert em & ~wmask != 0, "witness contains an edge"
     return True, witness

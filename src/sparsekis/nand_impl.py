@@ -39,7 +39,7 @@ from .csp import (
     set_variables,
 )
 from .errors import ResourceLimit
-from .hypergraph import Graph
+from .hypergraph import Graph, _mask
 from .turan import find_k_is_sparse
 
 #: Part-sets materialized per bin before a branch aborts.
@@ -283,24 +283,15 @@ def balance_partition(
     return bins
 
 
-def _mask_of(vs) -> int:
-    m = 0
-    for v in vs:
-        m |= 1 << (v - 1)
-    return m
-
-
 class _BranchContext:
     def __init__(self, phi: CspInstance) -> None:
-        self.n = phi.n
         self.nadj = _nand_adjacency(phi)
-        self.nmask = {
-            v: _mask_of(self.nadj[v]) for v in range(1, phi.n + 1)
-        }
+        # NAND-neighbour bitmask per variable; index v-1, bit u-1.
+        self.nmask = [_mask(self.nadj[v]) for v in range(1, phi.n + 1)]
 
     def clean(self, vs: tuple[int, ...]) -> bool:
-        m = _mask_of(vs)
-        return all(self.nmask[v] & m == 0 for v in vs)
+        m = _mask(vs)
+        return all(self.nmask[v - 1] & m == 0 for v in vs)
 
 
 def _chunks_for_whole(
@@ -355,12 +346,12 @@ def _triangle_exists(
     masks = []
     blocks = []
     for part in nodes:
-        masks.append([_mask_of(c) for c in part])
+        masks.append([_mask(c) for c in part])
         blk = []
         for c in part:
-            b = _mask_of(c)
+            b = _mask(c)
             for v in c:
-                b |= ctx.nmask[v]
+                b |= ctx.nmask[v - 1]
             blk.append(b)
         blocks.append(blk)
 
@@ -416,25 +407,12 @@ def _solve_acyclic(phi: CspInstance, k: int) -> bool:
         k_rest = k - len(forced)
         if k_rest < 0:
             return False
-        pool: set[int] = set()
+        pool = 0
         for s, members in chosen:
-            pool |= members if s is None else members - {s}
+            pool |= _mask(members if s is None else members - {s})
         for s in forced:
-            pool -= nadj[s]
-            pool.discard(s)
-        if k_rest == 0:
-            return True
-        pool_l = sorted(pool)
-        if k_rest > len(pool_l):
-            return False
-        pos = {v: i + 1 for i, v in enumerate(pool_l)}
-        edges = {
-            frozenset((pos[u], pos[v]))
-            for u in pool_l
-            for v in nadj[u]
-            if v in pool and u < v
-        }
-        return cliques.count_k_is(Graph(len(pool_l), tuple(edges)), k_rest) > 0
+            pool &= ~(ctx.nmask[s - 1] | 1 << (s - 1))
+        return cliques.count_k_is_masks(ctx.nmask, pool, k_rest) > 0
 
     for g in groups:
         if pool_count([g]):

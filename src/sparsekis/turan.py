@@ -16,7 +16,6 @@ from .hypergraph import Graph
 
 __all__ = [
     "find_k_is_sparse",
-    "specialize",
     "sparse_csp_solve",
     "NO_GUARANTEE",
 ]

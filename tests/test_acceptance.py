@@ -13,6 +13,7 @@ import time
 import warnings
 
 from conftest import gnp_graph, random_csp, random_graph, random_hypergraph
+from matchings import enumerate_matchings
 from test_csp import CLASSIFY_FIXTURE
 from test_kis import term_by_definition
 from test_reductions import AND2, ATMOST1OF3, source_has_independent_transversal
@@ -36,7 +37,6 @@ from sparsekis import (
     count_k_is_hypergraph,
     count_k_is_mixed,
     dense_embed,
-    enumerate_matchings,
     find_k_is_sparse,
     gen_binary_hardness,
     gen_kis_sparse_lb,

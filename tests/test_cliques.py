@@ -13,7 +13,7 @@ from sparsekis import (
     count_k_is,
     count_triangles_tripartite,
 )
-from sparsekis.cliques import count_k_is_containing
+from sparsekis.cliques import count_k_cliques_masks, count_k_is_masks
 
 from conftest import gnp_graph
 
@@ -103,13 +103,25 @@ def test_is_k4_weight_two():
     assert count_k_is(k4, 2) == 0
 
 
+def count_is_containing(G: Graph, k: int, W) -> int:
+    """Independent k-sets holding all of W: the mask engine on the vertices
+    outside W's closed neighborhood."""
+    W = frozenset(W)
+    if len(W) > k or not G.is_independent(W):
+        return 0
+    closed = 0
+    for w in W:
+        closed |= G.adjacency[w - 1] | 1 << (w - 1)
+    return count_k_is_masks(G.adjacency, ((1 << G.n) - 1) & ~closed, k - len(W))
+
+
 def test_is_containing():
     rng = random.Random(8)
     G = gnp_graph(rng, 12, 0.3)
     es = set(G.edges)
     adj = next(iter(es))
-    assert count_k_is_containing(G, 4, adj) == 0
-    assert count_k_is_containing(G, 4, ()) == count_k_is(G, 4)
+    assert count_is_containing(G, 4, adj) == 0
+    assert count_is_containing(G, 4, ()) == count_k_is(G, 4)
     for _ in range(5):
         W = tuple(rng.sample(range(1, 13), 2))
         want = sum(
@@ -118,7 +130,27 @@ def test_is_containing():
             if set(W) <= set(c)
             and all(frozenset(p) not in es for p in itertools.combinations(c, 2))
         )
-        assert count_k_is_containing(G, 4, W) == want
+        assert count_is_containing(G, 4, W) == want
+
+
+def test_mask_engine_counts_only_inside_alive():
+    # k runs past |alive| (at most 8), and k = 2 must count only the
+    # edges with both ends alive.
+    rng = random.Random(14)
+    for p in (0.3, 0.6):
+        for _ in range(4):
+            G = gnp_graph(rng, 11, p)
+            es = set(G.edges)
+            inside = rng.sample(range(1, 12), rng.randint(0, 8))
+            alive = sum(1 << (v - 1) for v in inside)
+            for k in range(0, 10):
+                inner = [
+                    sum(frozenset(q) in es for q in itertools.combinations(c, 2))
+                    for c in itertools.combinations(inside, k)
+                ]
+                want = inner.count(k * (k - 1) // 2)
+                assert count_k_cliques_masks(G.adjacency, alive, k) == want
+                assert count_k_is_masks(G.adjacency, alive, k) == inner.count(0)
 
 
 def test_total_clique_count_recursive():

@@ -5,15 +5,10 @@ import random
 import pytest
 
 from sparsekis import Graph, HgrError, Hypergraph, format_hgr, parse_hypergraph
-from sparsekis.hypergraph import (
-    closed_neighborhood,
-    complement,
-    enumerate_matchings,
-    induced,
-    underlying_graph,
-)
+from sparsekis.hypergraph import complement, induced, underlying_graph
 
 from conftest import random_hypergraph
+from matchings import enumerate_matchings
 
 
 def test_parse_single_edge():
@@ -80,10 +75,11 @@ def test_complement_k4_and_involution():
 
 
 def test_closed_neighborhood():
+    # A closed neighborhood is an adjacency row plus the vertex's own bit.
     star = Graph(4, (frozenset({1, 2}), frozenset({1, 3}), frozenset({1, 4})))
-    assert closed_neighborhood(star, {1}) == frozenset({1, 2, 3, 4})
+    assert star.adjacency[0] | 1 << 0 == 0b1111
     G = Graph(5, (frozenset({1, 2}),))
-    assert closed_neighborhood(G, {5}) == frozenset({5})
+    assert G.adjacency[4] | 1 << 4 == 0b10000
 
 
 def test_matchings_disjointness_example():

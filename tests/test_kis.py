@@ -15,10 +15,15 @@ from sparsekis import (
     count_k_is_mixed,
     decide_k_is,
 )
-from sparsekis.hypergraph import Matching, enumerate_matchings, underlying_graph
-from sparsekis.kis import resolve_intersections, strip_foreign_high_arity
+from sparsekis.hypergraph import underlying_graph
 
 from conftest import random_hypergraph
+from matchings import (
+    Matching,
+    enumerate_matchings,
+    resolve_intersections,
+    strip_foreign_high_arity,
+)
 
 
 def term_by_definition(H: Hypergraph, S: Matching, k: int) -> int:
@@ -144,6 +149,24 @@ def test_pure_pair_edges_short_circuit():
     rng = random.Random(23)
     H = random_hypergraph(rng, 10, {2: 12})
     assert count_k_is_mixed(H, 4) == count_k_is(underlying_graph(H), 4)
+
+
+def test_zero_graph_count_skips_correction(monkeypatch):
+    # Two pair triangles leave no independent 3-set in the graph, so the
+    # count is 0 whatever the triples say, and no correction runs.
+    from sparsekis import kis
+
+    pairs = [frozenset(p) for t in ((1, 2, 3), (4, 5, 6))
+             for p in itertools.combinations(t, 2)]
+    H = Hypergraph(6, tuple(pairs) + (frozenset({1, 4, 5}), frozenset({2, 5, 6})))
+    assert brute_count_k_is(H, 3) == 0
+
+    def boom(*args):
+        raise AssertionError("count_invalid called on a zero base count")
+
+    monkeypatch.setattr(kis, "count_invalid", boom)
+    assert count_k_is_hypergraph(H, 3) == 0
+    assert count_k_is_mixed(H, 3) == 0
 
 
 def test_order_invariance_of_invalid():
