@@ -50,6 +50,7 @@ from .hypergraph import (
     format_hgr,
     parse_hypergraph,
 )
+from .reductions import _ceil_pow
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +107,6 @@ def _write_text(path: str, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
-
-
-def _ceil_pow(n: int, exponent: float) -> int:
-    if n <= 0:
-        return 0
-    return max(1, math.ceil(n**exponent - 1e-9))
 
 
 def _emit_report(args: argparse.Namespace, payload: dict) -> None:

@@ -453,6 +453,25 @@ def set_variables(
     return CspInstance(len(kept), tuple(out), labels=_compose_labels(inst, kept))
 
 
+def _rooted(phi: CspInstance) -> CspInstance:
+    """`phi` itself if it carries labels, else a copy with identity labels."""
+    if phi.labels is not None:
+        return phi
+    return CspInstance(phi.n, phi.constraints, labels=tuple(range(1, phi.n + 1)))
+
+
+def _has_false(phi: CspInstance) -> bool:
+    """True iff some constraint can never be satisfied."""
+    return any(f.is_constant_false for f, _ in phi.constraints)
+
+
+def _unsatisfiable(inst: CspInstance) -> CspInstance:
+    """An explicitly never-satisfiable remnant of `inst`, keeping its labels."""
+    if inst.n >= 1:
+        return CspInstance(inst.n, ((NEVER1, (1,)),), labels=inst.labels)
+    return CspInstance(1, ((NEVER1, (1,)),), labels=(0,))
+
+
 def preprocess_easy(phi: CspInstance, k: int) -> CspInstance:
     """Propagate away every variable some constraint pins false.
 
@@ -462,9 +481,7 @@ def preprocess_easy(phi: CspInstance, k: int) -> CspInstance:
     for every k.  A contradiction (some variable pinned false and forced
     true) leaves one never-satisfiable unary constraint behind.
     """
-    inst = phi if phi.labels is not None else CspInstance(
-        phi.n, phi.constraints, labels=tuple(range(1, phi.n + 1))
-    )
+    inst = _rooted(phi)
     while True:
         forced: set[int] = set()
         for f, vs in inst.constraints:
@@ -475,9 +492,7 @@ def preprocess_easy(phi: CspInstance, k: int) -> CspInstance:
         nxt = set_variables(inst, {v: 0 for v in forced})
         if nxt is None:
             # Pinned-false contradiction: keep an explicitly unsatisfiable remnant.
-            if inst.n >= 1:
-                return CspInstance(inst.n, ((NEVER1, (1,)),), labels=inst.labels)
-            return CspInstance(1, ((NEVER1, (1,)),), labels=(0,))
+            return _unsatisfiable(inst)
         inst = nxt
 
 
@@ -503,9 +518,7 @@ def branch_and_bound(phi: CspInstance, k: int) -> list[BranchLeaf]:
     residual weights), unioned with the forced variables, are exactly
     the weight-k solutions of `phi`.  An empty list means UNSAT.
     """
-    root = phi if phi.labels is not None else CspInstance(
-        phi.n, phi.constraints, labels=tuple(range(1, phi.n + 1))
-    )
+    root = _rooted(phi)
     leaves: list[BranchLeaf] = []
 
     def rec(inst: CspInstance, budget: int, forced: frozenset[int]) -> None:
@@ -648,9 +661,7 @@ def impl_prune(phi: CspInstance, k: int) -> CspInstance:
     to false and specializes its constraints, preserving weight-k
     satisfiability.
     """
-    inst = phi if phi.labels is not None else CspInstance(
-        phi.n, phi.constraints, labels=tuple(range(1, phi.n + 1))
-    )
+    inst = _rooted(phi)
     structure = build_impl_structure(inst)
     nands = nand_pairs(inst)
     bad: set[int] = set()
@@ -665,9 +676,7 @@ def impl_prune(phi: CspInstance, k: int) -> CspInstance:
         return inst
     nxt = set_variables(inst, {v: 0 for v in bad})
     if nxt is None:
-        if inst.n >= 1:
-            return CspInstance(inst.n, ((NEVER1, (1,)),), labels=inst.labels)
-        return CspInstance(1, ((NEVER1, (1,)),), labels=(0,))
+        return _unsatisfiable(inst)
     return nxt
 
 
@@ -759,7 +768,7 @@ def _solve_leaf_binary(leaf: BranchLeaf, regime: Regime) -> Optional[set[int]]:
 
     inst = preprocess_easy(leaf.instance, leaf.k)
     k = leaf.k
-    if any(f.is_constant_false for f, _ in inst.constraints):
+    if _has_false(inst):
         return None
     if k == 0:
         if all(f.table[0] == 1 for f, _ in inst.constraints):
@@ -781,7 +790,7 @@ def _solve_leaf_binary(leaf: BranchLeaf, regime: Regime) -> Optional[set[int]]:
         # Pruning fixes variables false, which leaves pinning constraints
         # behind; propagate those before reading off the implication order.
         inst2 = preprocess_easy(impl_prune(_eq_to_impl(inst), k), k)
-        if any(f.is_constant_false for f, _ in inst2.constraints):
+        if _has_false(inst2):
             return None
         if k > inst2.n:
             return None
@@ -796,7 +805,7 @@ def _solve_leaf_binary(leaf: BranchLeaf, regime: Regime) -> Optional[set[int]]:
     inst2 = _eq_to_impl(inst)
     if impl_edges(inst2):
         inst3 = preprocess_easy(impl_prune(inst2, k), k)
-        if any(f.is_constant_false for f, _ in inst3.constraints):
+        if _has_false(inst3):
             return None
         if impl_edges(inst3):
             got_b = _nand_impl.solve_nand_impl(inst3, k)

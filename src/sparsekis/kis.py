@@ -9,8 +9,10 @@ collapses, given V(S) is in the set, to a constraint on the leftover
 vertices of the touching edge; leftovers of one vertex delete it, larger
 leftovers become new (smaller) edges, and whatever still straddles V(S)
 is shrunk by it.  The residual problem is a hypergraph of strictly
-smaller maximum arity, so the evaluation recurses and bottoms out in the
-plain-graph engine.
+smaller maximum arity on the term's surviving vertices.  It stays on
+bitmasks: leftover pairs join a copy of the adjacency rows, and larger
+leftovers feed a nested counter over the same rows and vertex mask, so
+the recursion bottoms out in the plain-graph engine without relabeling.
 
 Matchings whose span exceeds k, or would contain a graph edge, are
 pruned; their terms vanish.
@@ -19,64 +21,61 @@ pruned; their terms vanish.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import cliques
 from .hypergraph import Hypergraph, _mask, _vertices, induced, underlying_graph
 
 
 class _InvalidCounter:
-    """Shared state for one count_invalid run."""
+    """Shared state for one inclusion-exclusion count, on bitmasks only.
 
-    def __init__(self, H: Hypergraph, k: int) -> None:
+    `rows` are pair adjacency rows (index v-1, bit u-1), `alive` the
+    vertex mask the count runs inside, and `edge_masks` the ordered edge
+    masks.  Masks of three or more vertices are the large edges; each
+    keeps its 1-based list position as its index.
+    """
+
+    def __init__(
+        self, rows: Sequence[int], alive: int, edge_masks: Sequence[int], k: int
+    ) -> None:
         self.k = k
-        self.adj = underlying_graph(H).adjacency
-        self.full = (1 << H.n) - 1
-        # Large edges in order, with span masks and span neighborhoods.
-        self.big: list[tuple[int, frozenset[int]]] = [
-            (i + 1, e) for i, e in enumerate(H.edges) if len(e) >= 3
-        ]
-        self.span = {}
-        self.nbrs = {}
-        self.internally_ok = {}
-        for idx, e in self.big:
-            m = _mask(e)
-            self.span[idx] = m
-            nb = 0
-            ok = True
-            for v in e:
-                av = self.adj[v - 1]
-                if av & m:
-                    ok = False
-                nb |= av
-            self.nbrs[idx] = nb & ~m
-            self.internally_ok[idx] = ok
+        self.adj = rows
+        self.full = alive
+        # Per large edge, in order: span mask, span neighborhood, whether
+        # the span is independent, and the constraints induced by earlier
+        # intersecting large edges, as their leftover masks.
+        self.span: dict[int, int] = {}
+        self.nbrs: dict[int, int] = {}
+        self.internally_ok: dict[int, bool] = {}
+        self.actions: dict[int, list[int]] = {}
         # Position lookup for the saturated-span shortcut, keyed by the
-        # sorted vertex tuple, plus the ascending arity menu.
-        self.pos_of = {tuple(sorted(e)): idx for idx, e in self.big}
-        self.big_sizes = sorted({len(e) for _, e in self.big})
-        # Per large edge: constraints induced by earlier intersecting
-        # large edges, as (leftover mask, leftover set).
+        # sorted vertex tuple.
+        self.pos_of: dict[tuple[int, ...], int] = {}
         incident: dict[int, list[int]] = {}
-        pos_edge = dict(self.big)
-        self.actions: dict[int, list[tuple[int, frozenset[int]]]] = {}
-        for idx, e in self.big:
+        for idx, m in enumerate(edge_masks, start=1):
+            if m.bit_count() < 3:
+                continue
+            vs = _vertices(m)
+            nb = 0
+            for v in vs:
+                nb |= rows[v - 1]
             earlier: set[int] = set()
-            for v in e:
-                earlier.update(p for p in incident.get(v, ()) if p < idx)
-            acts = []
-            for p in sorted(earlier):
-                rest = pos_edge[p] - e
-                acts.append((_mask(rest), rest))
-            self.actions[idx] = acts
-            for v in e:
-                incident.setdefault(v, []).append(idx)
+            for v in vs:
+                earlier.update(incident.setdefault(v, []))
+                incident[v].append(idx)
+            self.span[idx] = m
+            self.nbrs[idx] = nb & ~m
+            self.internally_ok[idx] = nb & m == 0
+            self.actions[idx] = [self.span[p] & ~m for p in sorted(earlier)]
+            self.pos_of[tuple(vs)] = idx
+        self.big_sizes = sorted({m.bit_count() for m in self.span.values()})
 
     def candidates(self) -> list[int]:
         return [
             idx
-            for idx, e in self.big
-            if self.internally_ok[idx] and len(e) <= self.k
+            for idx, m in self.span.items()
+            if self.internally_ok[idx] and m.bit_count() <= self.k
         ]
 
     def term(self, members: list[int], span_mask: int, span_size: int) -> int:
@@ -102,55 +101,43 @@ class _InvalidCounter:
                         if p < m and span[m] & sm:
                             return 0
             return 1
-        deleted = 0
-        leftovers: list[tuple[int, int]] = []  # (mask outside span, popcount)
-        for idx in members:
-            for rmask, rest in self.actions[idx]:
-                if len(rest) == 1:
-                    deleted |= rmask
-                else:
-                    rem = rmask & ~span_mask
-                    if rem == 0:
-                        return 0
-                    leftovers.append((rem, rem.bit_count()))
-        if deleted & span_mask:
-            return 0
-        forbidden = span_mask | deleted
+        # An earlier edge inside the span kills the term; leftovers of one
+        # vertex outside it are forbidden, larger ones become edges.
+        forbidden = span_mask
+        leftovers: list[int] = []
         for idx in members:
             forbidden |= self.nbrs[idx]
-        for rem, pc in leftovers:
-            if pc == 1:
-                forbidden |= rem
+            for rmask in self.actions[idx]:
+                rem = rmask & ~span_mask
+                if rem == 0:
+                    return 0
+                if rem & (rem - 1):
+                    leftovers.append(rem)
+                else:
+                    forbidden |= rem
         universe = self.full & ~forbidden
         if universe.bit_count() < k2:
             return 0
-        # Leftover pairs join the graph rows; larger leftovers make the
-        # residual a hypergraph, which needs the relabeled recursion.
+        # Leftover pairs join a copy of the rows; larger leftovers are the
+        # residual's large edges, counted by a nested counter.
         rows = list(self.adj)
         hypers: set[int] = set()
-        for rem, pc in leftovers:
-            if pc < 2 or rem & ~universe:
+        for rem in leftovers:
+            if rem & ~universe:
                 continue
-            if pc == 2:
+            if rem.bit_count() == 2:
                 low = rem & -rem
                 rows[low.bit_length() - 1] |= rem ^ low
                 rows[(rem ^ low).bit_length() - 1] |= low
             else:
                 hypers.add(rem)
-        if not hypers:
-            return cliques.count_k_is_masks(rows, universe, k2)
-        old_ids = _vertices(universe)
-        new_id = {v: i + 1 for i, v in enumerate(old_ids)}
-        edge_list = [
-            frozenset((new_id[u], new_id[v]))
-            for v in old_ids
-            for u in _vertices(rows[v - 1] & universe & ((1 << (v - 1)) - 1))
-        ]
-        for h in sorted(hypers, key=_vertices):
-            edge_list.append(frozenset(new_id[v] for v in _vertices(h)))
-        return count_k_is_hypergraph(
-            Hypergraph(len(old_ids), tuple(edge_list)), k2
-        )
+        base = cliques.count_k_is_masks(rows, universe, k2)
+        if not hypers or base == 0 or k2 < 3:
+            return base
+        bad = _InvalidCounter(rows, universe, sorted(hypers), k2).run()
+        result = base - bad
+        assert result >= 0, f"negative residual count {result} ({base} - {bad})"
+        return result
 
     def run(self) -> int:
         cands = self.candidates()
@@ -186,7 +173,8 @@ def count_invalid(H: Hypergraph, k: int) -> int:
     """Independent k-sets of the underlying graph that contain a large edge."""
     if k < 3 or not any(len(e) >= 3 for e in H.edges):
         return 0
-    return _InvalidCounter(H, k).run()
+    rows = underlying_graph(H).adjacency
+    return _InvalidCounter(rows, (1 << H.n) - 1, H.edge_masks, k).run()
 
 
 def count_k_is_hypergraph(H: Hypergraph, k: int) -> int:
@@ -289,21 +277,9 @@ def _restrict_to_vertex(H: Hypergraph, v: int) -> tuple[Hypergraph, tuple[int, .
     for e in H.edges:
         if len(e) == 2 and v in e:
             gone |= e
+    shrunk = dict.fromkeys(e - {v} if len(e) >= 3 else e for e in H.edges)
     keep = [u for u in range(1, H.n + 1) if u not in gone]
-    new_id = {u: i + 1 for i, u in enumerate(keep)}
-    alive = set(keep)
-    out: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    for e in H.edges:
-        if len(e) >= 3 and v in e:
-            e = e - {v}
-        if not e <= alive:
-            continue
-        mapped = frozenset(new_id[u] for u in e)
-        if mapped not in seen:
-            seen.add(mapped)
-            out.append(mapped)
-    return Hypergraph(len(keep), tuple(out)), tuple(keep)
+    return induced(Hypergraph(H.n, tuple(shrunk)), keep)
 
 
 def decide_k_is(

@@ -22,47 +22,46 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Collection, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import cliques
 from .csp import (
     CspInstance,
+    _has_false,
+    _rooted,
     branch_and_bound,
     build_impl_structure,
     impl_edges,
     is_impl_fn,
     is_nand_fn,
-    nand_pairs,
     preprocess_easy,
     set_variables,
 )
 from .errors import ResourceLimit
-from .hypergraph import Graph, _mask
+from .hypergraph import Graph, _mask, _vertices
 from .turan import find_k_is_sparse
 
 #: Part-sets materialized per bin before a branch aborts.
 NODE_CAP = 200_000
 
 
-def _rooted(phi: CspInstance) -> CspInstance:
-    if phi.labels is not None:
-        return phi
-    return CspInstance(phi.n, phi.constraints, labels=tuple(range(1, phi.n + 1)))
+def _nand_rows(phi: CspInstance) -> list[int]:
+    """NAND-neighbour bitmask per variable; index v-1, bit u-1."""
+    rows = [0] * phi.n
+    for f, vs in phi.constraints:
+        if is_nand_fn(f):
+            u, v = vs
+            rows[u - 1] |= 1 << (v - 1)
+            rows[v - 1] |= 1 << (u - 1)
+    return rows
 
 
-def _has_false(phi: CspInstance) -> bool:
-    return any(f.is_constant_false for f, _ in phi.constraints)
-
-
-def _nand_adjacency(phi: CspInstance) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {v: set() for v in range(1, phi.n + 1)}
-    for pair in nand_pairs(phi):
-        u, v = sorted(pair)
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+def _clean(rows: Sequence[int], vs: Collection[int]) -> bool:
+    """True iff no NAND pair lies inside `vs`."""
+    m = _mask(vs)
+    return all(rows[v - 1] & m == 0 for v in vs)
 
 
 def restrict_instance(
@@ -79,8 +78,7 @@ def restrict_instance(
     """
     inst = _rooted(phi)
     structure = build_impl_structure(inst)
-    nadj = _nand_adjacency(inst)
-    nands = nand_pairs(inst)
+    rows = _nand_rows(inst)
     heavy = sorted(
         v for v in range(1, inst.n + 1) if len(structure.descendants[v]) >= 3
     )
@@ -93,13 +91,13 @@ def restrict_instance(
                 continue
             if size and len(cone) < 3 * size:
                 continue
-            if any(pair <= cone for pair in nands):
+            if not _clean(rows, cone):
                 continue
-            blocked: set[int] = set()
+            blocked = 0
             for d in cone:
-                blocked |= nadj[d]
+                blocked |= rows[d - 1]
             removed: set[int] = set()
-            for b in blocked:
+            for b in _vertices(blocked):
                 removed |= structure.ancestors[b]
             fixed = {d: 1 for d in cone}
             fixed.update({u: 0 for u in removed})
@@ -153,8 +151,8 @@ def remove_two_cycles(
     if not cycles:
         yield inst, k
         return
-    nands = nand_pairs(inst)
-    takeable = [c for c in cycles if c not in nands]
+    rows = _nand_rows(inst)
+    takeable = [c for c in cycles if _clean(rows, c)]
     cycle_vertices = set().union(*cycles)
     for r in range(0, min(len(takeable), k // 2) + 1):
         for C in itertools.combinations(takeable, r):
@@ -189,19 +187,18 @@ class GroupPartition:
 
 
 def _greedy_in_pool(
-    pool: Sequence[int], nadj: dict[int, set[int]], want: int
+    pool_mask: int, rows: Sequence[int], want: int
 ) -> Optional[frozenset[int]]:
-    pool = sorted(pool)
+    pool = _vertices(pool_mask)
     if want > len(pool):
         return None
     pos = {v: i + 1 for i, v in enumerate(pool)}
-    inside = set(pool)
-    edges = {
+    # Each pool edge once, from its lower end.
+    edges = [
         frozenset((pos[u], pos[v]))
         for u in pool
-        for v in nadj[u]
-        if v in inside
-    }
+        for v in _vertices(rows[u - 1] & pool_mask >> u << u)
+    ]
     got = find_k_is_sparse(Graph(len(pool), tuple(edges)), want)
     if got is None:
         return None
@@ -237,26 +234,24 @@ def build_groups(phi: CspInstance, k: Optional[int] = None) -> GroupPartition:
         groups.append((None, v_0))
     escape = None
     if k is not None:
-        nadj = _nand_adjacency(phi)
+        rows = _nand_rows(phi)
         for sink, members in groups:
             if sink is None:
-                got = _greedy_in_pool(sorted(members), nadj, k)
+                got = _greedy_in_pool(_mask(members), rows, k)
                 if got is not None:
                     escape = got
                     break
             else:
                 if k < 1:
                     continue
-                pool = [u for u in members if u != sink and sink not in nadj[u]]
-                got = _greedy_in_pool(pool, nadj, k - 1)
+                pool = _mask(members) & ~(rows[sink - 1] | 1 << (sink - 1))
+                got = _greedy_in_pool(pool, rows, k - 1)
                 if got is not None:
                     escape = got | {sink}
                     break
         if escape is not None:
             assert len(escape) == k
-            assert all(
-                not (pair <= escape) for pair in nand_pairs(phi)
-            ), "escape violates a NAND pair"
+            assert _clean(rows, escape), "escape violates a NAND pair"
     return GroupPartition(v_l, v_r, v_0, tuple(groups), escape)
 
 
@@ -283,25 +278,14 @@ def balance_partition(
     return bins
 
 
-class _BranchContext:
-    def __init__(self, phi: CspInstance) -> None:
-        self.nadj = _nand_adjacency(phi)
-        # NAND-neighbour bitmask per variable; index v-1, bit u-1.
-        self.nmask = [_mask(self.nadj[v]) for v in range(1, phi.n + 1)]
-
-    def clean(self, vs: tuple[int, ...]) -> bool:
-        m = _mask(vs)
-        return all(self.nmask[v - 1] & m == 0 for v in vs)
-
-
 def _chunks_for_whole(
-    ctx: _BranchContext, sink: Optional[int], members: frozenset[int], quota: int
+    rows: Sequence[int], sink: Optional[int], members: frozenset[int], quota: int
 ) -> list[tuple[int, ...]]:
     """All ways a whole group can supply exactly `quota` vertices."""
     if sink is None:
         base = sorted(members)
         return [
-            c for c in itertools.combinations(base, quota) if ctx.clean(c)
+            c for c in itertools.combinations(base, quota) if _clean(rows, c)
         ]
     if quota < 1:
         return []
@@ -309,13 +293,13 @@ def _chunks_for_whole(
     out = []
     for c in itertools.combinations(rest, quota - 1):
         full = c + (sink,)
-        if ctx.clean(full):
+        if _clean(rows, full):
             out.append(full)
     return out
 
 
 def _chunks_for_split(
-    ctx: _BranchContext,
+    rows: Sequence[int],
     sink: Optional[int],
     members: frozenset[int],
     take: int,
@@ -330,14 +314,14 @@ def _chunks_for_split(
         return [
             c + (sink,)
             for c in itertools.combinations(rest, take - 1)
-            if ctx.clean(c + (sink,))
+            if _clean(rows, c + (sink,))
         ]
     base = sorted(members if sink is None else members - {sink})
-    return [c for c in itertools.combinations(base, take) if ctx.clean(c)]
+    return [c for c in itertools.combinations(base, take) if _clean(rows, c)]
 
 
 def _triangle_exists(
-    ctx: _BranchContext,
+    rows: Sequence[int],
     nodes: list[list[tuple[int, ...]]],
 ) -> bool:
     """Tripartite check: disjoint, cross-NAND-free triple of part-sets."""
@@ -351,7 +335,7 @@ def _triangle_exists(
         for c in part:
             b = _mask(c)
             for v in c:
-                b |= ctx.nmask[v - 1]
+                b |= rows[v - 1]
             blk.append(b)
         blocks.append(blk)
 
@@ -395,15 +379,13 @@ def _solve_acyclic(phi: CspInstance, k: int) -> bool:
     gp = build_groups(phi, k)
     if gp.escape is not None:
         return True
-    ctx = _BranchContext(phi)
-    nadj = ctx.nadj
+    rows = _nand_rows(phi)
     groups = list(gp.groups)
 
     def pool_count(chosen: list[tuple[Optional[int], frozenset[int]]]) -> bool:
         forced = [s for s, _ in chosen if s is not None]
-        for a, b in itertools.combinations(forced, 2):
-            if b in nadj[a]:
-                return False
+        if not _clean(rows, forced):
+            return False
         k_rest = k - len(forced)
         if k_rest < 0:
             return False
@@ -411,8 +393,8 @@ def _solve_acyclic(phi: CspInstance, k: int) -> bool:
         for s, members in chosen:
             pool |= _mask(members if s is None else members - {s})
         for s in forced:
-            pool &= ~(ctx.nmask[s - 1] | 1 << (s - 1))
-        return cliques.count_k_is_masks(ctx.nmask, pool, k_rest) > 0
+            pool &= ~(rows[s - 1] | 1 << (s - 1))
+        return cliques.count_k_is_masks(rows, pool, k_rest) > 0
 
     for g in groups:
         if pool_count([g]):
@@ -446,7 +428,7 @@ def _solve_acyclic(phi: CspInstance, k: int) -> bool:
                 g2s, g2m = groups[combo[split2]]
                 q1 = quotas[split1]
                 q2 = quotas[split2]
-                if g1s is not None and g2s is not None and g2s in nadj[g1s]:
+                if not _clean(rows, [s for s in (g1s, g2s) if s is not None]):
                     continue
                 for c1, t1 in _distributions(q1, g1s is not None):
                     for c2, t2 in _distributions(q2, g2s is not None):
@@ -454,7 +436,7 @@ def _solve_acyclic(phi: CspInstance, k: int) -> bool:
                         if not all(lo <= x <= hi for x in loads):
                             continue
                         if _branch_triangle(
-                            ctx, groups, combo, order, quotas, bins,
+                            rows, groups, combo, order, quotas, bins,
                             (split1, c1, t1), (split2, c2, t2),
                         ):
                             return True
@@ -480,7 +462,7 @@ def _compositions(total: int, ell: int, caps: list[int]) -> Iterator[tuple[int, 
 
 
 def _branch_triangle(
-    ctx: _BranchContext,
+    rows: Sequence[int],
     groups: list[tuple[Optional[int], frozenset[int]]],
     combo: tuple[int, ...],
     order: list[int],
@@ -499,7 +481,7 @@ def _branch_triangle(
             gi = order[idx - 1]
             sink, members = groups[combo[gi]]
             chunk_lists.append(
-                _chunks_for_whole(ctx, sink, members, quotas[gi])
+                _chunks_for_whole(rows, sink, members, quotas[gi])
             )
         for (si, c, tpos) in (
             (sa, ca, ta),
@@ -510,7 +492,7 @@ def _branch_triangle(
             if take == 0:
                 continue
             chunk_lists.append(
-                _chunks_for_split(ctx, sink, members, take, tpos == t)
+                _chunks_for_split(rows, sink, members, take, tpos == t)
             )
         part: list[tuple[int, ...]] = [()]
         for chunks in chunk_lists:
@@ -521,13 +503,13 @@ def _branch_triangle(
             for base in part:
                 for c in chunks:
                     joined = base + c
-                    if ctx.clean(joined):
+                    if _clean(rows, joined):
                         nxt.append(joined)
                 if len(nxt) > NODE_CAP:
                     raise ResourceLimit("triangle part-sets", f"> {NODE_CAP}", NODE_CAP)
             part = nxt
         nodes.append(part)
-    return _triangle_exists(ctx, nodes)
+    return _triangle_exists(rows, nodes)
 
 
 def solve_restricted(phi: CspInstance, k: int) -> bool:

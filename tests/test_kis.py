@@ -169,6 +169,53 @@ def test_zero_graph_count_skips_correction(monkeypatch):
     assert count_k_is_mixed(H, 3) == 0
 
 
+def test_residual_hypergraphs_stay_on_masks(monkeypatch):
+    # {4,5,6,7} meets the earlier {1,2,3,4}, leaving the 3-vertex
+    # leftover {1,2,3} inside its term's universe, so that residual is a
+    # hypergraph.  It must be counted by a nested counter on the same
+    # rows, with no relabeled Hypergraph, Graph or recursive count.
+    from sparsekis import kis
+
+    rng = random.Random(31)
+    cases = [(Hypergraph(9, (frozenset({1, 2, 3, 4}), frozenset({4, 5, 6, 7}))), 7)]
+    for _ in range(12):
+        n = rng.randint(9, 11)
+        arities = {2: rng.randint(0, 4), 4: rng.randint(2, 5), 5: rng.randint(1, 3)}
+        cases.append((random_hypergraph(rng, n, arities), rng.choice([7, 8])))
+    wants = [brute_count_invalid(H, k) for H, k in cases]
+
+    def boom(*args):
+        raise AssertionError("residual term left the masks")
+
+    graphs: list[Hypergraph] = []
+    real_underlying = kis.underlying_graph
+
+    def underlying_once(H):
+        graphs.append(H)
+        return real_underlying(H)
+
+    counters: list[int] = []
+
+    class CountingCounter(kis._InvalidCounter):
+        def __init__(self, rows, alive, edge_masks, k):
+            counters.append(k)
+            super().__init__(rows, alive, edge_masks, k)
+
+    monkeypatch.setattr(kis, "Hypergraph", boom)
+    monkeypatch.setattr(kis, "count_k_is_hypergraph", boom)
+    monkeypatch.setattr(kis.cliques, "count_k_is", boom)
+    monkeypatch.setattr(kis, "underlying_graph", underlying_once)
+    monkeypatch.setattr(kis, "_InvalidCounter", CountingCounter)
+    # 10 + 10 - 1 seven-sets cover one edge or the other.
+    assert count_invalid(*cases[0]) == wants[0] == 19
+    assert counters == [7, 3]
+    for (H, k), want in zip(cases[1:], wants[1:]):
+        assert count_invalid(H, k) == want
+    # One graph per call (the top-level rows); some random cases nest too.
+    assert graphs == [H for H, _ in cases]
+    assert len(counters) > len(cases) + 1
+
+
 def test_order_invariance_of_invalid():
     rng = random.Random(24)
     for _ in range(10):
@@ -193,7 +240,8 @@ def test_terms_match_definition():
         n = rng.randint(6, 9)
         H = random_hypergraph(rng, n, {2: rng.randint(0, 3), 3: rng.randint(2, 5)})
         for k in (3, 5, 6):
-            counter = _InvalidCounter(H, k)
+            rows = underlying_graph(H).adjacency
+            counter = _InvalidCounter(rows, (1 << n) - 1, H.edge_masks, k)
             cands = set(counter.candidates())
             for size in (1, 2):
                 for S in enumerate_matchings(H, size):
