@@ -34,7 +34,7 @@ from .csp import (
     symmetrize,
     u_min,
 )
-from .errors import ResourceLimit
+from .errors import ResourceLimit, VerificationError
 from .hypergraph import (
     MAX_ARITY,
     Graph,
@@ -97,6 +97,7 @@ __all__ = [
     "ORACLE_CAP",
     "Regime",
     "ResourceLimit",
+    "VerificationError",
     "balance_partition",
     "branch_and_bound",
     "brute_count_invalid",

@@ -6,9 +6,10 @@ hardness constructions), and sweep benchmark grids into CSV.
 
 Exit codes: 0 on success (a NO answer included), 1 for NO under
 ``--strict-exit``, 2 for unreadable input or bad parameters, 3 when a
-resource limit stops a solver.  All randomness flows from one 64-bit
-``--seed`` through a private ``random.Random``; timing uses the
-monotonic clock.
+resource limit stops a solver, 4 when an answer fails its re-check
+against the input (checked under ``python -O`` too).  All randomness
+flows from one 64-bit ``--seed`` through a private ``random.Random``;
+timing uses the monotonic clock.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .csp import (
     parse_csp,
     solve_csp,
 )
-from .errors import ResourceLimit
+from .errors import ResourceLimit, VerificationError
 from .hypergraph import (
     MAX_ARITY,
     HgrError,
@@ -148,18 +149,24 @@ def _csp_arity_counts(phi: CspInstance) -> dict[int, int]:
 
 def _check_kis_witness(H: Hypergraph, wit: Iterable[int], k: int) -> list[int]:
     chosen = sorted(set(wit))
-    assert len(chosen) == k, "witness has wrong size"
-    assert all(1 <= v <= H.n for v in chosen), "witness vertex out of range"
+    if len(chosen) != k:
+        raise VerificationError("witness has wrong size")
+    if not all(1 <= v <= H.n for v in chosen):
+        raise VerificationError("witness vertex out of range")
     s = set(chosen)
-    assert all(not e <= s for e in H.edges), "witness contains an edge"
+    if any(e <= s for e in H.edges):
+        raise VerificationError("witness contains an edge")
     return chosen
 
 
 def _check_csp_witness(phi: CspInstance, wit: Iterable[int], k: int) -> list[int]:
     chosen = sorted(set(wit))
-    assert len(chosen) == k, "assignment has wrong weight"
-    assert all(1 <= v <= phi.n for v in chosen), "variable out of range"
-    assert phi.satisfied_by(chosen), "assignment violates a constraint"
+    if len(chosen) != k:
+        raise VerificationError("assignment has wrong weight")
+    if not all(1 <= v <= phi.n for v in chosen):
+        raise VerificationError("variable out of range")
+    if not phi.satisfied_by(chosen):
+        raise VerificationError("assignment violates a constraint")
     return chosen
 
 
@@ -180,8 +187,7 @@ def _cmd_solve_kis(args: argparse.Namespace) -> int:
         count = kis.count_k_is_mixed(H, args.k)
         decision = count > 0
         if args.witness and decision:
-            found, wit = kis.decide_k_is(H, args.k, want_witness=True)
-            assert found, "counter and decider disagree"
+            wit = kis.witness_k_is(H, args.k)
     else:
         decision, wit = kis.decide_k_is(H, args.k, want_witness=args.witness)
     elapsed = time.monotonic_ns() - t0
@@ -729,6 +735,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 4
     except (HgrError, CspParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,13 +22,18 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import ResourceLimit
+from .errors import ResourceLimit, VerificationError
+from .hypergraph import _mask, _vertices
 
 MAX_CSP_ARITY = 6
 
 #: Hard cap on states visited by the bounded closed-set search
 #: (Subexponential regime) before giving up with ResourceLimit.
 SEARCH_STATE_CAP = 500_000
+
+#: States the closed-set search visits on a NAND + implication leaf
+#: before the nand_impl pipeline takes over.
+NAND_IMPL_STATE_CAP = 20_000
 
 #: Hard cap on assignments scanned by the exhaustive fallback inside
 #: solve_csp for higher-arity instances.
@@ -622,6 +627,17 @@ def impl_edges(phi: CspInstance) -> set[tuple[int, int]]:
     return out
 
 
+def _nand_rows(phi: CspInstance) -> list[int]:
+    """NAND-neighbour bitmask per variable; index v-1, bit u-1."""
+    rows = [0] * phi.n
+    for f, vs in phi.constraints:
+        if is_nand_fn(f):
+            u, v = vs
+            rows[u - 1] |= 1 << (v - 1)
+            rows[v - 1] |= 1 << (u - 1)
+    return rows
+
+
 def nand_pairs(phi: CspInstance) -> set[frozenset[int]]:
     """Unordered pairs that may not both be true."""
     return {
@@ -693,45 +709,59 @@ class CspResult:
 
 
 def _closed_set_search(
-    desc: dict[int, frozenset[int]], k: int, state_cap: int = SEARCH_STATE_CAP
+    inst: CspInstance, k: int, state_cap: int = SEARCH_STATE_CAP
 ) -> Optional[frozenset[int]]:
-    """Find a descendant-closed set of exactly k variables, or None.
+    """Find a weight-k set closed under implication with no NAND pair
+    inside, or None when there is none.
 
-    Bounded DFS over unions of descendant sets with a visited-state memo;
-    raises ResourceLimit past `state_cap` states.
+    Bounded DFS over unions of descendant sets, on bitmasks, with a
+    visited-state memo; a union holding a NAND pair is cut.  Raises
+    ResourceLimit past `state_cap` states.
     """
     if k == 0:
         return frozenset()
-    order = sorted(desc)
+    desc = build_impl_structure(inst).descendants
+    rows = _nand_rows(inst)
+    # Each descendant set as (mask, its NAND neighbours); a set with a
+    # NAND pair inside is never part of a solution.
+    gens: list[tuple[int, int]] = []
+    for v in sorted(desc):
+        m = _mask(desc[v])
+        b = 0
+        for u in desc[v]:
+            b |= rows[u - 1]
+        if b & m == 0:
+            gens.append((m, b))
     # Minimal start index each set was already explored from; exploring
     # from start s covers all continuations with later generators, so a
     # revisit is only needed when the new start is strictly smaller.
-    explored: dict[frozenset[int], int] = {}
+    explored: dict[int, int] = {}
     budget = [state_cap]
 
-    def rec(current: frozenset[int], start: int) -> Optional[frozenset[int]]:
-        if len(current) == k:
+    def rec(current: int, blocked: int, start: int) -> Optional[int]:
+        if current.bit_count() == k:
             return current
         if budget[0] <= 0:
             raise ResourceLimit("closed-set search states", state_cap + 1, state_cap)
         budget[0] -= 1
-        for i in range(start, len(order)):
-            v = order[i]
-            if v in current:
+        for i in range(start, len(gens)):
+            m, b = gens[i]
+            if m & ~current == 0 or m & blocked:
                 continue
-            nxt = current | desc[v]
-            if len(nxt) > k:
+            nxt = current | m
+            if nxt.bit_count() > k:
                 continue
             prev = explored.get(nxt)
             if prev is not None and prev <= i + 1:
                 continue
             explored[nxt] = i + 1
-            got = rec(nxt, i + 1)
+            got = rec(nxt, blocked | b, i + 1)
             if got is not None:
                 return got
         return None
 
-    return rec(frozenset(), 0)
+    got = rec(0, 0, 0)
+    return None if got is None else frozenset(_vertices(got))
 
 
 def _free_variables(inst: CspInstance) -> list[int]:
@@ -743,8 +773,10 @@ def _free_variables(inst: CspInstance) -> list[int]:
 
 def _verify(phi: CspInstance, true_vars: Iterable[int], k: int) -> tuple[int, ...]:
     chosen = tuple(sorted(set(true_vars)))
-    assert len(chosen) == k, f"witness weight {len(chosen)} != {k}"
-    assert phi.satisfied_by(chosen), "witness fails verification"
+    if len(chosen) != k:
+        raise VerificationError(f"witness weight {len(chosen)} != {k}")
+    if not phi.satisfied_by(chosen):
+        raise VerificationError("witness fails verification")
     return chosen
 
 
@@ -794,8 +826,7 @@ def _solve_leaf_binary(leaf: BranchLeaf, regime: Regime) -> Optional[set[int]]:
             return None
         if k > inst2.n:
             return None
-        structure = build_impl_structure(inst2)
-        got = _closed_set_search(structure.descendants, k)
+        got = _closed_set_search(inst2, k)
         if got is None:
             return None
         return {inst2.label_of(v) for v in got} | set(leaf.forced_true)
@@ -808,11 +839,20 @@ def _solve_leaf_binary(leaf: BranchLeaf, regime: Regime) -> Optional[set[int]]:
         if _has_false(inst3):
             return None
         if impl_edges(inst3):
-            got_b = _nand_impl.solve_nand_impl(inst3, k)
-            if not got_b:
-                return None
-            # Decision only from the pipeline; recover members by self-reduction.
-            sol = _witness_on_nand_impl(inst3, k)
+            # A solution is a NAND-free union of descendant sets, so an
+            # exhausted search is a NO; past the cap the pipeline decides
+            # and self-reduction recovers the members.
+            try:
+                sol = _closed_set_search(inst3, k, NAND_IMPL_STATE_CAP)
+            except ResourceLimit:
+                if not _nand_impl.solve_nand_impl(inst3, k):
+                    return None
+                sol = _witness_on_nand_impl(inst3, k)
+            else:
+                if sol is None:
+                    return None
+                if not inst3.satisfied_by(sol):
+                    raise VerificationError("closed-set search hit fails verification")
             return {inst3.label_of(v) for v in sol} | set(leaf.forced_true)
         inst2 = inst3
     edges = nand_pairs(inst2)
@@ -859,7 +899,8 @@ def _witness_on_nand_impl(inst: CspInstance, k: int) -> set[int]:
                 budget -= 1
                 progressed = True
                 break
-        assert progressed, "self-reduction stalled on a YES instance"
+        if not progressed:
+            raise VerificationError("self-reduction stalled on a YES instance")
     return chosen
 
 

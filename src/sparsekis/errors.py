@@ -1,4 +1,4 @@
-"""Shared exception types for solver resource guards."""
+"""Shared exception types for solver resource guards and answer checks."""
 
 
 class ResourceLimit(RuntimeError):
@@ -12,3 +12,11 @@ class ResourceLimit(RuntimeError):
         self.what = what
         self.needed = needed
         self.cap = cap
+
+
+class VerificationError(RuntimeError):
+    """Raised when an answer fails its re-check against the input.
+
+    An explicit exception rather than an `assert`, so the check also
+    runs under `python -O`.
+    """

@@ -16,6 +16,11 @@ the recursion bottoms out in the plain-graph engine without relabeling.
 
 Matchings whose span exceeds k, or would contain a graph edge, are
 pruned; their terms vanish.
+
+Deciding, building a witness, and spotting a zero count start with a
+bounded DFS on the same bitmasks (`_search_k_is`): it either finds a
+k-set, proves none exists, or stops after SEARCH_NODE_BUDGET nodes, and
+only then do the counts run.
 """
 
 from __future__ import annotations
@@ -24,7 +29,67 @@ import itertools
 from typing import Optional, Sequence
 
 from . import cliques
+from .errors import VerificationError
 from .hypergraph import Hypergraph, _mask, _vertices, induced, underlying_graph
+
+#: Nodes the bounded search may visit before counting takes over.
+SEARCH_NODE_BUDGET = 20_000
+
+
+def _search_k_is(
+    rows: Sequence[int], alive: int, big: Sequence[int], k: int
+) -> tuple[bool, Optional[int]]:
+    """Bounded DFS for a k-set inside `alive` containing no edge.
+
+    `rows` are pair adjacency rows (index v-1, bit u-1) and `big` the
+    masks of the edges with 3..k vertices.  Vertices are picked in
+    increasing order; a pick drops its pair neighbours from the
+    candidates, and the last vertex of every large edge the pick leaves
+    one vertex short of being contained.  A branch is cut when fewer
+    candidates remain than vertices are still needed.
+
+    Returns (settled, mask): (True, mask) for a k-set found, (True, None)
+    when the search ran out of branches, which proves no k-set exists,
+    and (False, None) when it stopped after SEARCH_NODE_BUDGET nodes.
+    """
+    if SEARCH_NODE_BUDGET < 1:
+        return False, None
+    if k == 0:
+        return True, 0
+    through: dict[int, list[int]] = {}
+    for m in big:
+        for v in _vertices(m):
+            through.setdefault(v, []).append(m)
+    # One frame per pick depth: [chosen, untried candidates, still needed].
+    stack = [[0, alive, k]]
+    nodes = 1
+    while stack:
+        frame = stack[-1]
+        chosen, cand, need = frame
+        if cand.bit_count() < need:
+            stack.pop()
+            continue
+        bit = cand & -cand
+        frame[1] = cand ^ bit
+        nodes += 1
+        if nodes > SEARCH_NODE_BUDGET:
+            return False, None
+        picked = chosen | bit
+        if need == 1:
+            return True, picked
+        v = bit.bit_length()
+        nxt = frame[1] & ~rows[v - 1]
+        for m in through.get(v, ()):
+            rest = m & ~picked
+            if rest & (rest - 1) == 0:
+                nxt &= ~rest
+        stack.append([picked, nxt, need - 1])
+    return True, None
+
+
+def _large_masks(H: Hypergraph, k: int) -> list[int]:
+    """Masks of the edges with 3..k vertices; larger ones fit in no k-set."""
+    return [m for m in H.edge_masks if 3 <= m.bit_count() <= k]
 
 
 class _InvalidCounter:
@@ -181,7 +246,12 @@ def count_k_is_hypergraph(H: Hypergraph, k: int) -> int:
     """Exact number of k-sets containing no edge of any arity."""
     if k < 0:
         raise ValueError(f"negative k {k}")
-    base = cliques.count_k_is(underlying_graph(H), k)
+    G = underlying_graph(H)
+    # A search that runs out of branches proves 0 without the clique engine.
+    settled, found = _search_k_is(G.adjacency, (1 << H.n) - 1, _large_masks(H, k), k)
+    if settled and found is None:
+        return 0
+    base = cliques.count_k_is(G, k)
     if base == 0:
         # Invalid sets are independent in the graph, so none exist either.
         return 0
@@ -231,7 +301,7 @@ def count_k_is_mixed(H: Hypergraph, k: int) -> int:
         tuple(e for e in H.edges if len(e) == 2 or len(e) in sparse),
     )
     base = count_k_is_hypergraph(backbone, k)
-    if not dense_edges:
+    if not dense_edges or base == 0:
         return base
     G = underlying_graph(H)
     adj = G.adjacency
@@ -282,20 +352,34 @@ def _restrict_to_vertex(H: Hypergraph, v: int) -> tuple[Hypergraph, tuple[int, .
     return induced(Hypergraph(H.n, tuple(shrunk)), keep)
 
 
-def decide_k_is(
-    H: Hypergraph, k: int, want_witness: bool = False
-) -> tuple[bool, Optional[frozenset[int]]]:
-    """YES iff some k-set contains no edge; optionally builds one.
+def _checked(H: Hypergraph, k: int, witness: frozenset[int]) -> frozenset[int]:
+    """`witness` itself after re-checking it against H's edges."""
+    if len(witness) != k:
+        raise VerificationError(f"witness has {len(witness)} vertices, want {k}")
+    wmask = _mask(witness)
+    if wmask >> H.n:
+        raise VerificationError("witness vertex out of range")
+    for em in H.edge_masks:
+        if em & ~wmask == 0:
+            raise VerificationError("witness contains an edge")
+    return witness
 
-    The witness comes from counting-based self-reduction: vertex 1 is
-    deleted whenever a solution avoids it, otherwise it is committed and
-    the instance conditioned on it.  The witness is re-checked against
-    the original hypergraph before returning.
+
+def _search_in(H: Hypergraph, k: int) -> tuple[bool, Optional[int]]:
+    if k < 0:
+        raise ValueError(f"negative k {k}")
+    return _search_k_is(
+        underlying_graph(H).adjacency, (1 << H.n) - 1, _large_masks(H, k), k
+    )
+
+
+def _witness_by_counting(H: Hypergraph, k: int) -> frozenset[int]:
+    """Counting self-reduction on an instance with a positive count.
+
+    Vertex 1 is deleted whenever a solution avoids it, otherwise it is
+    committed and the instance conditioned on it: one count per vertex
+    at most.
     """
-    if count_k_is_mixed(H, k) == 0:
-        return False, None
-    if not want_witness:
-        return True, None
     chosen: list[int] = []
     cur = H
     ids = tuple(range(1, H.n + 1))
@@ -310,9 +394,43 @@ def decide_k_is(
         cur, old = _restrict_to_vertex(cur, 1)
         ids = tuple(ids[v - 1] for v in old)
         budget -= 1
-    witness = frozenset(chosen)
-    assert len(witness) == k, "witness has wrong size"
-    wmask = _mask(witness)
-    for em in H.edge_masks:
-        assert em & ~wmask != 0, "witness contains an edge"
-    return True, witness
+    return frozenset(chosen)
+
+
+def decide_k_is(
+    H: Hypergraph, k: int, want_witness: bool = False
+) -> tuple[bool, Optional[frozenset[int]]]:
+    """YES iff some k-set contains no edge; optionally returns one.
+
+    A bounded bitmask search runs first: a set it finds is the answer
+    (and the witness), and a search that runs out of branches proves NO.
+    Past SEARCH_NODE_BUDGET nodes the count decides, and the witness
+    comes from counting self-reduction.  Every witness is re-checked
+    against H's edges, raising VerificationError on a mismatch.
+    """
+    settled, found = _search_in(H, k)
+    if not settled:
+        if count_k_is_mixed(H, k) == 0:
+            return False, None
+        if not want_witness:
+            return True, None
+        return True, _checked(H, k, _witness_by_counting(H, k))
+    if found is None:
+        return False, None
+    witness = _checked(H, k, frozenset(_vertices(found)))
+    return True, witness if want_witness else None
+
+
+def witness_k_is(H: Hypergraph, k: int) -> frozenset[int]:
+    """A re-checked k-set containing no edge, for an H known to have one.
+
+    Same search and fallback as decide_k_is; a search that proves no
+    k-set exists raises VerificationError, since the caller's count said
+    otherwise.
+    """
+    settled, found = _search_in(H, k)
+    if not settled:
+        return _checked(H, k, _witness_by_counting(H, k))
+    if found is None:
+        raise VerificationError(f"no independent {k}-set exists")
+    return _checked(H, k, frozenset(_vertices(found)))

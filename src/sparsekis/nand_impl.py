@@ -14,8 +14,10 @@ peels structure until triangle counting can finish the job:
   4. one branch per composition of k over chosen groups reduces to
      finding a triangle across three bins of candidate part-sets.
 
-Everything is decision-only; callers that need an assignment wrap this
-in self-reduction.
+The pipeline decides only.  `csp` first searches the leaf for a
+NAND-free union of descendant sets, which gives an assignment directly;
+only when that search hits its state cap does it call the pipeline, and
+then recovers an assignment by self-reduction over pipeline calls.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from . import cliques
 from .csp import (
     CspInstance,
     _has_false,
+    _nand_rows,
     _rooted,
     branch_and_bound,
     build_impl_structure,
@@ -45,17 +48,6 @@ from .turan import find_k_is_sparse
 
 #: Part-sets materialized per bin before a branch aborts.
 NODE_CAP = 200_000
-
-
-def _nand_rows(phi: CspInstance) -> list[int]:
-    """NAND-neighbour bitmask per variable; index v-1, bit u-1."""
-    rows = [0] * phi.n
-    for f, vs in phi.constraints:
-        if is_nand_fn(f):
-            u, v = vs
-            rows[u - 1] |= 1 << (v - 1)
-            rows[v - 1] |= 1 << (u - 1)
-    return rows
 
 
 def _clean(rows: Sequence[int], vs: Collection[int]) -> bool:

@@ -3,8 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import sparsekis
 
 from sparsekis.cli import main
 from sparsekis.csp import parse_csp
@@ -37,6 +43,24 @@ def test_solve_kis_count_and_witness(tmp_path, capsys):
     assert lines[1] == "count 3"
     wit = set(map(int, lines[2].split()[1:]))
     assert len(wit) == 3 and wit != {1, 2, 3}
+
+
+def test_count_and_witness_count_once(tmp_path, capsys, monkeypatch):
+    from sparsekis import kis
+
+    calls = []
+    real = kis.count_k_is_mixed
+
+    def counted(H, k):
+        calls.append(k)
+        return real(H, k)
+
+    monkeypatch.setattr(kis, "count_k_is_mixed", counted)
+    p = tmp_path / "one.hgr"
+    p.write_text(ONE_EDGE)
+    code, out, _ = run(capsys, "solve-kis", str(p), "-k", "3", "--count", "--witness")
+    assert code == 0 and out.splitlines()[1] == "count 3"
+    assert calls == [3]
 
 
 def test_no_answer_and_strict_exit(tmp_path, capsys):
@@ -354,3 +378,49 @@ def test_bench_rejects_wrong_solver(capsys):
         "-k", "3", "--solver", "csp",
     )
     assert code == 2 and "not available" in err
+
+
+# Each patch corrupts one answer on its way to print: a solver's own
+# re-check or the CLI's must catch it.
+CORRUPTIONS = {
+    "decide_k_is": (
+        ONE_EDGE, "solve-kis", "3",
+        "sparsekis.kis._search_k_is = lambda *a: (True, 0b111)",
+    ),
+    "check_kis_witness": (
+        ONE_EDGE, "solve-kis", "3",
+        "sparsekis.kis.decide_k_is = lambda *a, **kw: (True, frozenset({1, 2, 3}))",
+    ),
+    "csp_verify": (
+        NAND_PAIR, "solve-csp", "2",
+        "sparsekis.csp._solve_leaf_binary = lambda *a: {1, 2}",
+    ),
+    "check_csp_witness": (
+        NAND_PAIR, "solve-csp", "2",
+        "sparsekis.cli.solve_csp = lambda *a, **kw: "
+        "sparsekis.csp.CspResult(True, (1, 2), 'patched')",
+    ),
+}
+
+
+@pytest.mark.parametrize("where", sorted(CORRUPTIONS))
+def test_corrupted_witness_exits_4_under_optimize(tmp_path, where):
+    text, command, k, patch = CORRUPTIONS[where]
+    p = tmp_path / "in.txt"
+    p.write_text(text)
+    argv = [command, str(p), "-k", k, "--witness"]
+    script = (
+        "import sys, sparsekis.cli, sparsekis.csp, sparsekis.kis\n"
+        "assert False, 'asserts must be stripped'\n"
+        f"{patch}\n"
+        f"sys.exit(sparsekis.cli.main({argv!r}))\n"
+    )
+    src = str(Path(sparsekis.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 4, done.stderr
+    assert "verification failed" in done.stderr
+    assert "witness" not in done.stdout

@@ -358,3 +358,46 @@ def test_solve_decision_only():
 def test_solve_negative_k():
     with pytest.raises(ValueError):
         solve_csp(CspInstance(3, ()), -1)
+
+
+@pytest.mark.parametrize("cap", ["default", "zero"])
+def test_nand_impl_leaf_search_matches_oracle(monkeypatch, cap):
+    # NAND + IMPL leaves go to the closed-set search first; with a zero
+    # state cap every one of them must reach the nand_impl pipeline
+    # instead, and the answers stay the oracle's.
+    from sparsekis import csp, nand_impl
+
+    if cap == "zero":
+        monkeypatch.setattr(csp, "NAND_IMPL_STATE_CAP", 0)
+    pipeline = []
+    real_pipeline = nand_impl.solve_nand_impl
+
+    def counted(phi, k):
+        pipeline.append(k)
+        return real_pipeline(phi, k)
+
+    monkeypatch.setattr(nand_impl, "solve_nand_impl", counted)
+    searched = []
+    real_search = csp._closed_set_search
+
+    def spied(inst, k, state_cap=csp.SEARCH_STATE_CAP):
+        searched.append(state_cap)
+        return real_search(inst, k, state_cap)
+
+    monkeypatch.setattr(csp, "_closed_set_search", spied)
+    rng = random.Random(63)
+    for _ in range(40):
+        n = rng.randint(3, 10)
+        phi = random_csp(rng, n, [NAND2, IMPL, EQ2], rng.randint(2, 12))
+        for k in range(0, n + 1):
+            res = solve_csp(phi, k)
+            want = brute_solve_csp(phi, k)
+            assert res.satisfiable == (want is not None), (format_csp(phi), k)
+            if res.satisfiable:
+                assert len(res.assignment) == k
+                assert phi.satisfied_by(res.assignment)
+    assert csp.NAND_IMPL_STATE_CAP in searched
+    if cap == "zero":
+        assert pipeline
+    else:
+        assert not pipeline

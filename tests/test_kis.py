@@ -1,12 +1,14 @@
 """Inclusion-exclusion counting: examples, order-invariance, term identities."""
 
 import itertools
+import math
 import random
 
 import pytest
 
 from sparsekis import (
     Hypergraph,
+    VerificationError,
     brute_count_invalid,
     brute_count_k_is,
     count_invalid,
@@ -14,6 +16,7 @@ from sparsekis import (
     count_k_is_hypergraph,
     count_k_is_mixed,
     decide_k_is,
+    kis,
 )
 from sparsekis.hypergraph import underlying_graph
 
@@ -153,9 +156,9 @@ def test_pure_pair_edges_short_circuit():
 
 def test_zero_graph_count_skips_correction(monkeypatch):
     # Two pair triangles leave no independent 3-set in the graph, so the
-    # count is 0 whatever the triples say, and no correction runs.
-    from sparsekis import kis
-
+    # count is 0 whatever the triples say, and no correction runs.  A zero
+    # budget keeps the search from settling it first.
+    monkeypatch.setattr(kis, "SEARCH_NODE_BUDGET", 0)
     pairs = [frozenset(p) for t in ((1, 2, 3), (4, 5, 6))
              for p in itertools.combinations(t, 2)]
     H = Hypergraph(6, tuple(pairs) + (frozenset({1, 4, 5}), frozenset({2, 5, 6})))
@@ -169,13 +172,28 @@ def test_zero_graph_count_skips_correction(monkeypatch):
     assert count_k_is_mixed(H, 3) == 0
 
 
+def test_exhausted_search_returns_zero_without_counting(monkeypatch):
+    # Four disjoint pair 5-cliques: every 5-set holds a pair of one of
+    # them, which the search proves without the clique engine.
+    pairs = [frozenset(p) for b in range(0, 20, 5)
+             for p in itertools.combinations(range(b + 1, b + 6), 2)]
+    triples = [frozenset({1, 6, 11}), frozenset({2, 7, 16}), frozenset({3, 12, 17})]
+    H = Hypergraph(20, tuple(pairs + triples))
+    assert brute_count_k_is(H, 5) == 0
+
+    def boom(*args):
+        raise AssertionError("counted an instance the search settled")
+
+    monkeypatch.setattr(kis.cliques, "count_k_is_masks", boom)
+    assert count_k_is_hypergraph(H, 5) == 0
+    assert count_k_is_mixed(H, 5) == 0
+
+
 def test_residual_hypergraphs_stay_on_masks(monkeypatch):
     # {4,5,6,7} meets the earlier {1,2,3,4}, leaving the 3-vertex
     # leftover {1,2,3} inside its term's universe, so that residual is a
     # hypergraph.  It must be counted by a nested counter on the same
     # rows, with no relabeled Hypergraph, Graph or recursive count.
-    from sparsekis import kis
-
     rng = random.Random(31)
     cases = [(Hypergraph(9, (frozenset({1, 2, 3, 4}), frozenset({4, 5, 6, 7}))), 7)]
     for _ in range(12):
@@ -341,3 +359,39 @@ def test_decide_witness_random():
             if got:
                 assert len(wit) == k
                 assert all(not e <= wit for e in H.edges)
+
+
+@pytest.mark.parametrize("budget", ["default", "zero"])
+def test_decide_matches_oracle_on_mixed_arities(monkeypatch, budget):
+    # With the default budget the search settles every instance this
+    # small (under 2^9 nodes), so no count runs; with a zero budget every
+    # instance takes the count and counting self-reduction instead.
+    if budget == "zero":
+        monkeypatch.setattr(kis, "SEARCH_NODE_BUDGET", 0)
+    else:
+        def boom(*args):
+            raise AssertionError("counted an instance the search should settle")
+
+        monkeypatch.setattr(kis, "count_k_is_mixed", boom)
+    rng = random.Random(61)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        counts = {
+            a: min(rng.randint(0, 4), math.comb(n, a))
+            for a in range(2, min(6, n) + 1)
+        }
+        H = random_hypergraph(rng, n, counts)
+        for k in range(0, n + 2):
+            want = brute_count_k_is(H, k) > 0
+            got, wit = decide_k_is(H, k, want_witness=True)
+            assert got == want, (H, k)
+            assert decide_k_is(H, k) == (want, None)
+            if not got:
+                assert wit is None
+                if budget == "default":
+                    with pytest.raises(VerificationError):
+                        kis.witness_k_is(H, k)
+                continue
+            for w in (wit, kis.witness_k_is(H, k)):
+                assert len(w) == k and all(1 <= v <= n for v in w)
+                assert all(not e <= w for e in H.edges)
