@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ResourceLimit
+from .errors import ResourceLimit, VerificationError
 from .hypergraph import Graph, _vertices
 
 #: Cliques materialized per part before giving up; three boolean
@@ -154,7 +154,8 @@ def count_k_cliques_masks(
         mats[(sx, sy)] = _compat(parts[sx][1], parts[sy][0])
     total = count_triangles_tripartite(mats[(a, b)], mats[(b, c)], mats[(a, c)])
     denom = factorial(k) // (factorial(a) * factorial(b) * factorial(c))
-    assert total % denom == 0, f"triple count {total} not divisible by {denom}"
+    if total % denom:
+        raise VerificationError(f"triple count {total} not divisible by {denom}")
     return total // denom
 
 

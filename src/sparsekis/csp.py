@@ -458,13 +458,6 @@ def set_variables(
     return CspInstance(len(kept), tuple(out), labels=_compose_labels(inst, kept))
 
 
-def _rooted(phi: CspInstance) -> CspInstance:
-    """`phi` itself if it carries labels, else a copy with identity labels."""
-    if phi.labels is not None:
-        return phi
-    return CspInstance(phi.n, phi.constraints, labels=tuple(range(1, phi.n + 1)))
-
-
 def _has_false(phi: CspInstance) -> bool:
     """True iff some constraint can never be satisfied."""
     return any(f.is_constant_false for f, _ in phi.constraints)
@@ -486,7 +479,7 @@ def preprocess_easy(phi: CspInstance, k: int) -> CspInstance:
     for every k.  A contradiction (some variable pinned false and forced
     true) leaves one never-satisfiable unary constraint behind.
     """
-    inst = _rooted(phi)
+    inst = phi
     while True:
         forced: set[int] = set()
         for f, vs in inst.constraints:
@@ -523,7 +516,6 @@ def branch_and_bound(phi: CspInstance, k: int) -> list[BranchLeaf]:
     residual weights), unioned with the forced variables, are exactly
     the weight-k solutions of `phi`.  An empty list means UNSAT.
     """
-    root = _rooted(phi)
     leaves: list[BranchLeaf] = []
 
     def rec(inst: CspInstance, budget: int, forced: frozenset[int]) -> None:
@@ -540,7 +532,7 @@ def branch_and_bound(phi: CspInstance, k: int) -> list[BranchLeaf]:
                 continue
             rec(child, budget - 1, forced | {inst.label_of(v)})
 
-    rec(root, k, frozenset())
+    rec(phi, k, frozenset())
     return leaves
 
 
@@ -677,22 +669,22 @@ def impl_prune(phi: CspInstance, k: int) -> CspInstance:
     to false and specializes its constraints, preserving weight-k
     satisfiability.
     """
-    inst = _rooted(phi)
-    structure = build_impl_structure(inst)
-    nands = nand_pairs(inst)
+    structure = build_impl_structure(phi)
+    rows = _nand_rows(phi)
     bad: set[int] = set()
-    for v in range(1, inst.n + 1):
+    for v in range(1, phi.n + 1):
         dv = structure.descendants[v]
         if len(dv) > k:
             bad.add(v)
             continue
-        if any(pair <= dv for pair in nands):
+        m = _mask(dv)
+        if any(rows[u - 1] & m for u in dv):
             bad |= structure.ancestors[v]
     if not bad:
-        return inst
-    nxt = set_variables(inst, {v: 0 for v in bad})
+        return phi
+    nxt = set_variables(phi, {v: 0 for v in bad})
     if nxt is None:
-        return _unsatisfiable(inst)
+        return _unsatisfiable(phi)
     return nxt
 
 
@@ -795,8 +787,7 @@ def _solve_leaf_binary(leaf: BranchLeaf, regime: Regime) -> Optional[set[int]]:
     """Solve one 0-valid binary leaf; returns original-label true-set or None."""
     from . import kis as _kis
     from . import nand_impl as _nand_impl
-    from . import turan as _turan
-    from .hypergraph import Graph, Hypergraph
+    from .hypergraph import Hypergraph
 
     inst = preprocess_easy(leaf.instance, leaf.k)
     k = leaf.k
@@ -855,19 +846,10 @@ def _solve_leaf_binary(leaf: BranchLeaf, regime: Regime) -> Optional[set[int]]:
                     raise VerificationError("closed-set search hit fails verification")
             return {inst3.label_of(v) for v in sol} | set(leaf.forced_true)
         inst2 = inst3
-    edges = nand_pairs(inst2)
-    g = Graph(inst2.n, tuple(edges))
-    if k > g.n:
-        return None
-    if 2 * k * k * g.m <= g.n * g.n:
-        got_g = _turan.find_k_is_sparse(g, k)
-        if got_g is not None:
-            return {inst2.label_of(v) for v in got_g} | set(leaf.forced_true)
-    wrap = Hypergraph(g.n, tuple(g.edges))
-    ok, found = _kis.decide_k_is(wrap, k, want_witness=True)
+    H = Hypergraph(inst2.n, tuple(nand_pairs(inst2)))
+    ok, found = _kis.decide_k_is(H, k, want_witness=True)
     if not ok:
         return None
-    assert found is not None
     return {inst2.label_of(v) for v in found} | set(leaf.forced_true)
 
 

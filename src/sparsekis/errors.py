@@ -15,7 +15,9 @@ class ResourceLimit(RuntimeError):
 
 
 class VerificationError(RuntimeError):
-    """Raised when an answer fails its re-check against the input.
+    """Raised when an answer fails its re-check against the input, or a
+    count fails an internal consistency check (a negative count, a
+    clique total not divisible by its symmetry factor).
 
     An explicit exception rather than an `assert`, so the check also
     runs under `python -O`.

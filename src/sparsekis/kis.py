@@ -20,7 +20,9 @@ pruned; their terms vanish.
 Deciding, building a witness, and spotting a zero count start with a
 bounded DFS on the same bitmasks (`_search_k_is`): it either finds a
 k-set, proves none exists, or stops after SEARCH_NODE_BUDGET nodes, and
-only then do the counts run.
+only then do the counts run.  Every caller that wants a k-set, not a
+proof of zero, goes through `_find_k_is`, which follows a budget hit
+with one greedy sweep (`turan.find_k_is_sparse`) before giving up.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from . import cliques
+from . import cliques, turan
 from .errors import VerificationError
-from .hypergraph import Hypergraph, _mask, _vertices, induced, underlying_graph
+from .hypergraph import Graph, Hypergraph, _mask, _vertices, induced, underlying_graph
 
 #: Nodes the bounded search may visit before counting takes over.
 SEARCH_NODE_BUDGET = 20_000
@@ -85,6 +87,37 @@ def _search_k_is(
                 nxt &= ~rest
         stack.append([picked, nxt, need - 1])
     return True, None
+
+
+def _find_k_is(
+    rows: Sequence[int], alive: int, big: Sequence[int], k: int
+) -> tuple[bool, Optional[int]]:
+    """`_search_k_is`, plus one greedy try when it hits its budget.
+
+    The greedy is `turan.find_k_is_sparse` on the pair graph inside
+    `alive`, relabeled to 1..|alive|; it always succeeds when
+    2 k^2 m <= n^2, where the search can drown under one dense vertex.
+    Its set counts as found only if it contains none of the `big` masks.
+    Same outcomes as `_search_k_is`.
+    """
+    settled, found = _search_k_is(rows, alive, big, k)
+    if settled:
+        return settled, found
+    pool = _vertices(alive)
+    pos = {v: i + 1 for i, v in enumerate(pool)}
+    # Each pool edge once, from its lower end.
+    edges = [
+        frozenset((pos[u], pos[v]))
+        for u in pool
+        for v in _vertices(rows[u - 1] & alive >> u << u)
+    ]
+    got = turan.find_k_is_sparse(Graph(len(pool), tuple(edges)), k)
+    if got is None:
+        return False, None
+    mask = _mask(pool[i - 1] for i in got)
+    if any(m & ~mask == 0 for m in big):
+        return False, None
+    return True, mask
 
 
 def _large_masks(H: Hypergraph, k: int) -> list[int]:
@@ -201,7 +234,8 @@ class _InvalidCounter:
             return base
         bad = _InvalidCounter(rows, universe, sorted(hypers), k2).run()
         result = base - bad
-        assert result >= 0, f"negative residual count {result} ({base} - {bad})"
+        if result < 0:
+            raise VerificationError(f"negative residual count {result} ({base} - {bad})")
         return result
 
     def run(self) -> int:
@@ -257,7 +291,8 @@ def count_k_is_hypergraph(H: Hypergraph, k: int) -> int:
         return 0
     bad = count_invalid(H, k)
     result = base - bad
-    assert result >= 0, f"negative count {result} ({base} - {bad})"
+    if result < 0:
+        raise VerificationError(f"negative count {result} ({base} - {bad})")
     return result
 
 
@@ -336,7 +371,8 @@ def count_k_is_mixed(H: Hypergraph, k: int) -> int:
             if minimal:
                 bad += 1
     result = base - bad
-    assert result >= 0, f"negative mixed count {result} ({base} - {bad})"
+    if result < 0:
+        raise VerificationError(f"negative mixed count {result} ({base} - {bad})")
     return result
 
 
@@ -368,7 +404,7 @@ def _checked(H: Hypergraph, k: int, witness: frozenset[int]) -> frozenset[int]:
 def _search_in(H: Hypergraph, k: int) -> tuple[bool, Optional[int]]:
     if k < 0:
         raise ValueError(f"negative k {k}")
-    return _search_k_is(
+    return _find_k_is(
         underlying_graph(H).adjacency, (1 << H.n) - 1, _large_masks(H, k), k
     )
 
@@ -402,11 +438,12 @@ def decide_k_is(
 ) -> tuple[bool, Optional[frozenset[int]]]:
     """YES iff some k-set contains no edge; optionally returns one.
 
-    A bounded bitmask search runs first: a set it finds is the answer
-    (and the witness), and a search that runs out of branches proves NO.
-    Past SEARCH_NODE_BUDGET nodes the count decides, and the witness
-    comes from counting self-reduction.  Every witness is re-checked
-    against H's edges, raising VerificationError on a mismatch.
+    `_find_k_is` runs first: a set it finds is the answer (and the
+    witness), and a search that runs out of branches proves NO.  When
+    the search stops at SEARCH_NODE_BUDGET nodes and the greedy sweep
+    fails too, the count decides, and the witness comes from counting
+    self-reduction.  Every witness is re-checked against H's edges,
+    raising VerificationError on a mismatch.
     """
     settled, found = _search_in(H, k)
     if not settled:
@@ -424,9 +461,9 @@ def decide_k_is(
 def witness_k_is(H: Hypergraph, k: int) -> frozenset[int]:
     """A re-checked k-set containing no edge, for an H known to have one.
 
-    Same search and fallback as decide_k_is; a search that proves no
-    k-set exists raises VerificationError, since the caller's count said
-    otherwise.
+    Same search, greedy and fallback as decide_k_is; a search that
+    proves no k-set exists raises VerificationError, since the caller's
+    count said otherwise.
     """
     settled, found = _search_in(H, k)
     if not settled:

@@ -11,8 +11,11 @@ peels structure until triangle counting can finish the job:
   3. the leftover order sorts into stars (a sink plus its sources),
      which partition the variables into groups a solution meets only
      via whole quotas;
-  4. one branch per composition of k over chosen groups reduces to
-     finding a triangle across three bins of candidate part-sets.
+  4. solutions inside one or two groups are a k-IS question on the
+     groups' NAND rows: `kis._find_k_is` first, an exact count after;
+  5. one branch per composition of k over three or more chosen groups
+     reduces to finding a triangle across three bins of candidate
+     part-sets.
 
 The pipeline decides only.  `csp` first searches the leaf for a
 NAND-free union of descendant sets, which gives an assignment directly;
@@ -33,7 +36,6 @@ from .csp import (
     CspInstance,
     _has_false,
     _nand_rows,
-    _rooted,
     branch_and_bound,
     build_impl_structure,
     impl_edges,
@@ -43,8 +45,8 @@ from .csp import (
     set_variables,
 )
 from .errors import ResourceLimit
-from .hypergraph import Graph, _mask, _vertices
-from .turan import find_k_is_sparse
+from .hypergraph import _mask, _vertices
+from .kis import _find_k_is
 
 #: Part-sets materialized per bin before a branch aborts.
 NODE_CAP = 200_000
@@ -68,11 +70,10 @@ def restrict_instance(
     ancestors, then deletes whatever is still heavy.  Some branch
     preserves each weight-k solution, with residual budget k - |D(S)|.
     """
-    inst = _rooted(phi)
-    structure = build_impl_structure(inst)
-    rows = _nand_rows(inst)
+    structure = build_impl_structure(phi)
+    rows = _nand_rows(phi)
     heavy = sorted(
-        v for v in range(1, inst.n + 1) if len(structure.descendants[v]) >= 3
+        v for v in range(1, phi.n + 1) if len(structure.descendants[v]) >= 3
     )
     for size in range(0, k // 3 + 1):
         for S in itertools.combinations(heavy, size):
@@ -93,7 +94,7 @@ def restrict_instance(
                 removed |= structure.ancestors[b]
             fixed = {d: 1 for d in cone}
             fixed.update({u: 0 for u in removed})
-            branch = set_variables(inst, fixed)
+            branch = set_variables(phi, fixed)
             if branch is None:
                 continue
             k_i = k - len(cone)
@@ -138,12 +139,11 @@ def remove_two_cycles(
     floor(k/2) NAND-free pairs is fixed true, every other cycle vertex
     false.  Residual budget drops by two per taken pair.
     """
-    inst = _rooted(phi)
-    cycles = _two_cycles(inst)
+    cycles = _two_cycles(phi)
     if not cycles:
-        yield inst, k
+        yield phi, k
         return
-    rows = _nand_rows(inst)
+    rows = _nand_rows(phi)
     takeable = [c for c in cycles if _clean(rows, c)]
     cycle_vertices = set().union(*cycles)
     for r in range(0, min(len(takeable), k // 2) + 1):
@@ -151,7 +151,7 @@ def remove_two_cycles(
             taken = set().union(*C) if C else set()
             fixed = {v: 1 for v in taken}
             fixed.update({v: 0 for v in cycle_vertices - taken})
-            branch = set_variables(inst, fixed)
+            branch = set_variables(phi, fixed)
             if branch is None:
                 continue
             k_j = k - 2 * r
@@ -167,42 +167,19 @@ class GroupPartition:
 
     Sinks (two or more ancestors) with their sources form one group
     each; implication-free variables pool into a final sinkless group.
-    `escape` holds a full weight-k solution when the greedy sweep found
-    one inside a single group.
     """
 
     v_l: frozenset[int]
     v_r: frozenset[int]
     v_0: frozenset[int]
     groups: tuple[tuple[Optional[int], frozenset[int]], ...]
-    escape: Optional[frozenset[int]] = None
 
 
-def _greedy_in_pool(
-    pool_mask: int, rows: Sequence[int], want: int
-) -> Optional[frozenset[int]]:
-    pool = _vertices(pool_mask)
-    if want > len(pool):
-        return None
-    pos = {v: i + 1 for i, v in enumerate(pool)}
-    # Each pool edge once, from its lower end.
-    edges = [
-        frozenset((pos[u], pos[v]))
-        for u in pool
-        for v in _vertices(rows[u - 1] & pool_mask >> u << u)
-    ]
-    got = find_k_is_sparse(Graph(len(pool), tuple(edges)), want)
-    if got is None:
-        return None
-    return frozenset(pool[i - 1] for i in got)
-
-
-def build_groups(phi: CspInstance, k: Optional[int] = None) -> GroupPartition:
+def build_groups(phi: CspInstance) -> GroupPartition:
     """Partition the variables of an acyclic restricted instance into stars.
 
-    With k given, each group is also probed greedily for a solution
-    lying wholly inside it (sink forced plus a NAND-independent rest);
-    the first hit lands in `escape`.
+    A solution lying wholly inside one group, or two, needs no triangle
+    branch; `_solve_acyclic` checks those pools first.
     """
     structure = build_impl_structure(phi)
     desc = structure.descendants
@@ -224,27 +201,7 @@ def build_groups(phi: CspInstance, k: Optional[int] = None) -> GroupPartition:
     ]
     if v_0:
         groups.append((None, v_0))
-    escape = None
-    if k is not None:
-        rows = _nand_rows(phi)
-        for sink, members in groups:
-            if sink is None:
-                got = _greedy_in_pool(_mask(members), rows, k)
-                if got is not None:
-                    escape = got
-                    break
-            else:
-                if k < 1:
-                    continue
-                pool = _mask(members) & ~(rows[sink - 1] | 1 << (sink - 1))
-                got = _greedy_in_pool(pool, rows, k - 1)
-                if got is not None:
-                    escape = got | {sink}
-                    break
-        if escape is not None:
-            assert len(escape) == k
-            assert _clean(rows, escape), "escape violates a NAND pair"
-    return GroupPartition(v_l, v_r, v_0, tuple(groups), escape)
+    return GroupPartition(v_l, v_r, v_0, tuple(groups))
 
 
 def balance_partition(
@@ -270,26 +227,6 @@ def balance_partition(
     return bins
 
 
-def _chunks_for_whole(
-    rows: Sequence[int], sink: Optional[int], members: frozenset[int], quota: int
-) -> list[tuple[int, ...]]:
-    """All ways a whole group can supply exactly `quota` vertices."""
-    if sink is None:
-        base = sorted(members)
-        return [
-            c for c in itertools.combinations(base, quota) if _clean(rows, c)
-        ]
-    if quota < 1:
-        return []
-    rest = sorted(members - {sink})
-    out = []
-    for c in itertools.combinations(rest, quota - 1):
-        full = c + (sink,)
-        if _clean(rows, full):
-            out.append(full)
-    return out
-
-
 def _chunks_for_split(
     rows: Sequence[int],
     sink: Optional[int],
@@ -297,7 +234,8 @@ def _chunks_for_split(
     take: int,
     with_sink: bool,
 ) -> list[tuple[int, ...]]:
-    """Ways a split group puts `take` vertices into one bin."""
+    """Ways a group puts `take` vertices into one bin; a whole group
+    supplies its quota with its sink."""
     if with_sink:
         assert sink is not None
         if take < 1:
@@ -368,11 +306,8 @@ def _solve_acyclic(phi: CspInstance, k: int) -> bool:
         return True
     if k > phi.n:
         return False
-    gp = build_groups(phi, k)
-    if gp.escape is not None:
-        return True
     rows = _nand_rows(phi)
-    groups = list(gp.groups)
+    groups = list(build_groups(phi).groups)
 
     def pool_count(chosen: list[tuple[Optional[int], frozenset[int]]]) -> bool:
         forced = [s for s, _ in chosen if s is not None]
@@ -386,6 +321,9 @@ def _solve_acyclic(phi: CspInstance, k: int) -> bool:
             pool |= _mask(members if s is None else members - {s})
         for s in forced:
             pool &= ~(rows[s - 1] | 1 << (s - 1))
+        settled, found = _find_k_is(rows, pool, (), k_rest)
+        if settled:
+            return found is not None
         return cliques.count_k_is_masks(rows, pool, k_rest) > 0
 
     for g in groups:
@@ -473,7 +411,7 @@ def _branch_triangle(
             gi = order[idx - 1]
             sink, members = groups[combo[gi]]
             chunk_lists.append(
-                _chunks_for_whole(rows, sink, members, quotas[gi])
+                _chunks_for_split(rows, sink, members, quotas[gi], sink is not None)
             )
         for (si, c, tpos) in (
             (sa, ca, ta),

@@ -424,3 +424,56 @@ def test_corrupted_witness_exits_4_under_optimize(tmp_path, where):
     assert done.returncode == 4, done.stderr
     assert "verification failed" in done.stderr
     assert "witness" not in done.stdout
+
+
+# Each patch breaks one internal count check on the way to `--count`;
+# the check must raise, not let a wrong count through, even with
+# asserts stripped.
+OVERCOUNT_IE = (
+    "orig = sparsekis.kis._InvalidCounter.run\n"
+    "sparsekis.kis._InvalidCounter.run = lambda self: orig(self) + 100"
+)
+COUNT_CHECKS = {
+    # {4,5,6,7}'s term leaves the 3-vertex residual edge {1,2,3}, so a
+    # nested counter runs inside the term.
+    "residual_term": (
+        "p hgr 9 2\ne 1 2 3 4\ne 4 5 6 7\n", "7", OVERCOUNT_IE,
+        "negative residual count",
+    ),
+    "hypergraph_count": (ONE_EDGE, "3", OVERCOUNT_IE, "negative count"),
+    "mixed_count": (
+        "p hgr 5 2\ne 1 2 3\ne 3 4 5\n", "3",
+        "sparsekis.kis._sparse_arities = lambda H, k: set()\n"
+        "sparsekis.kis.count_k_is_hypergraph = lambda H, k: 1",
+        "negative mixed count",
+    ),
+    "clique_division": (
+        ONE_EDGE, "3",
+        "orig = sparsekis.cliques.count_triangles_tripartite\n"
+        "sparsekis.cliques.count_triangles_tripartite = lambda *a: orig(*a) + 1",
+        "not divisible",
+    ),
+}
+
+
+@pytest.mark.parametrize("where", sorted(COUNT_CHECKS))
+def test_broken_count_exits_4_under_optimize(tmp_path, where):
+    text, k, patch, message = COUNT_CHECKS[where]
+    p = tmp_path / "in.hgr"
+    p.write_text(text)
+    argv = ["solve-kis", str(p), "-k", k, "--count"]
+    script = (
+        "import sys, sparsekis.cli, sparsekis.cliques, sparsekis.kis\n"
+        "assert False, 'asserts must be stripped'\n"
+        f"{patch}\n"
+        f"sys.exit(sparsekis.cli.main({argv!r}))\n"
+    )
+    src = str(Path(sparsekis.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 4, done.stderr
+    assert "verification failed" in done.stderr and message in done.stderr
+    assert done.stdout == ""

@@ -3,10 +3,14 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
 from sparsekis import (
+    IMPL,
+    NAND2,
+    CspInstance,
     Hypergraph,
     VerificationError,
     brute_count_invalid,
@@ -17,8 +21,11 @@ from sparsekis import (
     count_k_is_mixed,
     decide_k_is,
     kis,
+    solve_csp,
+    solve_nand_impl,
 )
-from sparsekis.hypergraph import underlying_graph
+from sparsekis.cli import main
+from sparsekis.hypergraph import format_hgr, underlying_graph
 
 from conftest import random_hypergraph
 from matchings import (
@@ -361,13 +368,17 @@ def test_decide_witness_random():
                 assert all(not e <= wit for e in H.edges)
 
 
-@pytest.mark.parametrize("budget", ["default", "zero"])
+@pytest.mark.parametrize("budget", ["default", "zero", "count"])
 def test_decide_matches_oracle_on_mixed_arities(monkeypatch, budget):
     # With the default budget the search settles every instance this
-    # small (under 2^9 nodes), so no count runs; with a zero budget every
-    # instance takes the count and counting self-reduction instead.
-    if budget == "zero":
+    # small (under 2^9 nodes), so no count runs.  With a zero budget the
+    # greedy sweep runs, and whatever it misses (or finds holding a large
+    # edge) takes the count and counting self-reduction; "count" also
+    # turns the greedy off, so every instance takes that path.
+    if budget != "default":
         monkeypatch.setattr(kis, "SEARCH_NODE_BUDGET", 0)
+        if budget == "count":
+            monkeypatch.setattr(kis.turan, "find_k_is_sparse", lambda G, k: None)
     else:
         def boom(*args):
             raise AssertionError("counted an instance the search should settle")
@@ -395,3 +406,42 @@ def test_decide_matches_oracle_on_mixed_arities(monkeypatch, budget):
             for w in (wit, kis.witness_k_is(H, k)):
                 assert len(w) == k and all(1 <= v <= n for v in w)
                 assert all(not e <= w for e in H.edges)
+
+
+def turan_sparse_adversary() -> Hypergraph:
+    """n = 400, k = 5: vertex 1 joined to 131..400, plus three pair
+    43-cliques on 2..44, 45..87 and 88..130.  m = 2979, so 2 k^2 m <= n^2
+    and the greedy sweep must succeed, while the search spends its whole
+    budget in the roughly 43^3 branches under vertex 1."""
+    edges = [frozenset((1, v)) for v in range(131, 401)]
+    for lo, hi in ((2, 44), (45, 87), (88, 130)):
+        edges += [frozenset(p) for p in itertools.combinations(range(lo, hi + 1), 2)]
+    return Hypergraph(400, tuple(edges))
+
+
+@pytest.mark.parametrize("route", ["decide", "cli", "csp", "nand_impl"])
+def test_turan_sparse_adversary_is_found_fast(tmp_path, capsys, route):
+    # The search hits its budget here and the clique engine would exceed
+    # its node cap; the greedy sweep behind the search must answer instead.
+    H = turan_sparse_adversary()
+    assert 2 * 5 * 5 * H.m <= H.n * H.n
+    nands = tuple((NAND2, tuple(sorted(e))) for e in H.edges)
+    start = time.perf_counter()
+    if route == "decide":
+        got, wit = decide_k_is(H, 5, want_witness=True)
+        assert got and len(wit) == 5
+        assert all(not e <= wit for e in H.edges)
+    elif route == "cli":
+        p = tmp_path / "adv.hgr"
+        p.write_text(format_hgr(H))
+        assert main(["solve-kis", str(p), "-k", "5", "--witness"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "YES"
+        wit = frozenset(int(v) for v in lines[1].split()[1:])
+        assert len(wit) == 5 and all(not e <= wit for e in H.edges)
+    elif route == "csp":
+        res = solve_csp(CspInstance(400, nands), 5)
+        assert res.satisfiable and len(res.assignment) == 5
+    else:
+        assert solve_nand_impl(CspInstance(400, nands + ((IMPL, (300, 301)),)), 5)
+    assert time.perf_counter() - start < 1.0

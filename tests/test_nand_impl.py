@@ -17,6 +17,7 @@ from sparsekis import (
     solve_nand_impl,
     solve_restricted,
 )
+from sparsekis import cliques, kis
 from sparsekis.csp import build_impl_structure
 
 
@@ -164,12 +165,16 @@ def test_groups_partition_variables():
                 assert seen == set(range(1, b2.n + 1))
 
 
-def test_groups_escape_is_solution():
+def test_single_group_solution_found_without_counting(monkeypatch):
+    # The star group holds a full weight-3 solution, sink plus sources;
+    # the search on that one group's pool finds it before any count.
     phi = CspInstance(6, ((IMPL, (1, 3)), (IMPL, (2, 3)), (NAND2, (4, 5))))
-    gp = build_groups(phi, k=3)
-    # The star group holds a full weight-3 solution: sink plus sources.
-    assert gp.escape == frozenset({1, 2, 3})
-    assert phi.satisfied_by(gp.escape)
+
+    def boom(*args):
+        raise AssertionError("counted a pool the search settles")
+
+    monkeypatch.setattr(cliques, "count_k_is_masks", boom)
+    assert solve_restricted(phi, 3)
 
 
 def test_groups_reject_heavy_and_cycles():
@@ -220,7 +225,12 @@ def test_solver_examples():
     assert not solve_nand_impl(empty, 5)
 
 
-def test_solve_restricted_matches_oracle():
+@pytest.mark.parametrize("budget", ["default", "zero"])
+def test_solve_restricted_matches_oracle(monkeypatch, budget):
+    # A zero search budget sends every group pool through the greedy
+    # sweep and then the exact count.
+    if budget == "zero":
+        monkeypatch.setattr(kis, "SEARCH_NODE_BUDGET", 0)
     rng = random.Random(56)
     for _ in range(30):
         n = rng.randint(4, 9)
@@ -237,7 +247,10 @@ def test_solve_restricted_matches_oracle():
             assert solve_restricted(phi, k) == yes(phi, k)
 
 
-def test_solver_matches_oracle():
+@pytest.mark.parametrize("budget", ["default", "zero"])
+def test_solver_matches_oracle(monkeypatch, budget):
+    if budget == "zero":
+        monkeypatch.setattr(kis, "SEARCH_NODE_BUDGET", 0)
     rng = random.Random(57)
     for _ in range(60):
         n = rng.randint(4, 10)
