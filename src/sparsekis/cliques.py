@@ -55,7 +55,8 @@ def count_triangles_tripartite(ab, bc, ac) -> int:
         return 0
     # float32 products are lossless for 0/1 inputs while the inner
     # dimension stays below 2^24; per-block totals go through float64.
-    assert nb < (1 << 24), "inner dimension too large for exact float32 products"
+    if nb >= 1 << 24:
+        raise ValueError("inner dimension too large for exact float32 products")
     bc_f = bc.astype(np.float32)
     total = 0
     for lo in range(0, na, _ROW_BLOCK):

@@ -480,10 +480,15 @@ def preprocess_easy(phi: CspInstance, k: int) -> CspInstance:
     true) leaves one never-satisfiable unary constraint behind.
     """
     inst = phi
+    # Forced positions depend on the table alone.
+    positions: dict[tuple[int, ...], tuple[int, ...]] = {}
     while True:
         forced: set[int] = set()
         for f, vs in inst.constraints:
-            for p in forced_false_positions(f):
+            ps = positions.get(f.table)
+            if ps is None:
+                ps = positions[f.table] = forced_false_positions(f)
+            for p in ps:
                 forced.add(vs[p - 1])
         if not forced:
             return inst
@@ -630,13 +635,6 @@ def _nand_rows(phi: CspInstance) -> list[int]:
     return rows
 
 
-def nand_pairs(phi: CspInstance) -> set[frozenset[int]]:
-    """Unordered pairs that may not both be true."""
-    return {
-        frozenset(vs) for f, vs in phi.constraints if is_nand_fn(f)
-    }
-
-
 def build_impl_structure(phi: CspInstance) -> ImplStructure:
     """Descendant/ancestor closure of the implication digraph (v is its own)."""
     succ: dict[int, list[int]] = {v: [] for v in range(1, phi.n + 1)}
@@ -773,6 +771,8 @@ def _verify(phi: CspInstance, true_vars: Iterable[int], k: int) -> tuple[int, ..
 
 
 def _eq_to_impl(inst: CspInstance) -> CspInstance:
+    if not any(is_eq_fn(f) for f, _ in inst.constraints):
+        return inst
     out: list[Constraint] = []
     for f, vs in inst.constraints:
         if is_eq_fn(f):
@@ -787,7 +787,6 @@ def _solve_leaf_binary(leaf: BranchLeaf, regime: Regime) -> Optional[set[int]]:
     """Solve one 0-valid binary leaf; returns original-label true-set or None."""
     from . import kis as _kis
     from . import nand_impl as _nand_impl
-    from .hypergraph import Hypergraph
 
     inst = preprocess_easy(leaf.instance, leaf.k)
     k = leaf.k
@@ -846,11 +845,10 @@ def _solve_leaf_binary(leaf: BranchLeaf, regime: Regime) -> Optional[set[int]]:
                     raise VerificationError("closed-set search hit fails verification")
             return {inst3.label_of(v) for v in sol} | set(leaf.forced_true)
         inst2 = inst3
-    H = Hypergraph(inst2.n, tuple(nand_pairs(inst2)))
-    ok, found = _kis.decide_k_is(H, k, want_witness=True)
+    ok, found = _kis._decide(_nand_rows(inst2), (1 << inst2.n) - 1, (), k, True)
     if not ok:
         return None
-    return {inst2.label_of(v) for v in found} | set(leaf.forced_true)
+    return {inst2.label_of(v) for v in _vertices(found)} | set(leaf.forced_true)
 
 
 def _witness_on_nand_impl(inst: CspInstance, k: int) -> set[int]:

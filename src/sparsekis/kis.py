@@ -17,22 +17,31 @@ the recursion bottoms out in the plain-graph engine without relabeling.
 Matchings whose span exceeds k, or would contain a graph edge, are
 pruned; their terms vanish.
 
+Every public entry point turns H once into one form: pair adjacency
+rows, an `alive` vertex mask and the ordered masks of the large edges
+that fit inside `alive` and a k-set.  Counting, deciding and the
+witness all run on it; the only graph built after that is the relabeled
+one the greedy sweep takes.
+
 Deciding, building a witness, and spotting a zero count start with a
 bounded DFS on the same bitmasks (`_search_k_is`): it either finds a
 k-set, proves none exists, or stops after SEARCH_NODE_BUDGET nodes, and
 only then do the counts run.  Every caller that wants a k-set, not a
 proof of zero, goes through `_find_k_is`, which follows a budget hit
-with one greedy sweep (`turan.find_k_is_sparse`) before giving up.
+with one greedy sweep (`turan.find_k_is_sparse`) before giving up.  A
+budget hit searches once: `_decide` passes on to the count, and the
+counting self-reduction after it works on the masks.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Optional, Sequence
 
 from . import cliques, turan
 from .errors import VerificationError
-from .hypergraph import Graph, Hypergraph, _mask, _vertices, induced, underlying_graph
+from .hypergraph import Graph, Hypergraph, _mask, _vertices, underlying_graph
 
 #: Nodes the bounded search may visit before counting takes over.
 SEARCH_NODE_BUDGET = 20_000
@@ -118,11 +127,6 @@ def _find_k_is(
     if any(m & ~mask == 0 for m in big):
         return False, None
     return True, mask
-
-
-def _large_masks(H: Hypergraph, k: int) -> list[int]:
-    """Masks of the edges with 3..k vertices; larger ones fit in no k-set."""
-    return [m for m in H.edge_masks if 3 <= m.bit_count() <= k]
 
 
 class _InvalidCounter:
@@ -217,26 +221,17 @@ class _InvalidCounter:
         if universe.bit_count() < k2:
             return 0
         # Leftover pairs join a copy of the rows; larger leftovers are the
-        # residual's large edges, counted by a nested counter.
+        # residual's large edges.
         rows = list(self.adj)
         hypers: set[int] = set()
         for rem in leftovers:
             if rem & ~universe:
                 continue
             if rem.bit_count() == 2:
-                low = rem & -rem
-                rows[low.bit_length() - 1] |= rem ^ low
-                rows[(rem ^ low).bit_length() - 1] |= low
+                _add_pair(rows, rem)
             else:
                 hypers.add(rem)
-        base = cliques.count_k_is_masks(rows, universe, k2)
-        if not hypers or base == 0 or k2 < 3:
-            return base
-        bad = _InvalidCounter(rows, universe, sorted(hypers), k2).run()
-        result = base - bad
-        if result < 0:
-            raise VerificationError(f"negative residual count {result} ({base} - {bad})")
-        return result
+        return _count(rows, universe, sorted(hypers), k2)
 
     def run(self) -> int:
         cands = self.candidates()
@@ -268,107 +263,67 @@ class _InvalidCounter:
         return total
 
 
-def count_invalid(H: Hypergraph, k: int) -> int:
-    """Independent k-sets of the underlying graph that contain a large edge."""
-    if k < 3 or not any(len(e) >= 3 for e in H.edges):
-        return 0
-    rows = underlying_graph(H).adjacency
-    return _InvalidCounter(rows, (1 << H.n) - 1, H.edge_masks, k).run()
+def _add_pair(rows: list[int], pair: int) -> None:
+    """Join the two vertices of the mask `pair` in `rows`."""
+    low = pair & -pair
+    rows[low.bit_length() - 1] |= pair ^ low
+    rows[(pair ^ low).bit_length() - 1] |= low
 
 
-def count_k_is_hypergraph(H: Hypergraph, k: int) -> int:
-    """Exact number of k-sets containing no edge of any arity."""
-    if k < 0:
-        raise ValueError(f"negative k {k}")
-    G = underlying_graph(H)
-    # A search that runs out of branches proves 0 without the clique engine.
-    settled, found = _search_k_is(G.adjacency, (1 << H.n) - 1, _large_masks(H, k), k)
-    if settled and found is None:
-        return 0
-    base = cliques.count_k_is(G, k)
-    if base == 0:
-        # Invalid sets are independent in the graph, so none exist either.
-        return 0
-    bad = count_invalid(H, k)
+def _count(rows: Sequence[int], alive: int, big: Sequence[int], k: int) -> int:
+    """Independent k-sets inside `alive` containing none of the `big` masks:
+    the pair-graph count minus the inclusion-exclusion correction."""
+    base = cliques.count_k_is_masks(rows, alive, k)
+    if not big or base == 0 or k < 3:
+        # Invalid sets are independent in the graph, so with a zero base
+        # none exist either.
+        return base
+    bad = _InvalidCounter(rows, alive, big, k).run()
     result = base - bad
     if result < 0:
-        raise VerificationError(f"negative count {result} ({base} - {bad})")
+        raise VerificationError(f"negative count {result} ({base} - {bad}) for k = {k}")
     return result
 
 
-def _sparse_arities(H: Hypergraph, k: int) -> set[int]:
+def _sparse_arities(big: Sequence[int], n: int, k: int) -> set[int]:
     """Arity classes routed through inclusion-exclusion.
 
     Class i is sparse when m_i^((k-i+3)/3) <= m_i * n^(k-i); compared
     with both sides cubed, in exact integers, ties to sparse.
     """
-    out = set()
-    n = H.n
-    for arity, m_i in H.arity_counts.items():
-        if arity < 3:
-            continue
-        if m_i ** (k - arity + 3) <= m_i**3 * n ** (3 * (k - arity)):
-            out.add(arity)
-    return out
+    return {
+        arity
+        for arity, m_i in Counter(m.bit_count() for m in big).items()
+        if m_i ** (k - arity + 3) <= m_i**3 * n ** (3 * (k - arity))
+    }
 
 
-def count_k_is_mixed(H: Hypergraph, k: int) -> int:
-    """Same value as count_k_is_hypergraph via the sparse/dense arity split.
+def _count_mixed(rows: Sequence[int], alive: int, big: Sequence[int], k: int) -> int:
+    """Same value as `_count` via the sparse/dense arity split.
 
     Dense arity classes skip inclusion-exclusion: their edges are
     enumerated directly with all extensions, deduplicated by charging
     each false solution to its earliest dense edge.
     """
-    if k < 0:
-        raise ValueError(f"negative k {k}")
-    H = H.sorted_by_arity()
-    # Edges too big to fit in a k-set constrain nothing.
-    if any(len(e) > k for e in H.edges):
-        H = Hypergraph(H.n, tuple(e for e in H.edges if len(e) <= k))
-    sparse = _sparse_arities(H, k)
-    dense_edges = [
-        (i + 1, e)
-        for i, e in enumerate(H.edges)
-        if len(e) >= 3 and len(e) not in sparse
-    ]
-    backbone = Hypergraph(
-        H.n,
-        tuple(e for e in H.edges if len(e) == 2 or len(e) in sparse),
-    )
-    base = count_k_is_hypergraph(backbone, k)
-    if not dense_edges or base == 0:
+    big = sorted(big, key=int.bit_count)
+    sparse = _sparse_arities(big, alive.bit_count(), k)
+    backbone = [m for m in big if m.bit_count() in sparse]
+    dense = [m for m in big if m.bit_count() not in sparse]
+    base = _count(rows, alive, backbone, k)
+    if not dense or base == 0:
         return base
-    G = underlying_graph(H)
-    adj = G.adjacency
-    big_sparse = [m for e, m in zip(H.edges, H.edge_masks)
-                  if len(e) >= 3 and len(e) in sparse]
-    dense_masks = [(pos, _mask(e)) for pos, e in dense_edges]
     bad = 0
-    for which, (pos, e) in enumerate(dense_edges):
-        emask = dense_masks[which][1]
-        if any(adj[v - 1] & emask for v in e):
+    for which, emask in enumerate(dense):
+        if any(rows[v - 1] & emask for v in _vertices(emask)):
             continue
-        others = [v for v in range(1, H.n + 1) if v not in e]
-        need = k - len(e)
-        if need < 0:
-            continue
-        for ext in itertools.combinations(others, need):
+        others = _vertices(alive & ~emask)
+        for ext in itertools.combinations(others, k - emask.bit_count()):
             x = emask | _mask(ext)
-            ok = True
-            for v in ext:
-                if adj[v - 1] & x:
-                    ok = False
-                    break
-            if not ok:
+            if any(rows[v - 1] & x for v in ext):
                 continue
-            if any(sm & ~x == 0 for sm in big_sparse):
+            if any(sm & ~x == 0 for sm in backbone):
                 continue
-            minimal = True
-            for pos2, m2 in dense_masks[:which]:
-                if m2 & ~x == 0:
-                    minimal = False
-                    break
-            if minimal:
+            if all(m2 & ~x for m2 in dense[:which]):
                 bad += 1
     result = base - bad
     if result < 0:
@@ -376,61 +331,106 @@ def count_k_is_mixed(H: Hypergraph, k: int) -> int:
     return result
 
 
-def _restrict_to_vertex(H: Hypergraph, v: int) -> tuple[Hypergraph, tuple[int, ...]]:
-    """Condition on v being in the set: drop its graph neighborhood and
-    shrink large edges through v; relabeled, with old_ids returned."""
-    gone = {v}
-    for e in H.edges:
-        if len(e) == 2 and v in e:
-            gone |= e
-    shrunk = dict.fromkeys(e - {v} if len(e) >= 3 else e for e in H.edges)
-    keep = [u for u in range(1, H.n + 1) if u not in gone]
-    return induced(Hypergraph(H.n, tuple(shrunk)), keep)
-
-
-def _checked(H: Hypergraph, k: int, witness: frozenset[int]) -> frozenset[int]:
-    """`witness` itself after re-checking it against H's edges."""
-    if len(witness) != k:
-        raise VerificationError(f"witness has {len(witness)} vertices, want {k}")
-    wmask = _mask(witness)
-    if wmask >> H.n:
-        raise VerificationError("witness vertex out of range")
-    for em in H.edge_masks:
-        if em & ~wmask == 0:
-            raise VerificationError("witness contains an edge")
-    return witness
-
-
-def _search_in(H: Hypergraph, k: int) -> tuple[bool, Optional[int]]:
-    if k < 0:
-        raise ValueError(f"negative k {k}")
-    return _find_k_is(
-        underlying_graph(H).adjacency, (1 << H.n) - 1, _large_masks(H, k), k
-    )
-
-
-def _witness_by_counting(H: Hypergraph, k: int) -> frozenset[int]:
+def _witness_by_counting(
+    rows: Sequence[int], alive: int, big: Sequence[int], k: int
+) -> int:
     """Counting self-reduction on an instance with a positive count.
 
-    Vertex 1 is deleted whenever a solution avoids it, otherwise it is
-    committed and the instance conditioned on it: one count per vertex
-    at most.
+    The lowest vertex of `alive` is dropped whenever a solution avoids
+    it, otherwise committed: its pair neighbours leave `alive`, and the
+    large edges through it shrink, those left with two vertices joining
+    a copy of the rows.  One count per vertex at most; returns the mask.
     """
-    chosen: list[int] = []
-    cur = H
-    ids = tuple(range(1, H.n + 1))
-    budget = k
-    while budget > 0:
-        dropped, old = induced(cur, range(2, cur.n + 1))
-        if count_k_is_mixed(dropped, budget) > 0:
-            cur = dropped
-            ids = tuple(ids[v - 1] for v in old)
+    chosen = 0
+    while k > 0:
+        bit = alive & -alive
+        alive ^= bit
+        kept = [m for m in big if m & bit == 0]
+        if _count_mixed(rows, alive, kept, k) > 0:
+            big = kept
             continue
-        chosen.append(ids[0])
-        cur, old = _restrict_to_vertex(cur, 1)
-        ids = tuple(ids[v - 1] for v in old)
-        budget -= 1
-    return frozenset(chosen)
+        chosen |= bit
+        k -= 1
+        alive &= ~rows[bit.bit_length() - 1]
+        rows = list(rows)
+        shrunk: dict[int, None] = {}
+        for m in big:
+            m &= ~bit
+            if m & ~alive or m.bit_count() > k:
+                continue
+            if m.bit_count() == 2:
+                _add_pair(rows, m)
+            else:
+                shrunk[m] = None
+        big = list(shrunk)
+    return chosen
+
+
+def _decide(
+    rows: Sequence[int], alive: int, big: Sequence[int], k: int,
+    want_witness: bool = False,
+) -> tuple[bool, Optional[int]]:
+    """YES iff some k-set inside `alive` contains no pair edge and none of
+    the `big` masks (those with 3..k vertices inside `alive`).
+
+    `_find_k_is` runs once; a set it finds is the answer, and a search
+    that runs out of branches proves NO.  Otherwise the count decides,
+    and with `want_witness` counting self-reduction builds the set.
+    Returns (answer, the set's mask or None).
+    """
+    settled, found = _find_k_is(rows, alive, big, k)
+    if settled:
+        return found is not None, found
+    if _count_mixed(rows, alive, big, k) == 0:
+        return False, None
+    if not want_witness:
+        return True, None
+    return True, _witness_by_counting(rows, alive, big, k)
+
+
+def _masks(H: Hypergraph, k: int) -> tuple[tuple[int, ...], int, list[int]]:
+    """H as (pair adjacency rows, vertex mask, large edge masks); edges
+    with more than k vertices fit in no k-set and are left out."""
+    if k < 0:
+        raise ValueError(f"negative k {k}")
+    big = [m for m in H.edge_masks if 3 <= m.bit_count() <= k]
+    return underlying_graph(H).adjacency, (1 << H.n) - 1, big
+
+
+def count_invalid(H: Hypergraph, k: int) -> int:
+    """Independent k-sets of the underlying graph that contain a large edge."""
+    if k < 3 or not any(len(e) >= 3 for e in H.edges):
+        return 0
+    return _InvalidCounter(*_masks(H, k), k).run()
+
+
+def count_k_is_hypergraph(H: Hypergraph, k: int) -> int:
+    """Exact number of k-sets containing no edge of any arity."""
+    rows, alive, big = _masks(H, k)
+    # A search that runs out of branches proves 0 without the clique engine.
+    if _search_k_is(rows, alive, big, k) == (True, None):
+        return 0
+    return _count(rows, alive, big, k)
+
+
+def count_k_is_mixed(H: Hypergraph, k: int) -> int:
+    """Same value as count_k_is_hypergraph via the sparse/dense arity split."""
+    rows, alive, big = _masks(H, k)
+    if _search_k_is(rows, alive, big, k) == (True, None):
+        return 0
+    return _count_mixed(rows, alive, big, k)
+
+
+def _checked(H: Hypergraph, k: int, found: int) -> frozenset[int]:
+    """The k-set with mask `found`, after re-checking it against H's edges."""
+    if found.bit_count() != k:
+        raise VerificationError(f"witness has {found.bit_count()} vertices, want {k}")
+    if found >> H.n:
+        raise VerificationError("witness vertex out of range")
+    for em in H.edge_masks:
+        if em & ~found == 0:
+            raise VerificationError("witness contains an edge")
+    return frozenset(_vertices(found))
 
 
 def decide_k_is(
@@ -438,36 +438,30 @@ def decide_k_is(
 ) -> tuple[bool, Optional[frozenset[int]]]:
     """YES iff some k-set contains no edge; optionally returns one.
 
-    `_find_k_is` runs first: a set it finds is the answer (and the
+    `_find_k_is` runs once: a set it finds is the answer (and the
     witness), and a search that runs out of branches proves NO.  When
     the search stops at SEARCH_NODE_BUDGET nodes and the greedy sweep
     fails too, the count decides, and the witness comes from counting
-    self-reduction.  Every witness is re-checked against H's edges,
+    self-reduction.  Every set found is re-checked against H's edges,
     raising VerificationError on a mismatch.
     """
-    settled, found = _search_in(H, k)
-    if not settled:
-        if count_k_is_mixed(H, k) == 0:
-            return False, None
-        if not want_witness:
-            return True, None
-        return True, _checked(H, k, _witness_by_counting(H, k))
-    if found is None:
-        return False, None
-    witness = _checked(H, k, frozenset(_vertices(found)))
-    return True, witness if want_witness else None
+    ok, found = _decide(*_masks(H, k), k, want_witness)
+    witness = None if found is None else _checked(H, k, found)
+    return ok, witness if want_witness else None
 
 
 def witness_k_is(H: Hypergraph, k: int) -> frozenset[int]:
     """A re-checked k-set containing no edge, for an H known to have one.
 
-    Same search, greedy and fallback as decide_k_is; a search that
-    proves no k-set exists raises VerificationError, since the caller's
-    count said otherwise.
+    Same search and greedy as decide_k_is, then straight to counting
+    self-reduction without a deciding count; a search that proves no
+    k-set exists raises VerificationError, since the caller's count
+    said otherwise.
     """
-    settled, found = _search_in(H, k)
+    rows, alive, big = _masks(H, k)
+    settled, found = _find_k_is(rows, alive, big, k)
     if not settled:
-        return _checked(H, k, _witness_by_counting(H, k))
-    if found is None:
+        found = _witness_by_counting(rows, alive, big, k)
+    elif found is None:
         raise VerificationError(f"no independent {k}-set exists")
-    return _checked(H, k, frozenset(_vertices(found)))
+    return _checked(H, k, found)

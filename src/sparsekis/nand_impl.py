@@ -12,7 +12,7 @@ peels structure until triangle counting can finish the job:
      which partition the variables into groups a solution meets only
      via whole quotas;
   4. solutions inside one or two groups are a k-IS question on the
-     groups' NAND rows: `kis._find_k_is` first, an exact count after;
+     groups' NAND rows, settled by `kis._decide` (search, then count);
   5. one branch per composition of k over three or more chosen groups
      reduces to finding a triangle across three bins of candidate
      part-sets.
@@ -44,9 +44,9 @@ from .csp import (
     preprocess_easy,
     set_variables,
 )
-from .errors import ResourceLimit
+from .errors import ResourceLimit, VerificationError
 from .hypergraph import _mask, _vertices
-from .kis import _find_k_is
+from .kis import _decide
 
 #: Part-sets materialized per bin before a branch aborts.
 NODE_CAP = 200_000
@@ -115,9 +115,8 @@ def restrict_instance(
                 if _has_false(branch):
                     continue
             st3 = build_impl_structure(branch)
-            assert all(
-                len(st3.descendants[v]) <= 2 for v in range(1, branch.n + 1)
-            ), "restriction left a heavy variable"
+            if any(len(st3.descendants[v]) > 2 for v in range(1, branch.n + 1)):
+                raise VerificationError("restriction left a heavy variable")
             yield branch, k_i
 
 
@@ -223,7 +222,8 @@ def balance_partition(
         sums[t] += parts[i - 1]
     if len(parts) >= 3:
         limit = parts[len(parts) - 3]
-        assert max(sums) - min(sums) <= limit, "bin imbalance exceeds largest part"
+        if max(sums) - min(sums) > limit:
+            raise VerificationError("bin imbalance exceeds largest part")
     return bins
 
 
@@ -237,7 +237,8 @@ def _chunks_for_split(
     """Ways a group puts `take` vertices into one bin; a whole group
     supplies its quota with its sink."""
     if with_sink:
-        assert sink is not None
+        if sink is None:
+            raise ValueError("a whole-group split needs a sink")
         if take < 1:
             return []
         rest = sorted(members - {sink})
@@ -321,10 +322,7 @@ def _solve_acyclic(phi: CspInstance, k: int) -> bool:
             pool |= _mask(members if s is None else members - {s})
         for s in forced:
             pool &= ~(rows[s - 1] | 1 << (s - 1))
-        settled, found = _find_k_is(rows, pool, (), k_rest)
-        if settled:
-            return found is not None
-        return cliques.count_k_is_masks(rows, pool, k_rest) > 0
+        return _decide(rows, pool, (), k_rest)[0]
 
     for g in groups:
         if pool_count([g]):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .csp import ConstraintFunction, CspInstance, specialize, u_min
+from .errors import VerificationError
 from .hypergraph import Graph
 
 __all__ = [
@@ -49,11 +50,8 @@ def find_k_is_sparse(G: Graph, k: int) -> Optional[frozenset[int]]:
     for i in range(k):
         if not alive:
             return None
-        if premise:
-            rounds_left = k - i
-            assert (
-                2 * rounds_left * rounds_left * edges_left <= len(alive) ** 2
-            ), "density invariant broken under the premise"
+        if premise and 2 * (k - i) ** 2 * edges_left > len(alive) ** 2:
+            raise VerificationError("density invariant broken under the premise")
         v = min(alive, key=lambda u: (len(adj[u]), u))
         chosen.append(v)
         for u in list(adj[v]) + [v]:
@@ -66,7 +64,8 @@ def find_k_is_sparse(G: Graph, k: int) -> Optional[frozenset[int]]:
                     edges_left -= 1
             adj[u] = set()
     picked = frozenset(chosen)
-    assert G.is_independent(picked), "greedy produced a dependent set"
+    if not G.is_independent(picked):
+        raise VerificationError("greedy produced a dependent set")
     return picked
 
 
@@ -101,10 +100,9 @@ def sparse_csp_solve(phi: CspInstance, k: int) -> Optional[frozenset[int]]:
     umin: dict[tuple[int, tuple[int, ...]], int] = {}
     class_count: dict[tuple[int, tuple[int, ...]], int] = {}
     cons: list[Optional[tuple[tuple[int, tuple[int, ...]], tuple[int, ...]]]] = []
-    incidence: dict[int, set[int]] = {v: set() for v in range(1, phi.n + 1)}
-    per_var: dict[int, dict[tuple[int, tuple[int, ...]], int]] = {
-        v: {} for v in range(1, phi.n + 1)
-    }
+    # Only variables some constraint touches get entries.
+    incidence: dict[int, set[int]] = {}
+    per_var: dict[int, dict[tuple[int, tuple[int, ...]], int]] = {}
 
     def intern(f: ConstraintFunction) -> tuple[int, tuple[int, ...]]:
         kf = key_of(f)
@@ -118,8 +116,9 @@ def sparse_csp_solve(phi: CspInstance, k: int) -> Optional[frozenset[int]]:
         cons.append((kf, vs))
         class_count[kf] = class_count.get(kf, 0) + 1
         for v in vs:
-            incidence[v].add(cid)
-            per_var[v][kf] = per_var[v].get(kf, 0) + 1
+            incidence.setdefault(v, set()).add(cid)
+            counts = per_var.setdefault(v, {})
+            counts[kf] = counts.get(kf, 0) + 1
 
     def drop_constraint(cid: int) -> None:
         kf, vs = cons[cid]  # type: ignore[misc]
@@ -142,28 +141,22 @@ def sparse_csp_solve(phi: CspInstance, k: int) -> Optional[frozenset[int]]:
         if 2 * k * n_families * m_f > n0 ** umin[kf]:
             return NO_GUARANTEE
 
-    alive = set(range(1, phi.n + 1))
-    chosen: list[int] = []
+    chosen: set[int] = set()
     for _ in range(k):
         families = max(1, len(class_count))
-        n_i = len(alive)
+        n_i = phi.n - len(chosen)
         pick = None
-        for v in sorted(alive):
-            ok = True
-            for kf, d in per_var[v].items():
-                if umin[kf] == 1:
-                    ok = False
-                    break
-                if d * n_i > families * class_count.get(kf, 0):
-                    ok = False
-                    break
-            if ok:
+        for v in range(1, phi.n + 1):
+            if v not in chosen and all(
+                umin[kf] != 1 and d * n_i <= families * class_count.get(kf, 0)
+                for kf, d in per_var.get(v, {}).items()
+            ):
                 pick = v
                 break
         if pick is None:
             return NO_GUARANTEE
-        chosen.append(pick)
-        for cid in list(incidence[pick]):
+        chosen.add(pick)
+        for cid in list(incidence.get(pick, ())):
             kf, vs = cons[cid]  # type: ignore[misc]
             f = tables[kf]
             pos = vs.index(pick) + 1
@@ -171,12 +164,14 @@ def sparse_csp_solve(phi: CspInstance, k: int) -> Optional[frozenset[int]]:
             drop_constraint(cid)
             if g.is_constant_true:
                 continue
-            assert not g.is_constant_false, "0-validity lost during specialization"
+            if g.is_constant_false:
+                raise VerificationError("0-validity lost during specialization")
             rest = tuple(v for v in vs if v != pick)
             add_constraint(intern(g), rest)
-        alive.discard(pick)
 
     picked = frozenset(chosen)
-    assert len(picked) == k
-    assert phi.satisfied_by(picked), "greedy assignment fails verification"
+    if len(picked) != k:
+        raise VerificationError(f"greedy picked {len(picked)} variables, want {k}")
+    if not phi.satisfied_by(picked):
+        raise VerificationError("greedy assignment fails verification")
     return picked

@@ -435,16 +435,16 @@ OVERCOUNT_IE = (
 )
 COUNT_CHECKS = {
     # {4,5,6,7}'s term leaves the 3-vertex residual edge {1,2,3}, so a
-    # nested counter runs inside the term.
+    # nested count at k = 3 runs inside the term, and its check raises.
     "residual_term": (
         "p hgr 9 2\ne 1 2 3 4\ne 4 5 6 7\n", "7", OVERCOUNT_IE,
-        "negative residual count",
+        "for k = 3",
     ),
     "hypergraph_count": (ONE_EDGE, "3", OVERCOUNT_IE, "negative count"),
     "mixed_count": (
         "p hgr 5 2\ne 1 2 3\ne 3 4 5\n", "3",
-        "sparsekis.kis._sparse_arities = lambda H, k: set()\n"
-        "sparsekis.kis.count_k_is_hypergraph = lambda H, k: 1",
+        "sparsekis.kis._sparse_arities = lambda big, n, k: set()\n"
+        "sparsekis.kis._count = lambda rows, alive, big, k: 1",
         "negative mixed count",
     ),
     "clique_division": (

@@ -20,6 +20,7 @@ from sparsekis import (
     count_k_is_hypergraph,
     count_k_is_mixed,
     decide_k_is,
+    hypergraph,
     kis,
     solve_csp,
     solve_nand_impl,
@@ -172,11 +173,12 @@ def test_zero_graph_count_skips_correction(monkeypatch):
     assert brute_count_k_is(H, 3) == 0
 
     def boom(*args):
-        raise AssertionError("count_invalid called on a zero base count")
+        raise AssertionError("inclusion-exclusion ran on a zero base count")
 
-    monkeypatch.setattr(kis, "count_invalid", boom)
+    monkeypatch.setattr(kis, "_InvalidCounter", boom)
     assert count_k_is_hypergraph(H, 3) == 0
     assert count_k_is_mixed(H, 3) == 0
+    assert decide_k_is(H, 3) == (False, None)
 
 
 def test_exhausted_search_returns_zero_without_counting(monkeypatch):
@@ -374,16 +376,29 @@ def test_decide_matches_oracle_on_mixed_arities(monkeypatch, budget):
     # small (under 2^9 nodes), so no count runs.  With a zero budget the
     # greedy sweep runs, and whatever it misses (or finds holding a large
     # edge) takes the count and counting self-reduction; "count" also
-    # turns the greedy off, so every instance takes that path.
+    # turns the greedy off, so every instance takes that path, which must
+    # stay on masks: one underlying graph per call, and no Hypergraph or
+    # induced copy.
+    def boom(*args):
+        raise AssertionError("left the masks during the self-reduction")
+
+    graphs: list[Hypergraph] = []
+    real_underlying = kis.underlying_graph
+
+    def underlying_once(H):
+        graphs.append(H)
+        return real_underlying(H)
+
     if budget != "default":
         monkeypatch.setattr(kis, "SEARCH_NODE_BUDGET", 0)
         if budget == "count":
             monkeypatch.setattr(kis.turan, "find_k_is_sparse", lambda G, k: None)
+            monkeypatch.setattr(kis, "underlying_graph", underlying_once)
     else:
-        def boom(*args):
+        def boom_count(*args):
             raise AssertionError("counted an instance the search should settle")
 
-        monkeypatch.setattr(kis, "count_k_is_mixed", boom)
+        monkeypatch.setattr(kis, "_count_mixed", boom_count)
     rng = random.Random(61)
     for _ in range(40):
         n = rng.randint(2, 9)
@@ -394,7 +409,15 @@ def test_decide_matches_oracle_on_mixed_arities(monkeypatch, budget):
         H = random_hypergraph(rng, n, counts)
         for k in range(0, n + 2):
             want = brute_count_k_is(H, k) > 0
-            got, wit = decide_k_is(H, k, want_witness=True)
+            with monkeypatch.context() as m:
+                if budget == "count":
+                    m.setattr(kis, "Hypergraph", boom)
+                    m.setattr(Hypergraph, "__post_init__", boom)
+                    m.setattr(hypergraph, "induced", boom)
+                    graphs.clear()
+                got, wit = decide_k_is(H, k, want_witness=True)
+                if budget == "count":
+                    assert graphs == [H]
             assert got == want, (H, k)
             assert decide_k_is(H, k) == (want, None)
             if not got:
@@ -406,6 +429,25 @@ def test_decide_matches_oracle_on_mixed_arities(monkeypatch, budget):
             for w in (wit, kis.witness_k_is(H, k)):
                 assert len(w) == k and all(1 <= v <= n for v in w)
                 assert all(not e <= w for e in H.edges)
+
+
+def test_budget_hit_searches_once(monkeypatch):
+    # Five disjoint pair 20-cliques, n = 100, k = 6: the search spends its
+    # budget, the greedy finds no 6-set, and the count says NO.  That
+    # count must reuse the search's outcome, not search again.
+    pairs = [frozenset(p) for b in range(0, 100, 20)
+             for p in itertools.combinations(range(b + 1, b + 21), 2)]
+    H = Hypergraph(100, tuple(pairs))
+    searches: list[int] = []
+    real_search = kis._search_k_is
+
+    def counting_search(rows, alive, big, k):
+        searches.append(k)
+        return real_search(rows, alive, big, k)
+
+    monkeypatch.setattr(kis, "_search_k_is", counting_search)
+    assert decide_k_is(H, 6) == (False, None)
+    assert searches == [6]
 
 
 def turan_sparse_adversary() -> Hypergraph:
