@@ -895,8 +895,10 @@ def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
     """
     if k < 0:
         raise ValueError(f"negative weight budget {k}")
-    # Work label-free so every assignment is in phi's own variable ids.
-    phi = CspInstance(phi.n, phi.constraints)
+    # Work label-free so every assignment is in phi's own variable ids; a
+    # label-free phi is already validated and frozen.
+    if phi.labels is not None:
+        phi = CspInstance(phi.n, phi.constraints)
     if k > phi.n:
         return CspResult(False, None, "budget exceeds variable count")
     if k == 0:

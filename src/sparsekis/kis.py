@@ -15,13 +15,23 @@ leftovers feed a nested counter over the same rows and vertex mask, so
 the recursion bottoms out in the plain-graph engine without relabeling.
 
 Matchings whose span exceeds k, or would contain a graph edge, are
-pruned; their terms vanish.
+pruned; their terms vanish.  The matching recursion descends from a
+member only while the smallest candidate span still fits in the k - |span|
+vertices left, so it never scans a level where nothing fits.
 
-Every public entry point turns H once into one form: pair adjacency
-rows, an `alive` vertex mask and the ordered masks of the large edges
-that fit inside `alive` and a k-set.  Counting, deciding and the
-witness all run on it; the only graph built after that is the relabeled
-one the greedy sweep takes.
+Most terms on small k leave a residual of k2 = k - |span| <= 2 vertices,
+and those close by popcount on the term's universe U with no residual
+count: k2 = 1 gives |U|, and k2 = 2 gives C(|U|, 2) minus the distinct
+pairs inside U that are a pair edge or a leftover pair (leftovers of
+three or more vertices fit in no 2-set).  k2 = 0 scans the span's
+subsets for an earlier large edge, and k2 >= 3 takes the nested count.
+
+Every public entry point turns H once into one form, in one pass over
+its edges: pair adjacency rows, an `alive` vertex mask and the ordered
+masks of the large edges that fit inside `alive` and a k-set.  Counting,
+deciding and the witness all run on it; the only graph built after that
+is the relabeled one the greedy sweep takes.  A witness is re-checked
+against H's own edge sets, not the rows.
 
 Deciding, building a witness, and spotting a zero count start with a
 bounded DFS on the same bitmasks (`_search_k_is`): it either finds a
@@ -41,7 +51,7 @@ from typing import Optional, Sequence
 
 from . import cliques, turan
 from .errors import VerificationError
-from .hypergraph import Graph, Hypergraph, _mask, _vertices, underlying_graph
+from .hypergraph import Graph, Hypergraph, _mask, _vertices
 
 #: Nodes the bounded search may visit before counting takes over.
 SEARCH_NODE_BUDGET = 20_000
@@ -218,8 +228,28 @@ class _InvalidCounter:
                 else:
                     forbidden |= rem
         universe = self.full & ~forbidden
-        if universe.bit_count() < k2:
+        size = universe.bit_count()
+        if size < k2:
             return 0
+        # A 1-set or 2-set holds no leftover of three or more vertices, so
+        # those leaves close by popcount: a 2-set dies only on a pair edge
+        # or a distinct leftover pair inside the universe.
+        if k2 == 1:
+            return size
+        if k2 == 2:
+            adj = self.adj
+            inside = 0
+            rest = universe
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                inside += (adj[low.bit_length() - 1] & universe).bit_count()
+            extra = {
+                rem for rem in leftovers
+                if rem & ~universe == 0 and rem.bit_count() == 2
+                and adj[(rem & -rem).bit_length() - 1] & rem == 0
+            }
+            return size * (size - 1) // 2 - inside // 2 - len(extra)
         # Leftover pairs join a copy of the rows; larger leftovers are the
         # residual's large edges.
         rows = list(self.adj)
@@ -235,15 +265,15 @@ class _InvalidCounter:
 
     def run(self) -> int:
         cands = self.candidates()
-        max_size = (self.k + 2) // 3
         total = 0
         span, nbrs, term, k = self.span, self.nbrs, self.term, self.k
         ncands = len(cands)
+        # A member descends only while the smallest span could still fit.
+        room = k - min((span[idx].bit_count() for idx in cands), default=0)
 
         def rec(start: int, members: list[int], span_mask: int,
                 span_size: int, blocked: int, sign: int) -> None:
             nonlocal total
-            deeper = len(members) + 1 < max_size
             for t in range(start, ncands):
                 idx = cands[t]
                 sm = span[idx]
@@ -254,7 +284,7 @@ class _InvalidCounter:
                     continue
                 members.append(idx)
                 total += sign * term(members, span_mask | sm, size2)
-                if deeper:
+                if size2 <= room:
                     rec(t + 1, members, span_mask | sm, size2,
                         blocked | sm | nbrs[idx], -sign)
                 members.pop()
@@ -393,8 +423,16 @@ def _masks(H: Hypergraph, k: int) -> tuple[tuple[int, ...], int, list[int]]:
     with more than k vertices fit in no k-set and are left out."""
     if k < 0:
         raise ValueError(f"negative k {k}")
-    big = [m for m in H.edge_masks if 3 <= m.bit_count() <= k]
-    return underlying_graph(H).adjacency, (1 << H.n) - 1, big
+    rows = [0] * H.n
+    big = []
+    for e in H.edges:
+        if len(e) == 2:
+            u, v = e
+            rows[u - 1] |= 1 << (v - 1)
+            rows[v - 1] |= 1 << (u - 1)
+        elif len(e) <= k:
+            big.append(_mask(e))
+    return tuple(rows), (1 << H.n) - 1, big
 
 
 def count_invalid(H: Hypergraph, k: int) -> int:
@@ -427,10 +465,11 @@ def _checked(H: Hypergraph, k: int, found: int) -> frozenset[int]:
         raise VerificationError(f"witness has {found.bit_count()} vertices, want {k}")
     if found >> H.n:
         raise VerificationError("witness vertex out of range")
-    for em in H.edge_masks:
-        if em & ~found == 0:
+    witness = frozenset(_vertices(found))
+    for e in H.edges:
+        if e <= witness:
             raise VerificationError("witness contains an edge")
-    return frozenset(_vertices(found))
+    return witness
 
 
 def decide_k_is(

@@ -337,6 +337,23 @@ def test_solve_routes():
     assert set(res.assignment) == {8, 9, 10}
 
 
+def test_solve_labelled_instance_answers_in_its_own_ids():
+    # Labels map back to some earlier instance; the answer must still be
+    # in phi's own variable ids, on every route that relabels leaves.
+    chain = CspInstance(
+        10, tuple((IMPL, (i, i + 1)) for i in range(1, 10)),
+        labels=tuple(range(101, 111)),
+    )
+    res = solve_csp(chain, 3)
+    assert res and res.route == "regime Subexponential"
+    assert set(res.assignment) == {8, 9, 10}
+    lonely = CspInstance(40, ((NAND2, (1, 2)),), labels=tuple(range(41, 81)))
+    res = solve_csp(lonely, 2)
+    assert res and res.route == "free variables"
+    assert len(res.assignment) == 2 and all(1 <= v <= 40 for v in res.assignment)
+    assert lonely.satisfied_by(res.assignment)
+
+
 def test_solve_witnesses_verified_random():
     rng = random.Random(48)
     fams = [

@@ -214,12 +214,12 @@ def test_residual_hypergraphs_stay_on_masks(monkeypatch):
     def boom(*args):
         raise AssertionError("residual term left the masks")
 
-    graphs: list[Hypergraph] = []
-    real_underlying = kis.underlying_graph
+    converted: list[Hypergraph] = []
+    real_masks = kis._masks
 
-    def underlying_once(H):
-        graphs.append(H)
-        return real_underlying(H)
+    def masks_once(H, k):
+        converted.append(H)
+        return real_masks(H, k)
 
     counters: list[int] = []
 
@@ -231,16 +231,82 @@ def test_residual_hypergraphs_stay_on_masks(monkeypatch):
     monkeypatch.setattr(kis, "Hypergraph", boom)
     monkeypatch.setattr(kis, "count_k_is_hypergraph", boom)
     monkeypatch.setattr(kis.cliques, "count_k_is", boom)
-    monkeypatch.setattr(kis, "underlying_graph", underlying_once)
+    monkeypatch.setattr(kis, "_masks", masks_once)
     monkeypatch.setattr(kis, "_InvalidCounter", CountingCounter)
     # 10 + 10 - 1 seven-sets cover one edge or the other.
     assert count_invalid(*cases[0]) == wants[0] == 19
     assert counters == [7, 3]
     for (H, k), want in zip(cases[1:], wants[1:]):
         assert count_invalid(H, k) == want
-    # One graph per call (the top-level rows); some random cases nest too.
-    assert graphs == [H for H, _ in cases]
+    # One mask conversion per call (the top-level rows); some random cases
+    # nest too.
+    assert converted == [H for H, _ in cases]
     assert len(counters) > len(cases) + 1
+
+
+@pytest.mark.parametrize("bad", ["pair", "triple", "short"])
+def test_checked_rejects_a_bad_witness(monkeypatch, bad):
+    # Whatever the search hands back is re-checked against H's own edges.
+    H = Hypergraph(6, (frozenset({1, 2}), frozenset({3, 4, 5})))
+    k = 3
+    mask = {"pair": 0b001011, "triple": 0b011100, "short": 0b100001}[bad]
+    monkeypatch.setattr(kis, "_find_k_is", lambda rows, alive, big, k: (True, mask))
+    with pytest.raises(VerificationError):
+        decide_k_is(H, k, want_witness=True)
+    with pytest.raises(VerificationError):
+        kis.witness_k_is(H, k)
+
+
+def test_closed_form_leaves_match_oracle(monkeypatch):
+    # Leaves with k2 = k - |span| of 0, 1, 2 and 3 or more, against the
+    # exhaustive counts.  The hand-built cases leave a pair that is also a
+    # pair edge, and the same pair from two members or two earlier edges.
+    cases = [
+        (Hypergraph(7, (frozenset({1, 2}), frozenset({1, 2, 3}),
+                        frozenset({3, 4, 5}))), k)
+        for k in (4, 5, 6)
+    ]
+    same_pair = (frozenset({1, 2, 3, 6}), frozenset({1, 2, 3}),
+                 frozenset({1, 2, 6}), frozenset({3, 4, 5}), frozenset({6, 7, 8}))
+    cases += [(Hypergraph(10, same_pair), k) for k in (5, 6, 7, 8)]
+    cases += [(Hypergraph(10, (frozenset({1, 2}),) + same_pair), k) for k in (6, 8)]
+    rng = random.Random(71)
+    for _ in range(30):
+        n = rng.randint(7, 11)
+        arities = {a: rng.randint(0, 6) for a in (2, 3, 4, 5)}
+        H = random_hypergraph(rng, n, arities)
+        cases += [(H, k) for k in (3, 4, 5, 6)]
+    leaves: set[int] = set()
+    real_term = kis._InvalidCounter.term
+
+    def term(self, members, span_mask, span_size):
+        leaves.add(min(self.k - span_size, 3))
+        return real_term(self, members, span_mask, span_size)
+
+    monkeypatch.setattr(kis._InvalidCounter, "term", term)
+    for H, k in cases:
+        assert count_invalid(H, k) == brute_count_invalid(H, k), (H, k)
+        assert count_k_is_hypergraph(H, k) == brute_count_k_is(H, k), (H, k)
+    assert leaves == {0, 1, 2, 3}
+
+
+def test_small_leaves_skip_the_clique_engine(monkeypatch):
+    # n = 40, 60 pairs, 400 triples, k = 5: every IE term is a single
+    # triple with a 2-vertex residual, closed by popcount, so the base
+    # count is the only clique-engine call.
+    H = random_hypergraph(random.Random(72), 40, {2: 60, 3: 400})
+    base = count_k_is(underlying_graph(H), 5)
+    calls: list[int] = []
+    real_count = kis.cliques.count_k_is_masks
+
+    def counting(rows, alive, k):
+        calls.append(k)
+        return real_count(rows, alive, k)
+
+    monkeypatch.setattr(kis.cliques, "count_k_is_masks", counting)
+    got = count_k_is_mixed(H, 5)
+    assert 0 < got < base
+    assert calls == [5]
 
 
 def test_order_invariance_of_invalid():
@@ -377,23 +443,23 @@ def test_decide_matches_oracle_on_mixed_arities(monkeypatch, budget):
     # greedy sweep runs, and whatever it misses (or finds holding a large
     # edge) takes the count and counting self-reduction; "count" also
     # turns the greedy off, so every instance takes that path, which must
-    # stay on masks: one underlying graph per call, and no Hypergraph or
+    # stay on masks: one mask conversion per call, and no Hypergraph or
     # induced copy.
     def boom(*args):
         raise AssertionError("left the masks during the self-reduction")
 
-    graphs: list[Hypergraph] = []
-    real_underlying = kis.underlying_graph
+    converted: list[Hypergraph] = []
+    real_masks = kis._masks
 
-    def underlying_once(H):
-        graphs.append(H)
-        return real_underlying(H)
+    def masks_once(H, k):
+        converted.append(H)
+        return real_masks(H, k)
 
     if budget != "default":
         monkeypatch.setattr(kis, "SEARCH_NODE_BUDGET", 0)
         if budget == "count":
             monkeypatch.setattr(kis.turan, "find_k_is_sparse", lambda G, k: None)
-            monkeypatch.setattr(kis, "underlying_graph", underlying_once)
+            monkeypatch.setattr(kis, "_masks", masks_once)
     else:
         def boom_count(*args):
             raise AssertionError("counted an instance the search should settle")
@@ -414,10 +480,10 @@ def test_decide_matches_oracle_on_mixed_arities(monkeypatch, budget):
                     m.setattr(kis, "Hypergraph", boom)
                     m.setattr(Hypergraph, "__post_init__", boom)
                     m.setattr(hypergraph, "induced", boom)
-                    graphs.clear()
+                    converted.clear()
                 got, wit = decide_k_is(H, k, want_witness=True)
                 if budget == "count":
-                    assert graphs == [H]
+                    assert converted == [H]
             assert got == want, (H, k)
             assert decide_k_is(H, k) == (want, None)
             if not got:
