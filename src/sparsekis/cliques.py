@@ -12,9 +12,10 @@ building a relabeled graph; independent sets are cliques over
 complement rows formed inside `alive`.  The `Graph` entry points are
 thin wrappers over it.
 
-All arithmetic is exact.  Matrix products run in float64 blocks, which
-is lossless here: entries are 0/1, so every intermediate value is an
-integer bounded by the inner dimension, far below 2^53.  Totals are
+All arithmetic is exact.  Matrix products run in float32 row blocks,
+which is lossless here: entries are 0/1, so every product entry is an
+integer bounded by the inner dimension, and a ValueError guards the
+2^24 limit on it.  Each block is summed in float64 and the totals are
 accumulated in Python integers.
 """
 

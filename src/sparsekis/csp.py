@@ -770,19 +770,6 @@ def _verify(phi: CspInstance, true_vars: Iterable[int], k: int) -> tuple[int, ..
     return chosen
 
 
-def _eq_to_impl(inst: CspInstance) -> CspInstance:
-    if not any(is_eq_fn(f) for f, _ in inst.constraints):
-        return inst
-    out: list[Constraint] = []
-    for f, vs in inst.constraints:
-        if is_eq_fn(f):
-            out.append((IMPL, (vs[0], vs[1])))
-            out.append((IMPL, (vs[1], vs[0])))
-        else:
-            out.append((f, vs))
-    return CspInstance(inst.n, tuple(out), labels=inst.labels)
-
-
 def _solve_leaf_binary(leaf: BranchLeaf, regime: Regime) -> Optional[set[int]]:
     """Solve one 0-valid binary leaf; returns original-label true-set or None."""
     from . import kis as _kis
@@ -811,7 +798,7 @@ def _solve_leaf_binary(leaf: BranchLeaf, regime: Regime) -> Optional[set[int]]:
     if regime.kind == "Subexponential":
         # Pruning fixes variables false, which leaves pinning constraints
         # behind; propagate those before reading off the implication order.
-        inst2 = preprocess_easy(impl_prune(_eq_to_impl(inst), k), k)
+        inst2 = preprocess_easy(impl_prune(inst, k), k)
         if _has_false(inst2):
             return None
         if k > inst2.n:
@@ -822,33 +809,31 @@ def _solve_leaf_binary(leaf: BranchLeaf, regime: Regime) -> Optional[set[int]]:
         return {inst2.label_of(v) for v in got} | set(leaf.forced_true)
 
     # KIS and Clique leaves reduce to graphs of NAND edges, possibly with
-    # implication structure on top.
-    inst2 = _eq_to_impl(inst)
-    if impl_edges(inst2):
-        inst3 = preprocess_easy(impl_prune(inst2, k), k)
-        if _has_false(inst3):
+    # implication structure (IMPL or EQ) on top.
+    if impl_edges(inst):
+        inst = preprocess_easy(impl_prune(inst, k), k)
+        if _has_false(inst):
             return None
-        if impl_edges(inst3):
+        if impl_edges(inst):
             # A solution is a NAND-free union of descendant sets, so an
             # exhausted search is a NO; past the cap the pipeline decides
             # and self-reduction recovers the members.
             try:
-                sol = _closed_set_search(inst3, k, NAND_IMPL_STATE_CAP)
+                sol = _closed_set_search(inst, k, NAND_IMPL_STATE_CAP)
             except ResourceLimit:
-                if not _nand_impl.solve_nand_impl(inst3, k):
+                if not _nand_impl.solve_nand_impl(inst, k):
                     return None
-                sol = _witness_on_nand_impl(inst3, k)
+                sol = _witness_on_nand_impl(inst, k)
             else:
                 if sol is None:
                     return None
-                if not inst3.satisfied_by(sol):
+                if not inst.satisfied_by(sol):
                     raise VerificationError("closed-set search hit fails verification")
-            return {inst3.label_of(v) for v in sol} | set(leaf.forced_true)
-        inst2 = inst3
-    ok, found = _kis._decide(_nand_rows(inst2), (1 << inst2.n) - 1, (), k, True)
+            return {inst.label_of(v) for v in sol} | set(leaf.forced_true)
+    ok, found = _kis._decide(_nand_rows(inst), (1 << inst.n) - 1, (), k, True)
     if not ok:
         return None
-    return {inst2.label_of(v) for v in _vertices(found)} | set(leaf.forced_true)
+    return {inst.label_of(v) for v in _vertices(found)} | set(leaf.forced_true)
 
 
 def _witness_on_nand_impl(inst: CspInstance, k: int) -> set[int]:

@@ -29,16 +29,16 @@ subsets for an earlier large edge, and k2 >= 3 takes the nested count.
 Every public entry point turns H once into one form, in one pass over
 its edges: pair adjacency rows, an `alive` vertex mask and the ordered
 masks of the large edges that fit inside `alive` and a k-set.  Counting,
-deciding and the witness all run on it; the only graph built after that
-is the relabeled one the greedy sweep takes.  A witness is re-checked
-against H's own edge sets, not the rows.
+deciding, the greedy sweep and the witness all run on it; no graph is
+built after that.  A witness is re-checked against H's own edge sets,
+not the rows.
 
 Deciding, building a witness, and spotting a zero count start with a
 bounded DFS on the same bitmasks (`_search_k_is`): it either finds a
 k-set, proves none exists, or stops after SEARCH_NODE_BUDGET nodes, and
 only then do the counts run.  Every caller that wants a k-set, not a
 proof of zero, goes through `_find_k_is`, which follows a budget hit
-with one greedy sweep (`turan.find_k_is_sparse`) before giving up.  A
+with one greedy sweep (`turan.find_k_is_masks`) before giving up.  A
 budget hit searches once: `_decide` passes on to the count, and the
 counting self-reduction after it works on the masks.
 """
@@ -51,7 +51,7 @@ from typing import Optional, Sequence
 
 from . import cliques, turan
 from .errors import VerificationError
-from .hypergraph import Graph, Hypergraph, _mask, _vertices
+from .hypergraph import Hypergraph, _mask, _vertices
 
 #: Nodes the bounded search may visit before counting takes over.
 SEARCH_NODE_BUDGET = 20_000
@@ -113,28 +113,16 @@ def _find_k_is(
 ) -> tuple[bool, Optional[int]]:
     """`_search_k_is`, plus one greedy try when it hits its budget.
 
-    The greedy is `turan.find_k_is_sparse` on the pair graph inside
-    `alive`, relabeled to 1..|alive|; it always succeeds when
-    2 k^2 m <= n^2, where the search can drown under one dense vertex.
-    Its set counts as found only if it contains none of the `big` masks.
-    Same outcomes as `_search_k_is`.
+    The greedy is `turan.find_k_is_masks` on the same pair rows inside
+    `alive`; it always succeeds when 2 k^2 m <= n^2, where the search can
+    drown under one dense vertex.  Its set counts as found only if it
+    contains none of the `big` masks.  Same outcomes as `_search_k_is`.
     """
     settled, found = _search_k_is(rows, alive, big, k)
     if settled:
         return settled, found
-    pool = _vertices(alive)
-    pos = {v: i + 1 for i, v in enumerate(pool)}
-    # Each pool edge once, from its lower end.
-    edges = [
-        frozenset((pos[u], pos[v]))
-        for u in pool
-        for v in _vertices(rows[u - 1] & alive >> u << u)
-    ]
-    got = turan.find_k_is_sparse(Graph(len(pool), tuple(edges)), k)
-    if got is None:
-        return False, None
-    mask = _mask(pool[i - 1] for i in got)
-    if any(m & ~mask == 0 for m in big):
+    mask = turan.find_k_is_masks(rows, alive, k)
+    if mask is None or any(m & ~mask == 0 for m in big):
         return False, None
     return True, mask
 

@@ -15,7 +15,12 @@ peels structure until triangle counting can finish the job:
      groups' NAND rows, settled by `kis._decide` (search, then count);
   5. one branch per composition of k over three or more chosen groups
      reduces to finding a triangle across three bins of candidate
-     part-sets.
+     part-sets.  Each part-set is a (mask, block) pair, block = mask |
+     NAND neighbours, as `cliques` keeps (mask, common) pairs, and the
+     compat matrices come from `cliques._compat` on packed masks.
+
+Equality constraints read as two implications in every step, so an
+instance is taken with its EQs as they are.
 
 The pipeline decides only.  `csp` first searches the leaf for a
 NAND-free union of descendant sets, which gives an assignment directly;
@@ -29,8 +34,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Collection, Iterator, Optional, Sequence
 
-import numpy as np
-
 from . import cliques
 from .csp import (
     CspInstance,
@@ -39,6 +42,8 @@ from .csp import (
     branch_and_bound,
     build_impl_structure,
     impl_edges,
+    impl_prune,
+    is_eq_fn,
     is_impl_fn,
     is_nand_fn,
     preprocess_easy,
@@ -233,56 +238,45 @@ def _chunks_for_split(
     members: frozenset[int],
     take: int,
     with_sink: bool,
-) -> list[tuple[int, ...]]:
-    """Ways a group puts `take` vertices into one bin; a whole group
-    supplies its quota with its sink."""
+) -> list[tuple[int, int]]:
+    """Ways a group puts `take` vertices into one bin, as (mask, block)
+    pairs with block = mask | NAND neighbours; a whole group supplies its
+    quota with its sink."""
     if with_sink:
         if sink is None:
             raise ValueError("a whole-group split needs a sink")
         if take < 1:
             return []
         rest = sorted(members - {sink})
-        return [
-            c + (sink,)
-            for c in itertools.combinations(rest, take - 1)
-            if _clean(rows, c + (sink,))
-        ]
-    base = sorted(members if sink is None else members - {sink})
-    return [c for c in itertools.combinations(base, take) if _clean(rows, c)]
+        combos = (c + (sink,) for c in itertools.combinations(rest, take - 1))
+    else:
+        base = sorted(members if sink is None else members - {sink})
+        combos = itertools.combinations(base, take)
+    out = []
+    for c in combos:
+        m = nbrs = 0
+        for v in c:
+            m |= 1 << (v - 1)
+            nbrs |= rows[v - 1]
+        if nbrs & m == 0:
+            out.append((m, m | nbrs))
+    return out
 
 
-def _triangle_exists(
-    rows: Sequence[int],
-    nodes: list[list[tuple[int, ...]]],
-) -> bool:
-    """Tripartite check: disjoint, cross-NAND-free triple of part-sets."""
+def _triangle_exists(n: int, nodes: list[list[tuple[int, int]]]) -> bool:
+    """Tripartite check: disjoint, cross-NAND-free triple of part-sets.
+
+    A part-set y fits beside x when y's mask misses x's block, that is,
+    lies inside the complement of the block; `cliques._compat` tests
+    exactly that containment on packed masks."""
     if any(not part for part in nodes):
         return False
-    masks = []
-    blocks = []
-    for part in nodes:
-        masks.append([_mask(c) for c in part])
-        blk = []
-        for c in part:
-            b = _mask(c)
-            for v in c:
-                b |= rows[v - 1]
-            blk.append(b)
-        blocks.append(blk)
-
-    def compat(i: int, j: int):
-        out = np.zeros((len(masks[i]), len(masks[j])), dtype=np.uint8)
-        for a, ba in enumerate(blocks[i]):
-            row = out[a]
-            for b, mb in enumerate(masks[j]):
-                # ba covers both disjointness and (symmetric) NAND hits.
-                if mb & ba == 0:
-                    row[b] = 1
-        return out
-
-    ab = compat(0, 1)
-    bc = compat(1, 2)
-    ac = compat(0, 2)
+    full = (1 << n) - 1
+    masks = [cliques._pack([m for m, _ in part], n) for part in nodes]
+    frees = [cliques._pack([full & ~b for _, b in part], n) for part in nodes]
+    ab = cliques._compat(frees[0], masks[1])
+    bc = cliques._compat(frees[1], masks[2])
+    ac = cliques._compat(frees[0], masks[2])
     return cliques.count_triangles_tripartite(ab, bc, ac) > 0
 
 
@@ -402,9 +396,9 @@ def _branch_triangle(
     """Materialize the three bins' part-sets for one branch and test."""
     sa, ca, ta = split_a
     sb, cb, tb = split_b
-    nodes: list[list[tuple[int, ...]]] = []
+    nodes: list[list[tuple[int, int]]] = []
     for t in range(3):
-        chunk_lists: list[list[tuple[int, ...]]] = []
+        chunk_lists: list[list[tuple[int, int]]] = []
         for idx in bins[t]:
             gi = order[idx - 1]
             sink, members = groups[combo[gi]]
@@ -422,22 +416,20 @@ def _branch_triangle(
             chunk_lists.append(
                 _chunks_for_split(rows, sink, members, take, tpos == t)
             )
-        part: list[tuple[int, ...]] = [()]
+        part: list[tuple[int, int]] = [(0, 0)]
         for chunks in chunk_lists:
             if not chunks:
                 part = []
                 break
             nxt = []
-            for base in part:
-                for c in chunks:
-                    joined = base + c
-                    if _clean(rows, joined):
-                        nxt.append(joined)
+            for bm, bb in part:
+                # A chunk joins when its mask misses the base's block.
+                nxt.extend((bm | cm, bb | cb) for cm, cb in chunks if cm & bb == 0)
                 if len(nxt) > NODE_CAP:
                     raise ResourceLimit("triangle part-sets", f"> {NODE_CAP}", NODE_CAP)
             part = nxt
         nodes.append(part)
-    return _triangle_exists(rows, nodes)
+    return _triangle_exists(len(rows), nodes)
 
 
 def solve_restricted(phi: CspInstance, k: int) -> bool:
@@ -453,13 +445,10 @@ def solve_nand_impl(phi: CspInstance, k: int) -> bool:
     """Decide weight-k satisfiability over exclusion and implication.
 
     Accepts any binary instance whose meaningful constraints are NAND,
-    implication, or equality shaped (equality is split into two
-    implications); pinning constraints are propagated and violated
-    all-false constraints branched away first.
+    implication, or equality shaped (equality reads as two implications
+    throughout); pinning constraints are propagated and violated
+    all-false constraints branched away first.  Labels are ignored.
     """
-    from .csp import _eq_to_impl, impl_prune
-
-    phi = CspInstance(phi.n, phi.constraints)
     if k < 0 or k > phi.n:
         return False
     for leaf in branch_and_bound(phi, k):
@@ -470,11 +459,11 @@ def solve_nand_impl(phi: CspInstance, k: int) -> bool:
             return True
         if leaf.k > inst.n:
             continue
-        inst = preprocess_easy(impl_prune(_eq_to_impl(inst), leaf.k), leaf.k)
+        inst = preprocess_easy(impl_prune(inst, leaf.k), leaf.k)
         if _has_false(inst):
             continue
         for f, _ in inst.constraints:
-            if not (is_nand_fn(f) or is_impl_fn(f)):
+            if not (is_nand_fn(f) or is_impl_fn(f) or is_eq_fn(f)):
                 raise ValueError(f"unsupported constraint {f.name!r}")
         for rbranch, k_i in restrict_instance(inst, leaf.k):
             if solve_restricted(rbranch, k_i):

@@ -5,15 +5,19 @@ lowest-degree vertex and discard its neighborhood, or, in the constraint
 setting, a variable whose incident constraints are all slack enough to
 absorb setting it true.  Both abstain rather than guess when the
 instance is too dense for the guarantee.
+
+The graph sweep runs on adjacency bitmask rows inside an `alive` vertex
+mask (`find_k_is_masks`), so `kis` calls it on the rows it already
+holds; `find_k_is_sparse` is the thin wrapper for a `Graph`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from .csp import ConstraintFunction, CspInstance, specialize, u_min
 from .errors import VerificationError
-from .hypergraph import Graph
+from .hypergraph import Graph, _vertices
 
 __all__ = [
     "find_k_is_sparse",
@@ -26,47 +30,43 @@ __all__ = [
 NO_GUARANTEE = None
 
 
-def find_k_is_sparse(G: Graph, k: int) -> Optional[frozenset[int]]:
-    """Greedy independent k-set: take a minimum-degree vertex, drop its
-    closed neighborhood, repeat.
+def find_k_is_masks(rows: Sequence[int], alive: int, k: int) -> Optional[int]:
+    """Greedy independent k-set inside `alive`: take a minimum-degree
+    vertex, drop its closed neighborhood, repeat.
 
-    Succeeds on every graph with m <= n^2 / (2 k^2); on denser graphs it
-    may return None when the vertices run out early.  Ties go to the
-    smallest vertex id, and any returned set is verified independent.
+    rows[v - 1] is vertex v's pair neighbor bitmask (bit u - 1 for vertex
+    u), symmetric and without v's own bit; bits outside `alive` are
+    ignored.  Succeeds whenever m <= n^2 / (2 k^2) on the graph inside
+    `alive`; on denser graphs it may return None when the vertices run
+    out early.  Ties go to the smallest vertex id, and the returned mask
+    is verified independent.
     """
     if k < 0:
         raise ValueError(f"negative k {k}")
     if k == 0:
-        return frozenset()
-    premise = 2 * k * k * G.m <= G.n * G.n
-    adj = {v: set() for v in range(1, G.n + 1)}
-    for e in G.edges:
-        u, v = sorted(e)
-        adj[u].add(v)
-        adj[v].add(u)
-    alive = set(adj)
-    edges_left = G.m
-    chosen: list[int] = []
+        return 0
+    edges_left = sum((rows[v - 1] & alive).bit_count() for v in _vertices(alive)) // 2
+    premise = 2 * k * k * edges_left <= alive.bit_count() ** 2
+    chosen = 0
     for i in range(k):
         if not alive:
             return None
-        if premise and 2 * (k - i) ** 2 * edges_left > len(alive) ** 2:
+        if premise and 2 * (k - i) ** 2 * edges_left > alive.bit_count() ** 2:
             raise VerificationError("density invariant broken under the premise")
-        v = min(alive, key=lambda u: (len(adj[u]), u))
-        chosen.append(v)
-        for u in list(adj[v]) + [v]:
-            if u not in alive:
-                continue
-            alive.discard(u)
-            for w in adj[u]:
-                if w in alive:
-                    adj[w].discard(u)
-                    edges_left -= 1
-            adj[u] = set()
-    picked = frozenset(chosen)
-    if not G.is_independent(picked):
+        v = min(_vertices(alive), key=lambda u: (rows[u - 1] & alive).bit_count())
+        chosen |= 1 << (v - 1)
+        for u in _vertices((rows[v - 1] | 1 << (v - 1)) & alive):
+            alive &= ~(1 << (u - 1))
+            edges_left -= (rows[u - 1] & alive).bit_count()
+    if any(rows[v - 1] & chosen for v in _vertices(chosen)):
         raise VerificationError("greedy produced a dependent set")
-    return picked
+    return chosen
+
+
+def find_k_is_sparse(G: Graph, k: int) -> Optional[frozenset[int]]:
+    """`find_k_is_masks` on all of G's vertices, as a vertex set."""
+    got = find_k_is_masks(G.adjacency, (1 << G.n) - 1, k)
+    return None if got is None else frozenset(_vertices(got))
 
 
 def sparse_csp_solve(phi: CspInstance, k: int) -> Optional[frozenset[int]]:

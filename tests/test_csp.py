@@ -34,7 +34,6 @@ from sparsekis.csp import (
     BadConstraintLine,
     BadFunctionDecl,
     MalformedCspHeader,
-    _eq_to_impl,
 )
 
 from conftest import random_csp
@@ -256,13 +255,6 @@ def test_eq_subset_sum_examples():
     ))
     assert not eq_components_subset_sum(comp33, 5)
     assert eq_components_subset_sum(comp33, 0)
-
-
-def test_eq_to_impl_keeps_an_eq_free_instance():
-    phi = CspInstance(3, ((NAND2, (1, 2)), (IMPL, (2, 3))), labels=(4, 5, 6))
-    assert _eq_to_impl(phi) is phi
-    both = _eq_to_impl(CspInstance(3, ((EQ2, (1, 2)), (NAND2, (2, 3)))))
-    assert both.constraints == ((IMPL, (1, 2)), (IMPL, (2, 1)), (NAND2, (2, 3)))
 
 
 def test_eq_subset_sum_rejects_other_functions():

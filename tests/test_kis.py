@@ -12,6 +12,7 @@ from sparsekis import (
     NAND2,
     CspInstance,
     Hypergraph,
+    Graph,
     VerificationError,
     brute_count_invalid,
     brute_count_k_is,
@@ -29,6 +30,7 @@ from sparsekis.cli import main
 from sparsekis.hypergraph import format_hgr, underlying_graph
 
 from conftest import random_hypergraph
+from greedy import greedy_k_is
 from matchings import (
     Matching,
     enumerate_matchings,
@@ -455,10 +457,16 @@ def test_decide_matches_oracle_on_mixed_arities(monkeypatch, budget):
         converted.append(H)
         return real_masks(H, k)
 
+    greedy_calls: list[int] = []
+
+    def no_greedy(rows, alive, k):
+        greedy_calls.append(k)
+        return None
+
     if budget != "default":
         monkeypatch.setattr(kis, "SEARCH_NODE_BUDGET", 0)
         if budget == "count":
-            monkeypatch.setattr(kis.turan, "find_k_is_sparse", lambda G, k: None)
+            monkeypatch.setattr(kis.turan, "find_k_is_masks", no_greedy)
             monkeypatch.setattr(kis, "_masks", masks_once)
     else:
         def boom_count(*args):
@@ -495,6 +503,7 @@ def test_decide_matches_oracle_on_mixed_arities(monkeypatch, budget):
             for w in (wit, kis.witness_k_is(H, k)):
                 assert len(w) == k and all(1 <= v <= n for v in w)
                 assert all(not e <= w for e in H.edges)
+    assert bool(greedy_calls) == (budget == "count")
 
 
 def test_budget_hit_searches_once(monkeypatch):
@@ -514,6 +523,62 @@ def test_budget_hit_searches_once(monkeypatch):
     monkeypatch.setattr(kis, "_search_k_is", counting_search)
     assert decide_k_is(H, 6) == (False, None)
     assert searches == [6]
+
+
+def reference_find(rows, alive, big, k):
+    """The greedy reference on the pair graph inside `alive`, relabelled
+    to 1..|alive|, with a set holding a `big` mask rejected."""
+    pool = [v for v in range(1, len(rows) + 1) if alive >> (v - 1) & 1]
+    pos = {v: i + 1 for i, v in enumerate(pool)}
+    edges = {
+        frozenset((pos[u], pos[v]))
+        for u in pool
+        for v in pool
+        if u < v and rows[u - 1] >> (v - 1) & 1
+    }
+    try:
+        got = greedy_k_is(Graph(len(pool), tuple(edges)), k)
+    except VerificationError:
+        return "error"
+    if got is None:
+        return False, None
+    mask = sum(1 << (pool[i - 1] - 1) for i in got)
+    if any(m & ~mask == 0 for m in big):
+        return False, None
+    return True, mask
+
+
+def test_greedy_behind_the_search_matches_reference(monkeypatch):
+    # With no search budget `_find_k_is` is the greedy alone, so its
+    # picks on any (rows, alive, big) are the reference's.
+    monkeypatch.setattr(kis, "SEARCH_NODE_BUDGET", 0)
+    rng = random.Random(62)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(1, 40)
+        p = rng.choice([0.02, 0.1, 0.3, 0.6])
+        rows = [0] * n
+        for u, v in itertools.combinations(range(1, n + 1), 2):
+            if rng.random() < p:
+                rows[u - 1] |= 1 << (v - 1)
+                rows[v - 1] |= 1 << (u - 1)
+        alive = sum(1 << i for i in range(n) if rng.random() < 0.8)
+        pool = [v for v in range(1, n + 1) if alive >> (v - 1) & 1]
+        k = rng.randint(0, 8)
+        big = []
+        for _ in range(rng.randint(0, 6) if len(pool) >= 3 else 0):
+            size = rng.randint(3, max(3, min(k, len(pool))))
+            big.append(sum(1 << (v - 1) for v in rng.sample(pool, size)))
+        want = reference_find(rows, alive, big, k)
+        try:
+            got = kis._find_k_is(rows, alive, big, k)
+        except VerificationError:
+            got = "error"
+        assert got == want, (rows, alive, big, k)
+        if want == (False, None) and reference_find(rows, alive, [], k) != want:
+            want = "rejected"
+        seen.add(want if want in ("error", "rejected", (False, None)) else "found")
+    assert {"found", "rejected", (False, None)} <= seen
 
 
 def turan_sparse_adversary() -> Hypergraph:

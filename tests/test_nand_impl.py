@@ -7,6 +7,7 @@ import pytest
 
 from sparsekis import (
     CspInstance,
+    EQ2,
     IMPL,
     NAND2,
     balance_partition,
@@ -17,7 +18,7 @@ from sparsekis import (
     solve_nand_impl,
     solve_restricted,
 )
-from sparsekis import cliques, kis
+from sparsekis import cliques, kis, nand_impl
 from sparsekis.csp import build_impl_structure
 
 
@@ -25,7 +26,7 @@ def yes(phi: CspInstance, k: int) -> bool:
     return brute_solve_csp(phi, k) is not None
 
 
-def random_nand_impl(rng, n, m_nand, m_impl):
+def random_nand_impl(rng, n, m_nand, m_impl, m_eq=0):
     cons = []
     seen = set()
     while len(cons) < m_nand:
@@ -44,6 +45,37 @@ def random_nand_impl(rng, n, m_nand, m_impl):
             continue
         seen.add(key)
         cons.append((IMPL, vs))
+    while len(cons) < m_nand + m_impl + m_eq:
+        vs = tuple(rng.sample(range(1, n + 1), 2))
+        key = ("e", frozenset(vs))
+        if key in seen:
+            m_eq -= 1
+            continue
+        seen.add(key)
+        cons.append((EQ2, vs))
+    return CspInstance(n, tuple(cons))
+
+
+def star_instance(rng, n, nand_draws):
+    """Stars laid out from vertex 1 while five vertices remain: a sink,
+    then 2-4 sources, each implying the sink, pairwise NAND among
+    themselves; then `nand_draws` random NAND pairs, repeats skipped."""
+    cons = []
+    seen = set()
+    v = 1
+    while n - v + 1 >= 5:
+        sink = v
+        sources = list(range(v + 1, v + 1 + rng.randint(2, 4)))
+        v = sources[-1] + 1
+        cons += [(IMPL, (s, sink)) for s in sources]
+        for pair in itertools.combinations(sources, 2):
+            seen.add(frozenset(pair))
+            cons.append((NAND2, pair))
+    for _ in range(nand_draws):
+        pair = frozenset(rng.sample(range(1, n + 1), 2))
+        if pair not in seen:
+            seen.add(pair)
+            cons.append((NAND2, tuple(sorted(pair))))
     return CspInstance(n, tuple(cons))
 
 
@@ -251,9 +283,44 @@ def test_solve_restricted_matches_oracle(monkeypatch, budget):
 def test_solver_matches_oracle(monkeypatch, budget):
     if budget == "zero":
         monkeypatch.setattr(kis, "SEARCH_NODE_BUDGET", 0)
+    # EQ reads as two implications everywhere in the pipeline.
     rng = random.Random(57)
-    for _ in range(60):
+    for _ in range(90):
         n = rng.randint(4, 10)
-        phi = random_nand_impl(rng, n, rng.randint(0, 6), rng.randint(0, 6))
+        phi = random_nand_impl(
+            rng, n, rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 3)
+        )
         for k in range(0, 5):
             assert solve_nand_impl(phi, k) == yes(phi, k), (phi, k)
+
+
+def test_labels_do_not_change_answers():
+    rng = random.Random(59)
+    for _ in range(20):
+        n = rng.randint(4, 9)
+        phi = random_nand_impl(
+            rng, n, rng.randint(0, 6), rng.randint(0, 4), rng.randint(0, 2)
+        )
+        labelled = CspInstance(n, phi.constraints, labels=tuple(range(2 * n, n, -1)))
+        for k in range(0, n + 2):
+            assert solve_nand_impl(labelled, k) == solve_nand_impl(phi, k), (phi, k)
+
+
+def test_star_instances_reach_the_triangle_step(monkeypatch):
+    # Sources of one star are pairwise NAND, so a solution of weight 3+
+    # spreads over several stars and the triangle step has to decide.
+    answers = []
+    real = nand_impl._triangle_exists
+
+    def recording(*args):
+        answers.append(real(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(nand_impl, "_triangle_exists", recording)
+    rng = random.Random(63)
+    for _ in range(12):
+        n = rng.randint(10, 16)
+        phi = star_instance(rng, n, rng.randint(0, 12))
+        for k in range(3, 8):
+            assert solve_restricted(phi, k) == yes(phi, k), (phi, k)
+    assert True in answers and False in answers

@@ -20,8 +20,10 @@ from sparsekis import (
     specialize,
 )
 from sparsekis.csp import ConstraintFunction
+from sparsekis.errors import VerificationError
 
 from conftest import gnp_graph, random_graph
+from greedy import greedy_k_is
 
 NAND3 = ConstraintFunction("nand3", 3, (1, 1, 1, 1, 1, 1, 1, 0))
 
@@ -70,6 +72,30 @@ def test_dense_may_abstain_but_never_lies():
             # Abstaining is only legitimate above the density cutoff.
             assert 2 * 16 * G.m > G.n * G.n
     del gave
+
+
+def outcome(fn, *args):
+    """fn's result, or "error" when it raises VerificationError."""
+    try:
+        return fn(*args)
+    except VerificationError:
+        return "error"
+
+
+def test_sweep_picks_match_reference():
+    # The greedy's picks are pinned: the same set (or None) as the
+    # dict-of-sets reference, on graphs from empty to dense.
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(1, 40)
+        k = rng.randint(0, 8)
+        m = rng.randint(0, n * (n - 1) // 2 // rng.choice([1, 4, 16, 64]))
+        G = random_graph(rng, n, m)
+        want = outcome(greedy_k_is, G, k)
+        assert outcome(find_k_is_sparse, G, k) == want, (G, k)
+        seen.add(type(want))
+    assert seen == {frozenset, type(None)}
 
 
 def test_specialize_nand():
