@@ -391,7 +391,7 @@ def _provenance(recipe: str, pairs: Sequence[tuple[str, object]]) -> list[str]:
     return [f"sparsekis gen {recipe} {echo}".rstrip()]
 
 
-def _gen_random_hgr(args: argparse.Namespace) -> tuple[str, list[str]]:
+def _gen_random_hgr(args: argparse.Namespace) -> str:
     gammas = {
         i: getattr(args, f"gamma{i}")
         for i in range(2, MAX_ARITY + 1)
@@ -404,10 +404,10 @@ def _gen_random_hgr(args: argparse.Namespace) -> tuple[str, list[str]]:
     pairs = [("n", args.n)]
     pairs += [(f"gamma{i}", gammas[i]) for i in sorted(gammas)]
     pairs.append(("seed", args.seed))
-    return format_hgr(H, comments=_provenance("random-hgr", pairs)), []
+    return format_hgr(H, comments=_provenance("random-hgr", pairs))
 
 
-def _gen_random_csp(args: argparse.Namespace) -> tuple[str, list[str]]:
+def _gen_random_csp(args: argparse.Namespace) -> str:
     family = _family(args.family)
     if (args.m is None) == (args.gamma is None):
         raise ValueError("give exactly one of --m and --gamma")
@@ -418,18 +418,18 @@ def _gen_random_csp(args: argparse.Namespace) -> tuple[str, list[str]]:
         ("n", args.n), ("family", args.family), ("m", args.m),
         ("gamma", args.gamma), ("seed", args.seed),
     ]
-    return format_csp(phi, comments=_provenance("random-csp", pairs)), []
+    return format_csp(phi, comments=_provenance("random-csp", pairs))
 
 
-def _gen_lessthan(args: argparse.Namespace) -> tuple[str, list[str]]:
+def _gen_lessthan(args: argparse.Namespace) -> str:
     fn = _lookup_fn(args.fn)
     cons = reductions.build_less_than(fn, args.vars, range(1, args.vars + 1))
     phi = CspInstance(args.vars, tuple(cons))
     pairs = [("fn", args.fn), ("vars", args.vars)]
-    return format_csp(phi, comments=_provenance("lessthan", pairs)), []
+    return format_csp(phi, comments=_provenance("lessthan", pairs))
 
 
-def _gen_dense_embed(args: argparse.Namespace) -> tuple[str, list[str]]:
+def _gen_dense_embed(args: argparse.Namespace) -> str:
     src = parse_csp(_read_text(args.input))
     fn = _lookup_fn(args.fn)
     out = reductions.dense_embed(src, fn, args.gamma, args.k)
@@ -437,10 +437,10 @@ def _gen_dense_embed(args: argparse.Namespace) -> tuple[str, list[str]]:
         ("input", args.input), ("fn", args.fn),
         ("gamma", args.gamma), ("k", args.k),
     ]
-    return format_csp(out, comments=_provenance("dense-embed", pairs)), []
+    return format_csp(out, comments=_provenance("dense-embed", pairs))
 
 
-def _gen_sparse_embed(args: argparse.Namespace) -> tuple[str, list[str]]:
+def _gen_sparse_embed(args: argparse.Namespace) -> str:
     src = parse_csp(_read_text(args.input))
     fn = _lookup_fn(args.fn)
     out = reductions.sparse_embed(src, fn, args.gamma, args.k, delta=args.delta)
@@ -448,17 +448,17 @@ def _gen_sparse_embed(args: argparse.Namespace) -> tuple[str, list[str]]:
         ("input", args.input), ("fn", args.fn), ("gamma", args.gamma),
         ("k", args.k), ("delta", args.delta),
     ]
-    return format_csp(out, comments=_provenance("sparse-embed", pairs)), []
+    return format_csp(out, comments=_provenance("sparse-embed", pairs))
 
 
-def _gen_kis_lb(args: argparse.Namespace) -> tuple[str, list[str]]:
+def _gen_kis_lb(args: argparse.Namespace) -> str:
     src = parse_hypergraph(_read_text(args.input))
     out = reductions.gen_kis_sparse_lb(src, args.gamma)
     pairs = [("input", args.input), ("gamma", args.gamma)]
-    return format_hgr(out, comments=_provenance("kis-lb", pairs)), []
+    return format_hgr(out, comments=_provenance("kis-lb", pairs))
 
 
-def _gen_mixed_lb(args: argparse.Namespace) -> tuple[str, list[str]]:
+def _gen_mixed_lb(args: argparse.Namespace) -> str:
     parts = [int(s) for s in args.parts.split(",") if s]
     if not parts:
         raise ValueError("empty --parts list")
@@ -472,16 +472,16 @@ def _gen_mixed_lb(args: argparse.Namespace) -> tuple[str, list[str]]:
         ("msrc", msrc), ("seed", args.seed),
     ]
     comments = _provenance("mixed-lb", pairs) + [f"solve-for k={k_shifted}"]
-    return format_hgr(out, comments=comments), []
+    return format_hgr(out, comments=comments)
 
 
-def _gen_binary_hardness(args: argparse.Namespace) -> tuple[str, list[str]]:
+def _gen_binary_hardness(args: argparse.Namespace) -> str:
     src = parse_csp(_read_text(args.input))
     family = _family(args.family)
     out, offset = reductions.gen_binary_hardness(src, family, args.gamma)
     pairs = [("input", args.input), ("family", args.family), ("gamma", args.gamma)]
     comments = _provenance("binary-hardness", pairs) + [f"weight-offset {offset}"]
-    return format_csp(out, comments=comments), []
+    return format_csp(out, comments=comments)
 
 
 _RECIPES = {
@@ -497,8 +497,7 @@ _RECIPES = {
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    text, _ = _RECIPES[args.recipe](args)
-    _write_text(args.out, text)
+    _write_text(args.out, _RECIPES[args.recipe](args))
     return 0
 
 

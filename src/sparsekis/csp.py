@@ -13,17 +13,21 @@ constraints the all-false assignment violates, easy constraints that pin
 variables false are propagated away, equality constraints reduce to a
 subset-sum over component sizes, implication structure is pruned through
 descendant sets, and what remains goes to the independent-set machinery.
+
+Descendant and ancestor sets are bitmasks laid out as the NAND rows, so
+the NAND neighbours of a set are one `_block` over its mask.  The table
+facts `specialize` and `forced_false_positions` are cached per function.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import ResourceLimit, VerificationError
-from .hypergraph import _mask, _vertices
+from .hypergraph import _block, _vertices
 
 MAX_CSP_ARITY = 6
 
@@ -125,11 +129,14 @@ def symmetrize(f: ConstraintFunction) -> ConstraintFunction:
     return ConstraintFunction(f"sym_{f.name}", f.arity, tuple(table))
 
 
+@cache
 def specialize(f: ConstraintFunction, position: int, value: int) -> ConstraintFunction:
     """Fix the argument at 1-based `position` to `value`; arity drops by 1.
 
     The result can be a constant (arity 0, one-row table); callers drop
     constant-true results and treat constant-false as an infeasible branch.
+    Worked out once per (function, position, value): the function's name
+    is part of the key, so a cached result keeps its exact derived name.
     """
     if not 1 <= position <= f.arity:
         raise ValueError(f"position {position} out of range 1..{f.arity}")
@@ -167,8 +174,10 @@ def is_eq_fn(f: ConstraintFunction) -> bool:
     return f.arity == 2 and f.table == EQ2.table
 
 
+@cache
 def forced_false_positions(f: ConstraintFunction) -> tuple[int, ...]:
-    """1-based positions that are 0 in every satisfying row (none if f is constant-false)."""
+    """1-based positions that are 0 in every satisfying row (none if f is
+    constant-false); worked out once per function."""
     if f.is_constant_false:
         return ()
     out = []
@@ -480,15 +489,10 @@ def preprocess_easy(phi: CspInstance, k: int) -> CspInstance:
     true) leaves one never-satisfiable unary constraint behind.
     """
     inst = phi
-    # Forced positions depend on the table alone.
-    positions: dict[tuple[int, ...], tuple[int, ...]] = {}
     while True:
         forced: set[int] = set()
         for f, vs in inst.constraints:
-            ps = positions.get(f.table)
-            if ps is None:
-                ps = positions[f.table] = forced_false_positions(f)
-            for p in ps:
+            for p in forced_false_positions(f):
                 forced.add(vs[p - 1])
         if not forced:
             return inst
@@ -600,14 +604,6 @@ def eq_components_subset_sum(phi_eq: CspInstance, k: int) -> bool:
     return _subset_sum_pick([w for w in weights if w <= k], k) is not None
 
 
-@dataclass(frozen=True)
-class ImplStructure:
-    """Reflexive-transitive descendant/ancestor sets over implication edges."""
-
-    descendants: dict[int, frozenset[int]]
-    ancestors: dict[int, frozenset[int]]
-
-
 def impl_edges(phi: CspInstance) -> set[tuple[int, int]]:
     """Directed implication pairs (u, v) meaning u true forces v true."""
     out: set[tuple[int, int]] = set()
@@ -635,27 +631,29 @@ def _nand_rows(phi: CspInstance) -> list[int]:
     return rows
 
 
-def build_impl_structure(phi: CspInstance) -> ImplStructure:
-    """Descendant/ancestor closure of the implication digraph (v is its own)."""
-    succ: dict[int, list[int]] = {v: [] for v in range(1, phi.n + 1)}
+def build_impl_structure(phi: CspInstance) -> tuple[list[int], list[int]]:
+    """Descendant and ancestor masks of the implication digraph.
+
+    Returns `(desc, anc)`, laid out as `_nand_rows`: index v-1, bit u-1.
+    `desc[v - 1]` holds every variable that v true forces true, v itself
+    included, found by expanding a frontier over successor masks;
+    `anc[v - 1]` holds every variable that forces v.  EQ reads as two
+    implications.
+    """
+    succ = [0] * phi.n
     for u, v in impl_edges(phi):
-        succ[u].append(v)
-    desc: dict[int, frozenset[int]] = {}
-    for v in range(1, phi.n + 1):
-        seen = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in succ[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        desc[v] = frozenset(seen)
-    anc: dict[int, set[int]] = {v: set() for v in range(1, phi.n + 1)}
-    for v, ds in desc.items():
-        for d in ds:
-            anc[d].add(v)
-    return ImplStructure(desc, {v: frozenset(s) for v, s in anc.items()})
+        succ[u - 1] |= 1 << (v - 1)
+    desc: list[int] = []
+    anc = [0] * phi.n
+    for i in range(phi.n):
+        seen = frontier = 1 << i
+        while frontier:
+            frontier = _block(succ, frontier) & ~seen
+            seen |= frontier
+        desc.append(seen)
+        for u in _vertices(seen):
+            anc[u - 1] |= 1 << i
+    return desc, anc
 
 
 def impl_prune(phi: CspInstance, k: int) -> CspInstance:
@@ -663,24 +661,22 @@ def impl_prune(phi: CspInstance, k: int) -> CspInstance:
 
     A variable drags its whole descendant set into a solution, so
     |D(v)| > k rules v out; so does a NAND pair inside D(v), in which
-    case every ancestor of v dies with it.  Removal fixes the variable
-    to false and specializes its constraints, preserving weight-k
-    satisfiability.
+    case every ancestor of v dies with it.  Both tests read the
+    descendant masks: a popcount, and the set's NAND neighbours against
+    the set.  Removal fixes the variable to false and specializes its
+    constraints, preserving weight-k satisfiability.
     """
-    structure = build_impl_structure(phi)
+    desc, anc = build_impl_structure(phi)
     rows = _nand_rows(phi)
-    bad: set[int] = set()
-    for v in range(1, phi.n + 1):
-        dv = structure.descendants[v]
-        if len(dv) > k:
-            bad.add(v)
-            continue
-        m = _mask(dv)
-        if any(rows[u - 1] & m for u in dv):
-            bad |= structure.ancestors[v]
+    bad = 0
+    for i, d in enumerate(desc):
+        if d.bit_count() > k:
+            bad |= 1 << i
+        elif _block(rows, d) & d:
+            bad |= anc[i]
     if not bad:
         return phi
-    nxt = set_variables(phi, {v: 0 for v in bad})
+    nxt = set_variables(phi, dict.fromkeys(_vertices(bad), 0))
     if nxt is None:
         return _unsatisfiable(phi)
     return nxt
@@ -710,18 +706,11 @@ def _closed_set_search(
     """
     if k == 0:
         return frozenset()
-    desc = build_impl_structure(inst).descendants
+    desc, _ = build_impl_structure(inst)
     rows = _nand_rows(inst)
     # Each descendant set as (mask, its NAND neighbours); a set with a
     # NAND pair inside is never part of a solution.
-    gens: list[tuple[int, int]] = []
-    for v in sorted(desc):
-        m = _mask(desc[v])
-        b = 0
-        for u in desc[v]:
-            b |= rows[u - 1]
-        if b & m == 0:
-            gens.append((m, b))
+    gens = [(m, b) for m in desc if (b := _block(rows, m)) & m == 0]
     # Minimal start index each set was already explored from; exploring
     # from start s covers all continuations with later generators, so a
     # revisit is only needed when the new start is strictly smaller.
@@ -923,12 +912,9 @@ def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
     from .oracle import brute_solve_csp
 
     leaves = branch_and_bound(phi, k)
-    needs_fallback: list[BranchLeaf] = []
     for leaf in leaves:
+        # None is the greedy's NO_GUARANTEE: the leaf goes to the fallback.
         got = _turan.sparse_csp_solve(leaf.instance, leaf.k)
-        if got is _turan.NO_GUARANTEE:
-            needs_fallback.append(leaf)
-            continue
         if got is not None:
             sol = set(leaf.forced_true) | {leaf.instance.label_of(v) for v in got}
             return CspResult(
@@ -936,8 +922,7 @@ def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
                 _verify(phi, sol, k) if want_witness else None,
                 "sparse greedy",
             )
-        needs_fallback.append(leaf)
-    for leaf in needs_fallback:
+    for leaf in leaves:
         got = brute_solve_csp(leaf.instance, leaf.k, cap=FALLBACK_CAP)
         if got is not None:
             sol = set(leaf.forced_true) | {leaf.instance.label_of(v) for v in got}

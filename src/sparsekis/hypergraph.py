@@ -69,6 +69,16 @@ def _vertices(mask: int) -> list[int]:
     return out
 
 
+def _block(rows: Sequence[int], mask: int) -> int:
+    """OR of `rows[v - 1]` over the vertices of `mask`: the set's neighbours."""
+    out = 0
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out |= rows[bit.bit_length() - 1]
+    return out
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Immutable mixed-arity hypergraph with an ordered edge list."""

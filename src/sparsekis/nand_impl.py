@@ -6,7 +6,9 @@ peels structure until triangle counting can finish the job:
 
   1. restrict_instance guesses which high-fanout cones enter the
      solution, leaving every surviving variable with at most two
-     descendants;
+     descendants; cones are ORs of the descendant masks
+     `csp.build_impl_structure` returns, and a cone is clean when its
+     NAND neighbours (`_block` over the NAND rows) miss it;
   2. remove_two_cycles guesses which mutually-implying pairs enter;
   3. the leftover order sorts into stars (a sink plus its sources),
      which partition the variables into groups a solution meets only
@@ -17,7 +19,9 @@ peels structure until triangle counting can finish the job:
      reduces to finding a triangle across three bins of candidate
      part-sets.  Each part-set is a (mask, block) pair, block = mask |
      NAND neighbours, as `cliques` keeps (mask, common) pairs, and the
-     compat matrices come from `cliques._compat` on packed masks.
+     compat matrices come from `cliques._compat` on packed masks.  A
+     group's chunk list depends only on (group, take, whole), so each
+     is built once per acyclic instance and shared by every branch.
 
 Equality constraints read as two implications in every step, so an
 instance is taken with its EQs as they are.
@@ -30,9 +34,10 @@ then recovers an assignment by self-reduction over pipeline calls.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Collection, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import cliques
 from .csp import (
@@ -50,17 +55,16 @@ from .csp import (
     set_variables,
 )
 from .errors import ResourceLimit, VerificationError
-from .hypergraph import _mask, _vertices
+from .hypergraph import _block, _mask, _vertices
 from .kis import _decide
 
 #: Part-sets materialized per bin before a branch aborts.
 NODE_CAP = 200_000
 
 
-def _clean(rows: Sequence[int], vs: Collection[int]) -> bool:
-    """True iff no NAND pair lies inside `vs`."""
-    m = _mask(vs)
-    return all(rows[v - 1] & m == 0 for v in vs)
+def _clean(rows: Sequence[int], m: int) -> bool:
+    """True iff no NAND pair lies inside the set of mask `m`."""
+    return _block(rows, m) & m == 0
 
 
 def restrict_instance(
@@ -75,52 +79,40 @@ def restrict_instance(
     ancestors, then deletes whatever is still heavy.  Some branch
     preserves each weight-k solution, with residual budget k - |D(S)|.
     """
-    structure = build_impl_structure(phi)
+    desc, anc = build_impl_structure(phi)
     rows = _nand_rows(phi)
-    heavy = sorted(
-        v for v in range(1, phi.n + 1) if len(structure.descendants[v]) >= 3
-    )
+    heavy = [d for d in desc if d.bit_count() >= 3]
     for size in range(0, k // 3 + 1):
         for S in itertools.combinations(heavy, size):
-            cone: set[int] = set()
-            for v in S:
-                cone |= structure.descendants[v]
-            if len(cone) > k:
+            cone = 0
+            for d in S:
+                cone |= d
+            weight = cone.bit_count()
+            if weight > k or (size and weight < 3 * size):
                 continue
-            if size and len(cone) < 3 * size:
+            blocked = _block(rows, cone)
+            if blocked & cone:
                 continue
-            if not _clean(rows, cone):
-                continue
-            blocked = 0
-            for d in cone:
-                blocked |= rows[d - 1]
-            removed: set[int] = set()
-            for b in _vertices(blocked):
-                removed |= structure.ancestors[b]
-            fixed = {d: 1 for d in cone}
-            fixed.update({u: 0 for u in removed})
+            fixed = dict.fromkeys(_vertices(cone), 1)
+            fixed.update(dict.fromkeys(_vertices(_block(anc, blocked)), 0))
             branch = set_variables(phi, fixed)
             if branch is None:
                 continue
-            k_i = k - len(cone)
+            k_i = k - weight
             branch = preprocess_easy(branch, k_i)
             if _has_false(branch):
                 continue
-            st2 = build_impl_structure(branch)
-            still_heavy = {
-                v
-                for v in range(1, branch.n + 1)
-                if len(st2.descendants[v]) >= 3
-            }
+            desc2, _ = build_impl_structure(branch)
+            still_heavy = [v for v, d in enumerate(desc2, 1) if d.bit_count() >= 3]
             if still_heavy:
-                branch = set_variables(branch, {v: 0 for v in still_heavy})
+                branch = set_variables(branch, dict.fromkeys(still_heavy, 0))
                 if branch is None:
                     continue
                 branch = preprocess_easy(branch, k_i)
                 if _has_false(branch):
                     continue
-            st3 = build_impl_structure(branch)
-            if any(len(st3.descendants[v]) > 2 for v in range(1, branch.n + 1)):
+            desc3, _ = build_impl_structure(branch)
+            if any(d.bit_count() > 2 for d in desc3):
                 raise VerificationError("restriction left a heavy variable")
             yield branch, k_i
 
@@ -148,7 +140,7 @@ def remove_two_cycles(
         yield phi, k
         return
     rows = _nand_rows(phi)
-    takeable = [c for c in cycles if _clean(rows, c)]
+    takeable = [c for c in cycles if _clean(rows, _mask(c))]
     cycle_vertices = set().union(*cycles)
     for r in range(0, min(len(takeable), k // 2) + 1):
         for C in itertools.combinations(takeable, r):
@@ -185,23 +177,21 @@ def build_groups(phi: CspInstance) -> GroupPartition:
     A solution lying wholly inside one group, or two, needs no triangle
     branch; `_solve_acyclic` checks those pools first.
     """
-    structure = build_impl_structure(phi)
-    desc = structure.descendants
-    anc = structure.ancestors
-    for v in range(1, phi.n + 1):
-        if len(desc[v]) > 2:
+    desc, anc = build_impl_structure(phi)
+    for v, d in enumerate(desc, 1):
+        if d.bit_count() > 2:
             raise ValueError(f"variable {v} is heavy; restrict first")
-        if len(desc[v]) == 2:
-            other = next(iter(desc[v] - {v}))
-            if v in desc[other]:
-                raise ValueError(f"two-cycle {{{v},{other}}}; remove cycles first")
-    v_r = frozenset(v for v in range(1, phi.n + 1) if len(anc[v]) >= 2)
+        other = (d & ~(1 << (v - 1))).bit_length()
+        if other and desc[other - 1] >> (v - 1) & 1:
+            raise ValueError(f"two-cycle {{{v},{other}}}; remove cycles first")
+    v_r = frozenset(v for v, a in enumerate(anc, 1) if a.bit_count() >= 2)
     v_l = frozenset(
-        v for v in range(1, phi.n + 1) if len(anc[v]) == 1 and len(desc[v]) == 2
+        v for v, (a, d) in enumerate(zip(anc, desc), 1)
+        if a.bit_count() == 1 and d.bit_count() == 2
     )
     v_0 = frozenset(range(1, phi.n + 1)) - v_r - v_l
     groups: list[tuple[Optional[int], frozenset[int]]] = [
-        (s, frozenset(anc[s])) for s in sorted(v_r)
+        (s, frozenset(_vertices(anc[s - 1]))) for s in sorted(v_r)
     ]
     if v_0:
         groups.append((None, v_0))
@@ -254,10 +244,8 @@ def _chunks_for_split(
         combos = itertools.combinations(base, take)
     out = []
     for c in combos:
-        m = nbrs = 0
-        for v in c:
-            m |= 1 << (v - 1)
-            nbrs |= rows[v - 1]
+        m = _mask(c)
+        nbrs = _block(rows, m)
         if nbrs & m == 0:
             out.append((m, m | nbrs))
     return out
@@ -306,7 +294,7 @@ def _solve_acyclic(phi: CspInstance, k: int) -> bool:
 
     def pool_count(chosen: list[tuple[Optional[int], frozenset[int]]]) -> bool:
         forced = [s for s, _ in chosen if s is not None]
-        if not _clean(rows, forced):
+        if not _clean(rows, _mask(forced)):
             return False
         k_rest = k - len(forced)
         if k_rest < 0:
@@ -325,14 +313,18 @@ def _solve_acyclic(phi: CspInstance, k: int) -> bool:
         if pool_count([g1, g2]):
             return True
 
-    def capacity(g: tuple[Optional[int], frozenset[int]]) -> int:
-        return len(g[1])
+    # A chunk list depends only on (group index, take, whole), so each
+    # is built once per call however many branches read it.
+    @functools.cache
+    def chunks_of(gi: int, take: int, whole: bool) -> list[tuple[int, int]]:
+        sink, members = groups[gi]
+        return _chunks_for_split(rows, sink, members, take, whole)
 
     lo = k // 3
     hi = -(-k // 3)
     for ell in range(3, min(k, len(groups)) + 1):
         for combo in itertools.combinations(range(len(groups)), ell):
-            caps = [capacity(groups[i]) for i in combo]
+            caps = [len(groups[i][1]) for i in combo]
             for quotas in _compositions(k, ell, caps):
                 order = sorted(
                     range(ell),
@@ -350,7 +342,7 @@ def _solve_acyclic(phi: CspInstance, k: int) -> bool:
                 g2s, g2m = groups[combo[split2]]
                 q1 = quotas[split1]
                 q2 = quotas[split2]
-                if not _clean(rows, [s for s in (g1s, g2s) if s is not None]):
+                if not _clean(rows, _mask(s for s in (g1s, g2s) if s is not None)):
                     continue
                 for c1, t1 in _distributions(q1, g1s is not None):
                     for c2, t2 in _distributions(q2, g2s is not None):
@@ -358,7 +350,7 @@ def _solve_acyclic(phi: CspInstance, k: int) -> bool:
                         if not all(lo <= x <= hi for x in loads):
                             continue
                         if _branch_triangle(
-                            rows, groups, combo, order, quotas, bins,
+                            phi.n, chunks_of, groups, combo, order, quotas, bins,
                             (split1, c1, t1), (split2, c2, t2),
                         ):
                             return True
@@ -384,7 +376,8 @@ def _compositions(total: int, ell: int, caps: list[int]) -> Iterator[tuple[int, 
 
 
 def _branch_triangle(
-    rows: Sequence[int],
+    n: int,
+    chunks_of: Callable[[int, int, bool], list[tuple[int, int]]],
     groups: list[tuple[Optional[int], frozenset[int]]],
     combo: tuple[int, ...],
     order: list[int],
@@ -393,29 +386,20 @@ def _branch_triangle(
     split_a: tuple[int, tuple[int, int, int], Optional[int]],
     split_b: tuple[int, tuple[int, int, int], Optional[int]],
 ) -> bool:
-    """Materialize the three bins' part-sets for one branch and test."""
-    sa, ca, ta = split_a
-    sb, cb, tb = split_b
+    """Materialize the three bins' part-sets for one branch and test;
+    `chunks_of(group index, take, whole)` is a group's chunk list."""
     nodes: list[list[tuple[int, int]]] = []
     for t in range(3):
         chunk_lists: list[list[tuple[int, int]]] = []
         for idx in bins[t]:
             gi = order[idx - 1]
-            sink, members = groups[combo[gi]]
-            chunk_lists.append(
-                _chunks_for_split(rows, sink, members, quotas[gi], sink is not None)
-            )
-        for (si, c, tpos) in (
-            (sa, ca, ta),
-            (sb, cb, tb),
-        ):
-            sink, members = groups[combo[si]]
+            whole = groups[combo[gi]][0] is not None
+            chunk_lists.append(chunks_of(combo[gi], quotas[gi], whole))
+        for si, c, tpos in (split_a, split_b):
             take = c[t]
             if take == 0:
                 continue
-            chunk_lists.append(
-                _chunks_for_split(rows, sink, members, take, tpos == t)
-            )
+            chunk_lists.append(chunks_of(combo[si], take, tpos == t))
         part: list[tuple[int, int]] = [(0, 0)]
         for chunks in chunk_lists:
             if not chunks:
@@ -429,7 +413,7 @@ def _branch_triangle(
                     raise ResourceLimit("triangle part-sets", f"> {NODE_CAP}", NODE_CAP)
             part = nxt
         nodes.append(part)
-    return _triangle_exists(len(rows), nodes)
+    return _triangle_exists(n, nodes)
 
 
 def solve_restricted(phi: CspInstance, k: int) -> bool:

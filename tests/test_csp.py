@@ -27,6 +27,7 @@ from sparsekis import (
     preprocess_easy,
     s_min,
     solve_csp,
+    specialize,
     symmetrize,
     u_min,
 )
@@ -34,11 +35,15 @@ from sparsekis.csp import (
     BadConstraintLine,
     BadFunctionDecl,
     MalformedCspHeader,
+    build_impl_structure,
+    forced_false_positions,
 )
 
+from closure import closure_sets
 from conftest import random_csp
 
 MUST1 = ConstraintFunction("must1", 1, (0, 1))
+NAND3 = ConstraintFunction("nand3", 3, (1,) * 7 + (0,))
 
 
 def weight_k_solutions(phi: CspInstance, k: int) -> set[frozenset[int]]:
@@ -273,6 +278,38 @@ def test_eq_subset_sum_matches_brute():
             )
 
 
+def test_table_facts_are_worked_out_once():
+    # The whole function is the key: the same call hands back the same
+    # object, and a twin table under another name keeps its own names.
+    assert specialize(NAND2, 1, 1) is specialize(NAND2, 1, 1)
+    assert forced_false_positions(NOR2) is forced_false_positions(NOR2)
+    twin = ConstraintFunction("twin", 2, NAND2.table)
+    a = specialize(NAND2, 2, 1)
+    b = specialize(twin, 2, 1)
+    assert a.table == b.table == (1, 0)
+    assert (a.name, b.name) == ("nand2|2=1", "twin|2=1")
+    c = specialize(b, 1, 0)
+    assert c.name == "twin|2=1|1=0" and c.is_constant_true
+    with pytest.raises(ValueError):
+        specialize(NAND2, 3, 0)
+
+
+def test_closure_masks_match_reference():
+    rng = random.Random(49)
+    cyclic = 0
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        phi = random_csp(rng, n, (IMPL, IMPL, EQ2, NAND2), rng.randint(0, 2 * n))
+        desc, anc = build_impl_structure(phi)
+        want_desc, want_anc = closure_sets(phi)
+        assert len(desc) == len(anc) == n
+        for v in range(1, n + 1):
+            assert desc[v - 1] == sum(1 << (u - 1) for u in want_desc[v]), (phi, v)
+            assert anc[v - 1] == sum(1 << (u - 1) for u in want_anc[v]), (phi, v)
+        cyclic += any(desc[v - 1] & anc[v - 1] != 1 << (v - 1) for v in range(1, n + 1))
+    assert 0 < cyclic < 300
+
+
 def test_impl_prune_chain():
     chain = CspInstance(10, tuple(
         (IMPL, (i, i + 1)) for i in range(1, 10)
@@ -327,6 +364,33 @@ def test_solve_routes():
     res = solve_csp(chain, 3)
     assert res and res.route == "regime Subexponential"
     assert set(res.assignment) == {8, 9, 10}
+
+
+def test_solve_dense_higher_arity_falls_back(monkeypatch):
+    # Every triple of six variables is a NAND3, too dense for the greedy
+    # to vouch for, so both answers come from the exhaustive fallback.
+    from sparsekis import turan
+
+    abstained = []
+    real = turan.sparse_csp_solve
+
+    def spied(phi, k):
+        got = real(phi, k)
+        abstained.append(got is None)
+        return got
+
+    monkeypatch.setattr(turan, "sparse_csp_solve", spied)
+    phi = CspInstance(6, tuple(
+        (NAND3, c) for c in itertools.combinations(range(1, 7), 3)
+    ))
+    yes = solve_csp(phi, 2)
+    assert yes and yes.route == "exhaustive fallback"
+    assert len(yes.assignment) == 2 and phi.satisfied_by(yes.assignment)
+    assert brute_solve_csp(phi, 2) is not None
+    no = solve_csp(phi, 3)
+    assert not no and no.route == "exhaustive fallback" and no.assignment is None
+    assert brute_solve_csp(phi, 3) is None
+    assert abstained == [True, True]
 
 
 def test_solve_labelled_instance_answers_in_its_own_ids():

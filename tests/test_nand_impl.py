@@ -100,10 +100,8 @@ def test_restrict_output_is_light():
         n = rng.randint(4, 9)
         phi = random_nand_impl(rng, n, rng.randint(0, 4), rng.randint(0, 6))
         for branch, k_i in restrict_instance(phi, rng.randint(0, 4)):
-            st = build_impl_structure(branch)
-            assert all(
-                len(st.descendants[v]) <= 2 for v in range(1, branch.n + 1)
-            )
+            desc, _ = build_impl_structure(branch)
+            assert all(d.bit_count() <= 2 for d in desc)
             assert k_i >= 0
 
 
@@ -267,11 +265,11 @@ def test_solve_restricted_matches_oracle(monkeypatch, budget):
     for _ in range(30):
         n = rng.randint(4, 9)
         phi = random_nand_impl(rng, n, rng.randint(0, 5), rng.randint(0, 3))
-        structure = build_impl_structure(phi)
-        if any(len(structure.descendants[v]) > 2 for v in range(1, n + 1)):
+        desc, _ = build_impl_structure(phi)
+        if any(d.bit_count() > 2 for d in desc):
             continue
         if any(
-            v in structure.descendants[u] and u in structure.descendants[v]
+            desc[u - 1] >> (v - 1) & 1 and desc[v - 1] >> (u - 1) & 1
             for u, v in itertools.combinations(range(1, n + 1), 2)
         ):
             continue
@@ -324,3 +322,31 @@ def test_star_instances_reach_the_triangle_step(monkeypatch):
         for k in range(3, 8):
             assert solve_restricted(phi, k) == yes(phi, k), (phi, k)
     assert True in answers and False in answers
+
+
+def test_chunk_lists_built_once_per_call(monkeypatch):
+    # A chunk list depends only on (group, take, whole), so within one
+    # _solve_acyclic call no argument tuple may come round twice.
+    calls: list[list[tuple]] = []
+    real_chunks = nand_impl._chunks_for_split
+    real_solve = nand_impl._solve_acyclic
+
+    def spied_chunks(rows, sink, members, take, with_sink):
+        calls[-1].append((sink, members, take, with_sink))
+        return real_chunks(rows, sink, members, take, with_sink)
+
+    def spied_solve(phi, k):
+        calls.append([])
+        return real_solve(phi, k)
+
+    monkeypatch.setattr(nand_impl, "_chunks_for_split", spied_chunks)
+    monkeypatch.setattr(nand_impl, "_solve_acyclic", spied_solve)
+    rng = random.Random(63)
+    for _ in range(6):
+        n = rng.randint(12, 16)
+        phi = star_instance(rng, n, rng.randint(0, 12))
+        for k in range(3, 8):
+            solve_restricted(phi, k)
+    assert sum(map(len, calls)) > 100
+    for seen in calls:
+        assert len(seen) == len(set(seen))
