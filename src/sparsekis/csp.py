@@ -14,9 +14,22 @@ variables false are propagated away, equality constraints reduce to a
 subset-sum over component sizes, implication structure is pruned through
 descendant sets, and what remains goes to the independent-set machinery.
 
+`solve_csp` keeps the caller's variable ids from entry to verdict.  A
+branch or leaf is a `_Leaf`: a plain list of (function, variables)
+constraints, a residual budget, and masks of the alive (not yet fixed)
+and forced-true variables.  Fixing a variable specialises only the
+constraints that hold it; nothing is renumbered and no `CspInstance` is
+built or validated per step.  A checked instance is built only where a
+leaf leaves this module (the nand_impl pipeline and the sparse greedy;
+a leaf that fixed nothing hands over the caller's instance itself) and
+in the public `branch_and_bound`, `preprocess_easy`, `impl_prune` and
+`set_variables`, which wrap the same core.  The exhaustive fallback
+scans a leaf's alive variables in place.
+
 Descendant and ancestor sets are bitmasks laid out as the NAND rows, so
 the NAND neighbours of a set are one `_block` over its mask.  The table
-facts `specialize` and `forced_false_positions` are cached per function.
+facts `specialize`, `forced_false_positions` and `u_min` are cached per
+function.
 """
 
 from __future__ import annotations
@@ -24,10 +37,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Optional, Sequence
+from math import comb
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ResourceLimit, VerificationError
-from .hypergraph import _block, _vertices
+from .hypergraph import _block, _mask, _vertices
 
 MAX_CSP_ARITY = 6
 
@@ -67,6 +81,20 @@ class ConstraintFunction:
             )
         if any(b not in (0, 1) for b in self.table):
             raise ValueError(f"non-bit entry in table of {self.name!r}")
+        object.__setattr__(self, "_hash", hash(self.table))
+
+    # The table facts are cached per function, and instances built apart
+    # hold equal functions that are distinct objects, so every lookup
+    # hashes one and compares it with the other.
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, ConstraintFunction):
+            return NotImplemented
+        return self.table == other.table and self.name == other.name
 
     def __call__(self, bits: Sequence[int]) -> int:
         j = 0
@@ -74,17 +102,19 @@ class ConstraintFunction:
             j |= (b & 1) << p
         return self.table[j]
 
-    @property
+    @cached_property
     def is_constant_true(self) -> bool:
         return all(self.table)
 
-    @property
+    @cached_property
     def is_constant_false(self) -> bool:
         return not any(self.table)
 
 
+@cache
 def u_min(f: ConstraintFunction) -> int:
-    """Minimum weight of a violating assignment; arity+1 if none violates."""
+    """Minimum weight of a violating assignment; arity+1 if none violates;
+    worked out once per function."""
     best = f.arity + 1
     for j, b in enumerate(f.table):
         if not b:
@@ -233,25 +263,35 @@ class CspInstance:
     @cached_property
     def functions(self) -> tuple[ConstraintFunction, ...]:
         """Distinct functions by table, in first-use order."""
-        seen: dict[tuple[int, tuple[int, ...]], ConstraintFunction] = {}
-        for f, _ in self.constraints:
-            seen.setdefault((f.arity, f.table), f)
+        # A table's length fixes its arity.  Constraints share function
+        # objects, so each object's table is looked at once.
+        seen: dict[tuple[int, ...], ConstraintFunction] = {}
+        for f in {id(f): f for f, _ in self.constraints}.values():
+            seen.setdefault(f.table, f)
         return tuple(seen.values())
 
     @cached_property
     def max_arity(self) -> int:
-        return max((f.arity for f, _ in self.constraints), default=0)
+        return max((f.arity for f in self.functions), default=0)
 
     def label_of(self, v: int) -> int:
         return v if self.labels is None else self.labels[v - 1]
 
     def satisfied_by(self, true_vars: Iterable[int]) -> bool:
         """Evaluate every constraint under the given set of true variables."""
-        t = set(true_vars)
-        return all(
-            f([1 if v in t else 0 for v in vs])
-            for f, vs in self.constraints
-        )
+        return _satisfied(self.constraints, true_vars)
+
+
+def _satisfied(constraints: Iterable[Constraint], true_vars: Iterable[int]) -> bool:
+    t = set(true_vars)
+    for f, vs in constraints:
+        j = 0
+        for p, v in enumerate(vs):
+            if v in t:
+                j |= 1 << p
+        if not f.table[j]:
+            return False
+    return True
 
 
 class CspParseError(ValueError):
@@ -435,8 +475,83 @@ def classify_binary_family(funcs: Iterable[ConstraintFunction]) -> Regime:
     return Regime("Linear")
 
 
-def _compose_labels(inst: CspInstance, kept: Sequence[int]) -> tuple[int, ...]:
-    return tuple(inst.label_of(v) for v in kept)
+class _Leaf(NamedTuple):
+    """A branch or leaf of the solver, in the caller's own variable ids.
+
+    `constraints` mention only variables in `alive` (bit v - 1 for
+    variable v), the ones not fixed yet; `forced` holds the variables
+    the branch set true and `k` the residual weight budget.  `n` is the
+    caller's variable count, so the row helpers (`_nand_rows`,
+    `build_impl_structure`) read a leaf as they read an instance: a
+    fixed variable just has no constraints left.
+    """
+
+    n: int
+    constraints: Sequence[Constraint]
+    alive: int
+    k: int = 0
+    forced: int = 0
+
+
+def _root(phi: CspInstance, k: int) -> _Leaf:
+    return _Leaf(phi.n, phi.constraints, (1 << phi.n) - 1, k)
+
+
+def _fix(
+    constraints: Sequence[Constraint], fixed: dict[int, int]
+) -> Optional[list[Constraint]]:
+    """Specialise the constraints that hold a variable of `fixed` at its
+    bit; None on contradiction.
+
+    Constant-true results are dropped; every other constraint keeps its
+    place and its variable ids.
+    """
+    out: list[Constraint] = []
+    untouched = fixed.keys().isdisjoint
+    for c in constraints:
+        f, vs = c
+        if untouched(vs):
+            out.append(c)
+            continue
+        g = f
+        # Fix from the highest position down; removing a position only
+        # shifts the positions above it, so lower ones keep their index.
+        for p in range(len(vs), 0, -1):
+            if vs[p - 1] in fixed:
+                g = specialize(g, p, fixed[vs[p - 1]])
+        if g.is_constant_false:
+            return None
+        if not g.is_constant_true:
+            out.append((g, tuple(v for v in vs if v not in fixed)))
+    return out
+
+
+def _drop(leaf: _Leaf, dead: int) -> Optional[_Leaf]:
+    """Fix the variables of mask `dead` false; None on contradiction."""
+    cons = _fix(leaf.constraints, dict.fromkeys(_vertices(dead), 0))
+    if cons is None:
+        return None
+    return leaf._replace(constraints=cons, alive=leaf.alive & ~dead)
+
+
+def _checked(phi: CspInstance, leaf: _Leaf) -> CspInstance:
+    """The checked instance of a leaf of `phi`: phi itself when the leaf
+    fixed nothing, else its alive variables renumbered 1.. in id order,
+    labelled with their labels in phi."""
+    if leaf.alive == (1 << phi.n) - 1:
+        return phi
+    kept = _vertices(leaf.alive)
+    new_id = {v: i for i, v in enumerate(kept, 1)}
+    return CspInstance(
+        len(kept),
+        tuple((f, tuple(new_id[v] for v in vs)) for f, vs in leaf.constraints),
+        labels=tuple(phi.label_of(v) for v in kept),
+    )
+
+
+def _has_false(phi: CspInstance) -> bool:
+    """True iff some constraint can never be satisfied."""
+    return any(f.is_constant_false for f, _ in phi.constraints)
 
 
 def set_variables(
@@ -447,29 +562,14 @@ def set_variables(
 
     Constraints are specialized at the fixed positions; constant-true
     results are dropped, constant-false means no assignment extends the
-    fixing and the caller gets None.
+    fixing and the caller gets None (as does an instance that already
+    holds a constant-false constraint).
     """
-    kept = [v for v in range(1, inst.n + 1) if v not in fixed]
-    new_id = {v: i + 1 for i, v in enumerate(kept)}
-    out: list[Constraint] = []
-    for f, vs in inst.constraints:
-        g = f
-        # Fix from the highest position down; removing a position only
-        # shifts the positions above it, so lower ones keep their index.
-        for p in range(len(vs), 0, -1):
-            if vs[p - 1] in fixed:
-                g = specialize(g, p, fixed[vs[p - 1]])
-        if g.is_constant_true:
-            continue
-        if g.is_constant_false:
-            return None
-        out.append((g, tuple(new_id[v] for v in vs if v not in fixed)))
-    return CspInstance(len(kept), tuple(out), labels=_compose_labels(inst, kept))
-
-
-def _has_false(phi: CspInstance) -> bool:
-    """True iff some constraint can never be satisfied."""
-    return any(f.is_constant_false for f, _ in phi.constraints)
+    cons = None if _has_false(inst) else _fix(inst.constraints, fixed)
+    if cons is None:
+        return None
+    alive = (1 << inst.n) - 1 & ~_mask(fixed)
+    return _checked(inst, _Leaf(inst.n, cons, alive))
 
 
 def _unsatisfiable(inst: CspInstance) -> CspInstance:
@@ -477,6 +577,27 @@ def _unsatisfiable(inst: CspInstance) -> CspInstance:
     if inst.n >= 1:
         return CspInstance(inst.n, ((NEVER1, (1,)),), labels=inst.labels)
     return CspInstance(1, ((NEVER1, (1,)),), labels=(0,))
+
+
+def _propagate(leaf: _Leaf) -> Optional[_Leaf]:
+    """Fix every variable some constraint pins false, to a fixed point;
+    None when that contradicts a constraint."""
+    # Pinned positions per function object: a few functions carry many
+    # constraints, and the cached table facts are keyed by value.
+    pins: dict[int, tuple[int, ...]] = {}
+    while True:
+        pinned = 0
+        for f, vs in leaf.constraints:
+            ps = pins.get(id(f))
+            if ps is None:
+                ps = pins[id(f)] = forced_false_positions(f)
+            for p in ps:
+                pinned |= 1 << (vs[p - 1] - 1)
+        if not pinned:
+            return leaf
+        leaf = _drop(leaf, pinned)
+        if leaf is None:
+            return None
 
 
 def preprocess_easy(phi: CspInstance, k: int) -> CspInstance:
@@ -488,19 +609,8 @@ def preprocess_easy(phi: CspInstance, k: int) -> CspInstance:
     for every k.  A contradiction (some variable pinned false and forced
     true) leaves one never-satisfiable unary constraint behind.
     """
-    inst = phi
-    while True:
-        forced: set[int] = set()
-        for f, vs in inst.constraints:
-            for p in forced_false_positions(f):
-                forced.add(vs[p - 1])
-        if not forced:
-            return inst
-        nxt = set_variables(inst, {v: 0 for v in forced})
-        if nxt is None:
-            # Pinned-false contradiction: keep an explicitly unsatisfiable remnant.
-            return _unsatisfiable(inst)
-        inst = nxt
+    got = _propagate(_root(phi, k))
+    return _unsatisfiable(phi) if got is None else _checked(phi, got)
 
 
 @dataclass(frozen=True)
@@ -516,6 +626,27 @@ class BranchLeaf:
     forced_true: frozenset[int]
 
 
+def _branch(phi: CspInstance, k: int) -> list[_Leaf]:
+    """The 0-valid leaves of branching on all-false-violated constraints."""
+    leaves: list[_Leaf] = []
+
+    def rec(leaf: _Leaf) -> None:
+        viol = next((c for c in leaf.constraints if c[0].table[0] == 0), None)
+        if viol is None:
+            leaves.append(leaf)
+            return
+        if leaf.k == 0:
+            return
+        for v in viol[1]:
+            cons = _fix(leaf.constraints, {v: 1})
+            if cons is not None:
+                bit = 1 << (v - 1)
+                rec(_Leaf(leaf.n, cons, leaf.alive & ~bit, leaf.k - 1, leaf.forced | bit))
+
+    rec(_root(phi, k))
+    return leaves
+
+
 def branch_and_bound(phi: CspInstance, k: int) -> list[BranchLeaf]:
     """Branch on constraints the all-false assignment violates.
 
@@ -525,27 +656,19 @@ def branch_and_bound(phi: CspInstance, k: int) -> list[BranchLeaf]:
     residual weights), unioned with the forced variables, are exactly
     the weight-k solutions of `phi`.  An empty list means UNSAT.
     """
-    leaves: list[BranchLeaf] = []
-
-    def rec(inst: CspInstance, budget: int, forced: frozenset[int]) -> None:
-        viol = next((c for c in inst.constraints if c[0].table[0] == 0), None)
-        if viol is None:
-            leaves.append(BranchLeaf(inst, budget, forced))
-            return
-        if budget == 0:
-            return
-        _, vs = viol
-        for v in vs:
-            child = set_variables(inst, {v: 1})
-            if child is None:
-                continue
-            rec(child, budget - 1, forced | {inst.label_of(v)})
-
-    rec(phi, k, frozenset())
-    return leaves
+    return [
+        BranchLeaf(
+            _checked(phi, leaf),
+            leaf.k,
+            frozenset(phi.label_of(v) for v in _vertices(leaf.forced)),
+        )
+        for leaf in _branch(phi, k)
+    ]
 
 
-def _eq_components(phi: CspInstance) -> list[list[int]]:
+def _eq_components(phi: CspInstance, variables: Iterable[int]) -> list[list[int]]:
+    """Components of the equality graph over `variables` (every variable
+    a constraint holds must be among them), in order of least member."""
     parent = list(range(phi.n + 1))
 
     def find(x: int) -> int:
@@ -562,7 +685,7 @@ def _eq_components(phi: CspInstance) -> list[list[int]]:
         if a != b:
             parent[a] = b
     comps: dict[int, list[int]] = {}
-    for v in range(1, phi.n + 1):
+    for v in variables:
         comps.setdefault(find(v), []).append(v)
     return list(comps.values())
 
@@ -600,7 +723,7 @@ def eq_components_subset_sum(phi_eq: CspInstance, k: int) -> bool:
     question is whether component sizes (each usable once, sizes above k
     discarded) can sum to exactly k.
     """
-    weights = [len(c) for c in _eq_components(phi_eq)]
+    weights = [len(c) for c in _eq_components(phi_eq, range(1, phi_eq.n + 1))]
     return _subset_sum_pick([w for w in weights if w <= k], k) is not None
 
 
@@ -647,6 +770,11 @@ def build_impl_structure(phi: CspInstance) -> tuple[list[int], list[int]]:
     anc = [0] * phi.n
     for i in range(phi.n):
         seen = frontier = 1 << i
+        if not succ[i]:
+            # A variable that implies nothing (one a leaf has fixed, too).
+            desc.append(seen)
+            anc[i] |= seen
+            continue
         while frontier:
             frontier = _block(succ, frontier) & ~seen
             seen |= frontier
@@ -654,6 +782,19 @@ def build_impl_structure(phi: CspInstance) -> tuple[list[int], list[int]]:
         for u in _vertices(seen):
             anc[u - 1] |= 1 << i
     return desc, anc
+
+
+def _prune(leaf: _Leaf) -> Optional[_Leaf]:
+    """`impl_prune` on a leaf, against its budget; None on contradiction."""
+    desc, anc = build_impl_structure(leaf)
+    rows = _nand_rows(leaf)
+    bad = 0
+    for i, d in enumerate(desc):
+        if d.bit_count() > leaf.k:
+            bad |= 1 << i
+        elif _block(rows, d) & d:
+            bad |= anc[i]
+    return _drop(leaf, bad) if bad else leaf
 
 
 def impl_prune(phi: CspInstance, k: int) -> CspInstance:
@@ -666,20 +807,15 @@ def impl_prune(phi: CspInstance, k: int) -> CspInstance:
     the set.  Removal fixes the variable to false and specializes its
     constraints, preserving weight-k satisfiability.
     """
-    desc, anc = build_impl_structure(phi)
-    rows = _nand_rows(phi)
-    bad = 0
-    for i, d in enumerate(desc):
-        if d.bit_count() > k:
-            bad |= 1 << i
-        elif _block(rows, d) & d:
-            bad |= anc[i]
-    if not bad:
-        return phi
-    nxt = set_variables(phi, dict.fromkeys(_vertices(bad), 0))
-    if nxt is None:
-        return _unsatisfiable(phi)
-    return nxt
+    got = _prune(_root(phi, k))
+    return _unsatisfiable(phi) if got is None else _checked(phi, got)
+
+
+def _tighten(leaf: _Leaf) -> Optional[_Leaf]:
+    # Pruning fixes variables false, which leaves pinning constraints
+    # behind; propagate those before reading off the implication order.
+    leaf = _prune(leaf)
+    return None if leaf is None else _propagate(leaf)
 
 
 @dataclass(frozen=True)
@@ -695,10 +831,10 @@ class CspResult:
 
 
 def _closed_set_search(
-    inst: CspInstance, k: int, state_cap: int = SEARCH_STATE_CAP
+    leaf: _Leaf, k: int, state_cap: int = SEARCH_STATE_CAP
 ) -> Optional[frozenset[int]]:
-    """Find a weight-k set closed under implication with no NAND pair
-    inside, or None when there is none.
+    """Find a weight-k set of the leaf's alive variables closed under
+    implication with no NAND pair inside, or None when there is none.
 
     Bounded DFS over unions of descendant sets, on bitmasks, with a
     visited-state memo; a union holding a NAND pair is cut.  Raises
@@ -706,11 +842,16 @@ def _closed_set_search(
     """
     if k == 0:
         return frozenset()
-    desc, _ = build_impl_structure(inst)
-    rows = _nand_rows(inst)
-    # Each descendant set as (mask, its NAND neighbours); a set with a
-    # NAND pair inside is never part of a solution.
-    gens = [(m, b) for m in desc if (b := _block(rows, m)) & m == 0]
+    desc, _ = build_impl_structure(leaf)
+    rows = _nand_rows(leaf)
+    # Each alive variable's descendant set as (mask, its NAND
+    # neighbours); a set with a NAND pair inside is never part of a
+    # solution.
+    gens = [
+        (m, b)
+        for i, m in enumerate(desc)
+        if leaf.alive >> i & 1 and (b := _block(rows, m)) & m == 0
+    ]
     # Minimal start index each set was already explored from; exploring
     # from start s covers all continuations with later generators, so a
     # revisit is only needed when the new start is strictly smaller.
@@ -743,11 +884,53 @@ def _closed_set_search(
     return None if got is None else frozenset(_vertices(got))
 
 
-def _free_variables(inst: CspInstance) -> list[int]:
+def _free_variables(leaf: _Leaf, count: int) -> list[int]:
+    """The `count` lowest alive variables no constraint holds, or all of
+    them when there are fewer."""
     used: set[int] = set()
-    for _, vs in inst.constraints:
+    for _, vs in leaf.constraints:
         used.update(vs)
-    return [v for v in range(1, inst.n + 1) if v not in used]
+    free: list[int] = []
+    rest = leaf.alive
+    while rest and len(free) < count:
+        low = rest & -rest
+        rest ^= low
+        if low.bit_length() not in used:
+            free.append(low.bit_length())
+    return free
+
+
+def _exhaustive(leaf: _Leaf) -> Optional[tuple[int, ...]]:
+    """First weight-k solution of a leaf, scanning k-sets of its alive
+    variables in lexicographic order; None when there is none.
+
+    Raises ResourceLimit instead when there are more than FALLBACK_CAP
+    k-sets to scan.
+    """
+    kept = _vertices(leaf.alive)
+    total = comb(len(kept), leaf.k)
+    if total > FALLBACK_CAP:
+        raise ResourceLimit("exhaustive subset scan", total, FALLBACK_CAP)
+    # Each constraint as the mask of its variables and the set of their
+    # restrictions (as masks) that it rejects; rejected rows are read
+    # once per function object.
+    rejected_rows: dict[int, list[int]] = {}
+    checks = []
+    for f, vs in leaf.constraints:
+        rows = rejected_rows.get(id(f))
+        if rows is None:
+            rows = rejected_rows[id(f)] = [j for j, ok in enumerate(f.table) if not ok]
+        bits = [1 << (v - 1) for v in vs]
+        rejected = {sum(b for p, b in enumerate(bits) if j >> p & 1) for j in rows}
+        checks.append((sum(bits), rejected))
+    for combo in itertools.combinations(kept, leaf.k):
+        m = _mask(combo)
+        for held, rejected in checks:
+            if m & held in rejected:
+                break
+        else:
+            return combo
+    return None
 
 
 def _verify(phi: CspInstance, true_vars: Iterable[int], k: int) -> tuple[int, ...]:
@@ -759,70 +942,68 @@ def _verify(phi: CspInstance, true_vars: Iterable[int], k: int) -> tuple[int, ..
     return chosen
 
 
-def _solve_leaf_binary(leaf: BranchLeaf, regime: Regime) -> Optional[set[int]]:
-    """Solve one 0-valid binary leaf; returns original-label true-set or None."""
+def _solve_leaf_binary(
+    phi: CspInstance, leaf: _Leaf, regime: Regime
+) -> Optional[set[int]]:
+    """Solve one 0-valid binary leaf of a label-free `phi`; returns its
+    true set (forced variables included) in phi's ids, or None."""
     from . import kis as _kis
     from . import nand_impl as _nand_impl
 
-    inst = preprocess_easy(leaf.instance, leaf.k)
+    leaf = _propagate(leaf)
+    if leaf is None:
+        return None
     k = leaf.k
-    if _has_false(inst):
-        return None
+    forced = set(_vertices(leaf.forced))
     if k == 0:
-        if all(f.table[0] == 1 for f, _ in inst.constraints):
-            return set(leaf.forced_true)
-        return None
-    if k > inst.n:
+        return forced
+    if k > leaf.alive.bit_count():
         return None
 
     if regime.kind == "Linear":
-        comps = _eq_components(inst)
+        comps = _eq_components(leaf, _vertices(leaf.alive))
         weights = [len(c) for c in comps]
         picked = _subset_sum_pick([w if w <= k else k + 1 for w in weights], k)
         if picked is None:
             return None
-        chosen = {inst.label_of(v) for i in picked for v in comps[i]}
-        return chosen | set(leaf.forced_true)
+        return forced.union(*(comps[i] for i in picked))
 
     if regime.kind == "Subexponential":
-        # Pruning fixes variables false, which leaves pinning constraints
-        # behind; propagate those before reading off the implication order.
-        inst2 = preprocess_easy(impl_prune(inst, k), k)
-        if _has_false(inst2):
+        leaf = _tighten(leaf)
+        if leaf is None or k > leaf.alive.bit_count():
             return None
-        if k > inst2.n:
-            return None
-        got = _closed_set_search(inst2, k)
+        got = _closed_set_search(leaf, k)
         if got is None:
             return None
-        return {inst2.label_of(v) for v in got} | set(leaf.forced_true)
+        return forced | got
 
     # KIS and Clique leaves reduce to graphs of NAND edges, possibly with
     # implication structure (IMPL or EQ) on top.
-    if impl_edges(inst):
-        inst = preprocess_easy(impl_prune(inst, k), k)
-        if _has_false(inst):
+    if impl_edges(leaf):
+        leaf = _tighten(leaf)
+        if leaf is None:
             return None
-        if impl_edges(inst):
+        if impl_edges(leaf):
             # A solution is a NAND-free union of descendant sets, so an
             # exhausted search is a NO; past the cap the pipeline decides
-            # and self-reduction recovers the members.
+            # on the compacted leaf and self-reduction recovers the members.
             try:
-                sol = _closed_set_search(inst, k, NAND_IMPL_STATE_CAP)
+                sol = _closed_set_search(leaf, k, NAND_IMPL_STATE_CAP)
             except ResourceLimit:
+                inst = _checked(phi, leaf)
                 if not _nand_impl.solve_nand_impl(inst, k):
                     return None
-                sol = _witness_on_nand_impl(inst, k)
+                sol = {inst.label_of(v) for v in _witness_on_nand_impl(inst, k)}
             else:
                 if sol is None:
                     return None
-                if not inst.satisfied_by(sol):
+                if not _satisfied(leaf.constraints, sol):
                     raise VerificationError("closed-set search hit fails verification")
-            return {inst.label_of(v) for v in sol} | set(leaf.forced_true)
-    ok, found = _kis._decide(_nand_rows(inst), (1 << inst.n) - 1, (), k, True)
+            return forced | sol
+    ok, found = _kis._decide(_nand_rows(leaf), leaf.alive, (), k, True)
     if not ok:
         return None
-    return {inst.label_of(v) for v in _vertices(found)} | set(leaf.forced_true)
+    return forced.union(_vertices(found))
 
 
 def _witness_on_nand_impl(inst: CspInstance, k: int) -> set[int]:
@@ -880,16 +1061,14 @@ def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
             return CspResult(True, () if want_witness else None, "weight zero")
         return CspResult(False, None, "weight zero")
 
+    leaves = _branch(phi, k)
     n_funcs = max(1, len(phi.functions))
     if phi.max_arity <= 2:
-        leaves = branch_and_bound(phi, k)
         if 2 * k * n_funcs * phi.m < phi.n:
             for leaf in leaves:
-                free = _free_variables(leaf.instance)
-                if len(free) >= leaf.k:
-                    sol = set(leaf.forced_true) | {
-                        leaf.instance.label_of(v) for v in free[: leaf.k]
-                    }
+                free = _free_variables(leaf, leaf.k)
+                if len(free) == leaf.k:
+                    sol = _vertices(leaf.forced) + free
                     return CspResult(
                         True,
                         _verify(phi, sol, k) if want_witness else None,
@@ -897,7 +1076,7 @@ def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
                     )
         regime = classify_binary_family(phi.functions)
         for leaf in leaves:
-            sol = _solve_leaf_binary(leaf, regime)
+            sol = _solve_leaf_binary(phi, leaf, regime)
             if sol is not None:
                 return CspResult(
                     True,
@@ -909,23 +1088,22 @@ def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
     # Higher-arity route: make leaves 0-valid, try the sparse greedy
     # solver, fall back to bounded exhaustive search.
     from . import turan as _turan
-    from .oracle import brute_solve_csp
 
-    leaves = branch_and_bound(phi, k)
     for leaf in leaves:
         # None is the greedy's NO_GUARANTEE: the leaf goes to the fallback.
-        got = _turan.sparse_csp_solve(leaf.instance, leaf.k)
+        inst = _checked(phi, leaf)
+        got = _turan.sparse_csp_solve(inst, leaf.k)
         if got is not None:
-            sol = set(leaf.forced_true) | {leaf.instance.label_of(v) for v in got}
+            sol = _vertices(leaf.forced) + [inst.label_of(v) for v in got]
             return CspResult(
                 True,
                 _verify(phi, sol, k) if want_witness else None,
                 "sparse greedy",
             )
     for leaf in leaves:
-        got = brute_solve_csp(leaf.instance, leaf.k, cap=FALLBACK_CAP)
+        got = _exhaustive(leaf)
         if got is not None:
-            sol = set(leaf.forced_true) | {leaf.instance.label_of(v) for v in got}
+            sol = _vertices(leaf.forced) + list(got)
             return CspResult(
                 True,
                 _verify(phi, sol, k) if want_witness else None,

@@ -9,10 +9,16 @@ instance is too dense for the guarantee.
 The graph sweep runs on adjacency bitmask rows inside an `alive` vertex
 mask (`find_k_is_masks`), so `kis` calls it on the rows it already
 holds; `find_k_is_sparse` is the thin wrapper for a `Graph`.
+
+The constraint greedy (`sparse_csp_solve`) keys table classes by the
+table alone, looks each function object up once, keeps one list of
+constraint ids per variable, and works out per-table degrees only for
+the variable it is testing.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Optional, Sequence
 
 from .csp import ConstraintFunction, CspInstance, specialize, u_min
@@ -78,8 +84,8 @@ def sparse_csp_solve(phi: CspInstance, k: int) -> Optional[frozenset[int]]:
     no variable whose incident constraints are slack (no incidences at
     tables with u_min 1, and per-table degree at most |F| m_f / n), the
     answer is NO_GUARANTEE.  Rounds set the chosen variable true and
-    specialize its constraints, interning the resulting tables.  Any
-    returned assignment is verified against phi.
+    specialize its constraints, adding the resulting tables as new
+    classes.  Any returned assignment is verified against phi.
     """
     for f, _ in phi.constraints:
         if f.table[0] != 1:
@@ -91,83 +97,86 @@ def sparse_csp_solve(phi: CspInstance, k: int) -> Optional[frozenset[int]]:
     if k == 0:
         return frozenset()
 
-    # Interned state: constraints refer to table keys; per-variable
-    # incidence lists drive both selection and specialization.
-    def key_of(f: ConstraintFunction) -> tuple[int, tuple[int, ...]]:
-        return (f.arity, f.table)
+    # Constraints refer to table classes by index; a table's length fixes
+    # its arity, so the table alone keys a class.  Each function object
+    # is looked up once: the instance's functions live as long as it does,
+    # and specialize caches the ones made here.
+    class_of: dict[int, int] = {}
+    index: dict[tuple[int, ...], int] = {}
+    fns: list[ConstraintFunction] = []  # one function per class
+    umin: list[int] = []
+    count: list[int] = []  # live constraints per class
 
-    tables: dict[tuple[int, tuple[int, ...]], ConstraintFunction] = {}
-    umin: dict[tuple[int, tuple[int, ...]], int] = {}
-    class_count: dict[tuple[int, tuple[int, ...]], int] = {}
-    cons: list[Optional[tuple[tuple[int, tuple[int, ...]], tuple[int, ...]]]] = []
-    # Only variables some constraint touches get entries.
-    incidence: dict[int, set[int]] = {}
-    per_var: dict[int, dict[tuple[int, tuple[int, ...]], int]] = {}
+    def class_index(f: ConstraintFunction) -> int:
+        c = class_of.get(id(f))
+        if c is None:
+            c = index.get(f.table)
+            if c is None:
+                c = index[f.table] = len(fns)
+                fns.append(f)
+                umin.append(u_min(f))
+                count.append(0)
+            class_of[id(f)] = c
+        return c
 
-    def intern(f: ConstraintFunction) -> tuple[int, tuple[int, ...]]:
-        kf = key_of(f)
-        if kf not in tables:
-            tables[kf] = f
-            umin[kf] = u_min(f)
-        return kf
-
-    def add_constraint(kf: tuple[int, tuple[int, ...]], vs: tuple[int, ...]) -> None:
-        cid = len(cons)
-        cons.append((kf, vs))
-        class_count[kf] = class_count.get(kf, 0) + 1
+    cons: list[Optional[tuple[int, tuple[int, ...]]]] = [
+        (class_index(f), vs) for f, vs in phi.constraints
+    ]
+    # Ids of the constraints that held each variable, dropped ones too;
+    # only variables some constraint touches get an entry.
+    incidence: defaultdict[int, list[int]] = defaultdict(list)
+    for cid, (c, vs) in enumerate(cons):  # type: ignore[misc]
+        count[c] += 1
         for v in vs:
-            incidence.setdefault(v, set()).add(cid)
-            counts = per_var.setdefault(v, {})
-            counts[kf] = counts.get(kf, 0) + 1
+            incidence[v].append(cid)
 
-    def drop_constraint(cid: int) -> None:
-        kf, vs = cons[cid]  # type: ignore[misc]
-        cons[cid] = None
-        class_count[kf] -= 1
-        if class_count[kf] == 0:
-            del class_count[kf]
-        for v in vs:
-            incidence[v].discard(cid)
-            per_var[v][kf] -= 1
-            if per_var[v][kf] == 0:
-                del per_var[v][kf]
-
-    for f, vs in phi.constraints:
-        add_constraint(intern(f), vs)
+    def families() -> int:
+        return max(1, sum(1 for m_f in count if m_f))
 
     n0 = phi.n
-    n_families = max(1, len(class_count))
-    for kf, m_f in class_count.items():
-        if 2 * k * n_families * m_f > n0 ** umin[kf]:
+    n_families = families()
+    for c, m_f in enumerate(count):
+        if m_f and 2 * k * n_families * m_f > n0 ** umin[c]:
             return NO_GUARANTEE
+
+    def slack(v: int, n_f: int, n_i: int) -> bool:
+        # Per-table degrees of v over its live constraints.
+        deg: dict[int, int] = {}
+        for cid in incidence.get(v, ()):
+            con = cons[cid]
+            if con is not None:
+                deg[con[0]] = deg.get(con[0], 0) + 1
+        return all(umin[c] != 1 and d * n_i <= n_f * count[c] for c, d in deg.items())
 
     chosen: set[int] = set()
     for _ in range(k):
-        families = max(1, len(class_count))
+        n_f = families()
         n_i = phi.n - len(chosen)
-        pick = None
-        for v in range(1, phi.n + 1):
-            if v not in chosen and all(
-                umin[kf] != 1 and d * n_i <= families * class_count.get(kf, 0)
-                for kf, d in per_var.get(v, {}).items()
-            ):
-                pick = v
-                break
+        pick = next(
+            (v for v in range(1, phi.n + 1) if v not in chosen and slack(v, n_f, n_i)),
+            None,
+        )
         if pick is None:
             return NO_GUARANTEE
         chosen.add(pick)
-        for cid in list(incidence.get(pick, ())):
-            kf, vs = cons[cid]  # type: ignore[misc]
-            f = tables[kf]
-            pos = vs.index(pick) + 1
-            g = specialize(f, pos, 1)
-            drop_constraint(cid)
+        for cid in incidence.get(pick, ()):
+            con = cons[cid]
+            if con is None:
+                continue
+            c, vs = con
+            cons[cid] = None
+            count[c] -= 1
+            g = specialize(fns[c], vs.index(pick) + 1, 1)
             if g.is_constant_true:
                 continue
             if g.is_constant_false:
                 raise VerificationError("0-validity lost during specialization")
+            c = class_index(g)
+            count[c] += 1
             rest = tuple(v for v in vs if v != pick)
-            add_constraint(intern(g), rest)
+            for v in rest:
+                incidence[v].append(len(cons))
+            cons.append((c, rest))
 
     picked = frozenset(chosen)
     if len(picked) != k:

@@ -37,8 +37,11 @@ from sparsekis.csp import (
     MalformedCspHeader,
     build_impl_structure,
     forced_false_positions,
+    set_variables,
 )
+from sparsekis.errors import ResourceLimit
 
+import branching
 from closure import closure_sets
 from conftest import random_csp
 
@@ -239,6 +242,130 @@ def test_branch_and_bound_leaves_are_zero_valid():
         assert got == weight_k_solutions(phi, k)
 
 
+def random_function(rng: random.Random, arity: int, name: str) -> ConstraintFunction:
+    """A random table of the given arity that is not constant-true."""
+    while True:
+        table = tuple(int(rng.random() < 0.7) for _ in range(1 << arity))
+        if not all(table):
+            return ConstraintFunction(name, arity, table)
+
+
+def random_family_instance(rng: random.Random, arities: range) -> CspInstance:
+    """A random instance over two or three random functions, plus pinning
+    and forcing ones half of the time, so propagation meets
+    contradictions; labelled half of the time, so leaves carry composed
+    labels."""
+    n = rng.randint(max(arities) + 1, 9)
+    fam = [random_function(rng, rng.choice(arities), f"r{i}") for i in range(rng.randint(2, 3))]
+    if rng.random() < 0.5:
+        fam += [NOR2, MUST1]
+    phi = random_csp(rng, n, fam, rng.randint(1, 6))
+    if rng.random() < 0.5:
+        phi = CspInstance(phi.n, phi.constraints, labels=tuple(rng.sample(range(10, 40), n)))
+    return phi
+
+
+@pytest.mark.parametrize("arities", [range(1, 3), range(3, 7)], ids=["binary", "arity3to6"])
+def test_branching_core_matches_reference(arities):
+    # The solver branches and propagates in the caller's ids; the public
+    # wrappers must hand back exactly what renumbering on every fixing
+    # gives: the same leaves, residual budgets, forced sets and instances.
+    rng = random.Random(70 + arities.start)
+    leaves_seen = unsat_seen = 0
+    for _ in range(150):
+        phi = random_family_instance(rng, arities)
+        k = rng.randint(0, 4)
+        got = branch_and_bound(phi, k)
+        assert got == branching.branch_and_bound(phi, k), (format_csp(phi), k)
+        leaves_seen += len(got)
+        want: set[frozenset[int]] = set()
+        for s in weight_k_solutions(phi, k):
+            want.add(frozenset(phi.label_of(v) for v in s))
+        assert {
+            frozenset(leaf.instance.label_of(v) for v in s) | leaf.forced_true
+            for leaf in got
+            for s in weight_k_solutions(leaf.instance, leaf.k)
+        } == want
+        ref = branching.preprocess_easy(phi)
+        out = preprocess_easy(phi, k)
+        if ref is None:
+            unsat_seen += 1
+            assert any(f.is_constant_false for f, _ in out.constraints)
+            assert not any(weight_k_solutions(out, j) for j in range(out.n + 1))
+        else:
+            assert out == ref
+        fixed = {v: rng.randint(0, 1) for v in rng.sample(range(1, phi.n + 1), 2)}
+        assert set_variables(phi, fixed) == branching.set_variables(phi, fixed)
+    assert leaves_seen and unsat_seen
+
+
+def test_branching_builds_no_instance_per_node(monkeypatch):
+    # k + 1 disjoint OR2 pairs need k + 1 true variables, so the answer
+    # is NO only after branch-and-bound has walked its whole tree.
+    from sparsekis import csp
+
+    rng = random.Random(71)
+    n, k = 20, 8
+    vs = rng.sample(range(1, n + 1), 2 * (k + 1))
+    cons = [(OR2, (vs[2 * i], vs[2 * i + 1])) for i in range(k + 1)]
+    while len(cons) < 20:
+        cons.append((NAND2, tuple(rng.sample(range(1, n + 1), 2))))
+    phi = CspInstance(n, tuple(cons))
+    built = []
+    real_init = CspInstance.__post_init__
+
+    def counted_init(self):
+        built.append(self.n)
+        real_init(self)
+
+    specialized = []
+    real_specialize = csp.specialize
+
+    def counted_specialize(f, position, value):
+        specialized.append(position)
+        return real_specialize(f, position, value)
+
+    monkeypatch.setattr(CspInstance, "__post_init__", counted_init)
+    monkeypatch.setattr(csp, "specialize", counted_specialize)
+    res = solve_csp(phi, k)
+    monkeypatch.undo()
+    assert not res and res.assignment is None
+    assert brute_solve_csp(phi, k) is None
+    assert len(specialized) >= 200  # every branch node specializes
+    assert len(built) <= 2
+
+
+def test_exhaustive_fallback_matches_oracle(monkeypatch):
+    # With the greedy abstaining everywhere, every higher-arity answer
+    # comes from the exhaustive leaf scan; on a 0-valid instance (one
+    # leaf, nothing fixed) it must return the oracle's lexicographically
+    # first assignment.
+    from sparsekis import csp, turan
+
+    monkeypatch.setattr(turan, "sparse_csp_solve", lambda phi, k: None)
+    rng = random.Random(73)
+    answers = set()
+    for _ in range(120):
+        phi = random_family_instance(rng, range(3, 7))
+        if phi.max_arity < 3:
+            continue
+        k = rng.randint(1, 4)
+        res = solve_csp(phi, k)
+        want = brute_solve_csp(phi, k)
+        assert res.satisfiable == (want is not None), (format_csp(phi), k)
+        if k <= phi.n:
+            assert res.route == "exhaustive fallback"
+        if res.satisfiable:
+            assert len(res.assignment) == k and phi.satisfied_by(res.assignment)
+            if all(f.table[0] for f, _ in phi.constraints):
+                assert res.assignment == want
+        answers.add(res.satisfiable)
+    assert answers == {True, False}
+    monkeypatch.setattr(csp, "FALLBACK_CAP", 10)
+    with pytest.raises(ResourceLimit, match="exhaustive subset scan"):
+        solve_csp(CspInstance(8, ((NAND3, (1, 2, 3)),)), 3)
+
+
 def test_branch_and_bound_prunes_to_unsat():
     phi = CspInstance(6, tuple(
         (OR2, (2 * i + 1, 2 * i + 2)) for i in range(3)
@@ -391,6 +518,14 @@ def test_solve_dense_higher_arity_falls_back(monkeypatch):
     assert not no and no.route == "exhaustive fallback" and no.assignment is None
     assert brute_solve_csp(phi, 3) is None
     assert abstained == [True, True]
+
+
+def test_free_variables_skip_fixed_variables():
+    # Branching sets variable 1 true; the leaf's lowest free variable is
+    # then 2, which no constraint holds any more, and never 1 again.
+    phi = CspInstance(40, ((OR2, (1, 2)), (NAND2, (3, 4))))
+    res = solve_csp(phi, 2)
+    assert res.route == "free variables" and res.assignment == (1, 2)
 
 
 def test_solve_labelled_instance_answers_in_its_own_ids():

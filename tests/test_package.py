@@ -23,3 +23,21 @@ def test_no_assert_statements_in_the_library():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_solver_module_imports_the_oracle():
+    # The oracle is the independent reference the solvers are checked
+    # against, so no solver may run on it.
+    src = Path(sparsekis.__file__).parent
+    found = []
+    for name in ("csp", "turan", "kis", "nand_impl", "cliques"):
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            if any("oracle" in m.split(".") for m in modules):
+                found.append(f"{name}.py:{node.lineno}")
+    assert found == []

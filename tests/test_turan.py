@@ -23,7 +23,7 @@ from sparsekis.csp import ConstraintFunction
 from sparsekis.errors import VerificationError
 
 from conftest import gnp_graph, random_graph
-from greedy import greedy_k_is
+from greedy import greedy_k_is, sparse_csp_greedy
 
 NAND3 = ConstraintFunction("nand3", 3, (1, 1, 1, 1, 1, 1, 1, 0))
 
@@ -206,3 +206,54 @@ def test_greedy_never_misses_when_graph_has_answer_below_cutoff():
         assert brute_count_k_is(Hypergraph(G.n, G.edges), k) > 0
         out = find_k_is_sparse(G, k)
         assert out is not None and G.is_independent(out)
+
+
+def test_csp_greedy_matches_interning_reference(monkeypatch):
+    # Random 0-valid tables of arity 2..4 (violated by no single true
+    # variable, so slack is possible), twins under another name, and
+    # specialisation that produces tables outside the family: the
+    # greedy must make the reference's picks or abstain with it.
+    from sparsekis import turan
+
+    made = []
+    real_specialize = turan.specialize
+
+    def spied(f, position, value):
+        g = real_specialize(f, position, value)
+        made.append(g)
+        return g
+
+    monkeypatch.setattr(turan, "specialize", spied)
+    rng = random.Random(37)
+    outcomes = set()
+    new_tables = 0
+    for _ in range(400):
+        fam = []
+        for j in range(rng.randint(1, 3)):
+            arity = rng.randint(2, 4)
+            table = tuple(
+                1 if bin(r).count("1") <= 1 else int(rng.random() < 0.6)
+                for r in range(1 << arity)
+            )
+            if all(table):
+                table = table[:-1] + (0,)
+            fam.append(ConstraintFunction(f"g{j}", arity, table))
+        if rng.random() < 0.3:
+            fam.append(ConstraintFunction("twin", fam[0].arity, fam[0].table))
+        n = rng.randint(12, 40)
+        cons = [
+            (f, tuple(rng.sample(range(1, n + 1), f.arity)))
+            for f in (rng.choice(fam) for _ in range(rng.randint(1, 20)))
+        ]
+        phi = CspInstance(n, tuple(cons))
+        k = rng.randint(1, 4)
+        made.clear()
+        got = sparse_csp_solve(phi, k)
+        assert got == sparse_csp_greedy(phi, k), (phi, k)
+        outcomes.add(got is NO_GUARANTEE)
+        family_tables = {f.table for f in fam}
+        new_tables += any(
+            g.table not in family_tables and not g.is_constant_true for g in made
+        )
+    assert outcomes == {True, False}
+    assert new_tables >= 10
