@@ -51,14 +51,7 @@ from .kis import (
     count_k_is_mixed,
     decide_k_is,
 )
-from .nand_impl import (
-    balance_partition,
-    build_groups,
-    remove_two_cycles,
-    restrict_instance,
-    solve_nand_impl,
-    solve_restricted,
-)
+from .nand_impl import balance_partition, solve_nand_impl
 from .oracle import (
     ORACLE_CAP,
     brute_count_invalid,
@@ -103,7 +96,6 @@ __all__ = [
     "brute_count_invalid",
     "brute_count_k_is",
     "brute_solve_csp",
-    "build_groups",
     "build_less_than",
     "classify_binary_family",
     "complement",
@@ -127,12 +119,9 @@ __all__ = [
     "parse_hypergraph",
     "permute_arguments",
     "preprocess_easy",
-    "remove_two_cycles",
-    "restrict_instance",
     "s_min",
     "solve_csp",
     "solve_nand_impl",
-    "solve_restricted",
     "sparse_csp_solve",
     "sparse_embed",
     "specialize",

@@ -15,14 +15,16 @@ thin wrappers over it.
 All arithmetic is exact.  Matrix products run in float32 row blocks,
 which is lossless here: entries are 0/1, so every product entry is an
 integer bounded by the inner dimension, and a ValueError guards the
-2^24 limit on it.  Each block is summed in float64 and the totals are
-accumulated in Python integers.
+2^24 limit on it.  Each block is checked to hold only such integers
+(a VerificationError otherwise), summed in float64, and the totals are
+accumulated in Python integers.  The triangle count and the triangle
+find share that loop.
 """
 
 from __future__ import annotations
 
 from math import factorial
-from typing import Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -36,14 +38,16 @@ DEFAULT_NODE_CAP = 12_000
 _ROW_BLOCK = 1024
 
 
-def count_triangles_tripartite(ab, bc, ac) -> int:
-    """Number of triples (a, b, c) related under all three 0/1 matrices.
+def _product_blocks(
+    ab: np.ndarray, bc: np.ndarray, ac: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Check the shapes of three 0/1 matrices, then yield (lo, block)
+    per block of AB rows from lo, with block = AC * (AB @ BC) on those
+    rows in float32.
 
-    Computes sum over (a, c) of AC[a, c] * (AB @ BC)[a, c] exactly.
+    Every entry is an integer in 0..inner dimension; a block with an
+    entry outside that range, or not finite, raises VerificationError.
     """
-    ab = np.asarray(ab)
-    bc = np.asarray(bc)
-    ac = np.asarray(ac)
     if ab.ndim != 2 or bc.ndim != 2 or ac.ndim != 2:
         raise ValueError("inputs must be matrices")
     na, nb = ab.shape
@@ -53,19 +57,52 @@ def count_triangles_tripartite(ab, bc, ac) -> int:
             f"incompatible shapes {ab.shape}, {bc.shape}, {ac.shape}"
         )
     if 0 in (na, nb, nc):
-        return 0
+        return
     # float32 products are lossless for 0/1 inputs while the inner
-    # dimension stays below 2^24; per-block totals go through float64.
+    # dimension stays below 2^24.
     if nb >= 1 << 24:
         raise ValueError("inner dimension too large for exact float32 products")
     bc_f = bc.astype(np.float32)
-    total = 0
     for lo in range(0, na, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, na)
         prod = ab[lo:hi].astype(np.float32) @ bc_f
         prod *= ac[lo:hi]
-        total += int(prod.sum(dtype=np.float64))
-    return total
+        # NaN fails both comparisons.
+        if not (prod.min() >= 0 and prod.max() <= nb):
+            raise VerificationError(
+                f"triangle product block outside 0..{nb} or not finite"
+            )
+        yield lo, prod
+
+
+def count_triangles_tripartite(ab, bc, ac) -> int:
+    """Number of triples (a, b, c) related under all three 0/1 matrices.
+
+    Computes sum over (a, c) of AC[a, c] * (AB @ BC)[a, c] exactly.
+    """
+    blocks = _product_blocks(np.asarray(ab), np.asarray(bc), np.asarray(ac))
+    return sum(int(prod.sum(dtype=np.float64)) for _, prod in blocks)
+
+
+def find_triangle_tripartite(ab, bc, ac) -> Optional[tuple[int, int, int]]:
+    """The first triple (a, b, c) related under all three 0/1 matrices,
+    or None when there is none.
+
+    Takes the first (a, c), in row-major order, with AC[a, c] *
+    (AB @ BC)[a, c] > 0, then the first b with AB[a, b] and BC[b, c].
+    """
+    ab = np.asarray(ab)
+    bc = np.asarray(bc)
+    for lo, prod in _product_blocks(ab, bc, np.asarray(ac)):
+        hits = np.flatnonzero(prod)
+        if hits.size:
+            a, c = divmod(int(hits[0]), prod.shape[1])
+            a += lo
+            bs = np.flatnonzero((ab[a] != 0) & (bc[:, c] != 0))
+            if not bs.size:
+                raise VerificationError(f"no middle vertex for triangle pair ({a}, {c})")
+            return a, int(bs[0]), c
+    return None
 
 
 def _cliques_of_size(

@@ -19,12 +19,13 @@ branch or leaf is a `_Leaf`: a plain list of (function, variables)
 constraints, a residual budget, and masks of the alive (not yet fixed)
 and forced-true variables.  Fixing a variable specialises only the
 constraints that hold it; nothing is renumbered and no `CspInstance` is
-built or validated per step.  A checked instance is built only where a
-leaf leaves this module (the nand_impl pipeline and the sparse greedy;
-a leaf that fixed nothing hands over the caller's instance itself) and
-in the public `branch_and_bound`, `preprocess_easy`, `impl_prune` and
-`set_variables`, which wrap the same core.  The exhaustive fallback
-scans a leaf's alive variables in place.
+built or validated per step.  The nand_impl pipeline takes leaves as
+they are and branches on them with the same helpers.  A checked
+instance is built only where a leaf goes to the sparse greedy (a leaf
+that fixed nothing hands over the caller's instance itself) and in the
+public `branch_and_bound`, `preprocess_easy` and `impl_prune`, which
+wrap the same core.  The exhaustive fallback scans a leaf's alive
+variables in place.
 
 Descendant and ancestor sets are bitmasks laid out as the NAND rows, so
 the NAND neighbours of a set are one `_block` over its mask.  The table
@@ -549,29 +550,6 @@ def _checked(phi: CspInstance, leaf: _Leaf) -> CspInstance:
     )
 
 
-def _has_false(phi: CspInstance) -> bool:
-    """True iff some constraint can never be satisfied."""
-    return any(f.is_constant_false for f, _ in phi.constraints)
-
-
-def set_variables(
-    inst: CspInstance,
-    fixed: dict[int, int],
-) -> Optional[CspInstance]:
-    """Drop the variables in `fixed` at the given bits; None on contradiction.
-
-    Constraints are specialized at the fixed positions; constant-true
-    results are dropped, constant-false means no assignment extends the
-    fixing and the caller gets None (as does an instance that already
-    holds a constant-false constraint).
-    """
-    cons = None if _has_false(inst) else _fix(inst.constraints, fixed)
-    if cons is None:
-        return None
-    alive = (1 << inst.n) - 1 & ~_mask(fixed)
-    return _checked(inst, _Leaf(inst.n, cons, alive))
-
-
 def _unsatisfiable(inst: CspInstance) -> CspInstance:
     """An explicitly never-satisfiable remnant of `inst`, keeping its labels."""
     if inst.n >= 1:
@@ -942,11 +920,9 @@ def _verify(phi: CspInstance, true_vars: Iterable[int], k: int) -> tuple[int, ..
     return chosen
 
 
-def _solve_leaf_binary(
-    phi: CspInstance, leaf: _Leaf, regime: Regime
-) -> Optional[set[int]]:
-    """Solve one 0-valid binary leaf of a label-free `phi`; returns its
-    true set (forced variables included) in phi's ids, or None."""
+def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[set[int]]:
+    """Solve one 0-valid binary leaf; returns its true set (forced
+    variables included) in the leaf's ids, or None."""
     from . import kis as _kis
     from . import nand_impl as _nand_impl
 
@@ -985,58 +961,22 @@ def _solve_leaf_binary(
             return None
         if impl_edges(leaf):
             # A solution is a NAND-free union of descendant sets, so an
-            # exhausted search is a NO; past the cap the pipeline decides
-            # on the compacted leaf and self-reduction recovers the members.
+            # exhausted search is a NO; past the cap the pipeline solves
+            # the leaf.  Either set is checked here, witness wanted or not.
             try:
                 sol = _closed_set_search(leaf, k, NAND_IMPL_STATE_CAP)
             except ResourceLimit:
-                inst = _checked(phi, leaf)
-                if not _nand_impl.solve_nand_impl(inst, k):
-                    return None
-                sol = {inst.label_of(v) for v in _witness_on_nand_impl(inst, k)}
-            else:
-                if sol is None:
-                    return None
-                if not _satisfied(leaf.constraints, sol):
-                    raise VerificationError("closed-set search hit fails verification")
-            return forced | sol
+                got = _nand_impl._solve_leaf(leaf)
+                sol = None if got is None else _vertices(got & leaf.alive)
+            if sol is None:
+                return None
+            if len(sol) != k or not _satisfied(leaf.constraints, sol):
+                raise VerificationError("NAND + IMPL leaf solution fails verification")
+            return forced.union(sol)
     ok, found = _kis._decide(_nand_rows(leaf), leaf.alive, (), k, True)
     if not ok:
         return None
     return forced.union(_vertices(found))
-
-
-def _witness_on_nand_impl(inst: CspInstance, k: int) -> set[int]:
-    """Extract a weight-k solution from a YES nand+impl instance by self-reduction."""
-    from . import nand_impl as _nand_impl
-
-    work = CspInstance(inst.n, inst.constraints, labels=tuple(range(1, inst.n + 1)))
-    chosen: set[int] = set()
-    budget = k
-    while budget:
-        progressed = False
-        for v in range(1, work.n + 1):
-            dropped = set_variables(work, {v: 0})
-            if dropped is not None and _nand_impl.solve_nand_impl(dropped, budget):
-                work = dropped
-                progressed = True
-                break
-            taken = set_variables(work, {v: 1})
-            if taken is None:
-                continue
-            if budget - 1 == 0 or _nand_impl.solve_nand_impl(taken, budget - 1):
-                if budget - 1 == 0 and not all(
-                    f.table[0] == 1 for f, _ in taken.constraints
-                ):
-                    continue
-                chosen.add(work.label_of(v))
-                work = taken
-                budget -= 1
-                progressed = True
-                break
-        if not progressed:
-            raise VerificationError("self-reduction stalled on a YES instance")
-    return chosen
 
 
 def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
@@ -1076,7 +1016,7 @@ def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
                     )
         regime = classify_binary_family(phi.functions)
         for leaf in leaves:
-            sol = _solve_leaf_binary(phi, leaf, regime)
+            sol = _solve_leaf_binary(leaf, regime)
             if sol is not None:
                 return CspResult(
                     True,

@@ -1,58 +1,63 @@
-"""Decision procedure for weight-k instances of exclusion plus implication.
+"""Weight-k solutions of exclusion plus implication: the Clique-regime pipeline.
 
 Variables under implication edges drag their descendant cones into any
 solution, and exclusion (NAND) edges forbid co-selection.  The pipeline
-peels structure until triangle counting can finish the job:
+peels structure until a triangle can finish the job.  It runs on
+`csp._Leaf`s in the caller's own variable ids: a stage fixes variables
+with `csp._fix` and `csp._propagate`, so each branch is a
+leaf with fewer alive and more forced-true variables, and a stage
+answers with the mask of a solution's true set (forced variables
+included) or None.
 
-  1. restrict_instance guesses which high-fanout cones enter the
-     solution, leaving every surviving variable with at most two
-     descendants; cones are ORs of the descendant masks
-     `csp.build_impl_structure` returns, and a cone is clean when its
-     NAND neighbours (`_block` over the NAND rows) miss it;
-  2. remove_two_cycles guesses which mutually-implying pairs enter;
+  1. `_restrict` guesses which high-fanout cones enter the solution,
+     leaving every alive variable with at most two descendants; cones
+     are ORs of the descendant masks `csp.build_impl_structure`
+     returns, and a cone is clean when its NAND neighbours (`_block`
+     over the NAND rows) miss it;
+  2. `_two_cycle_branches` guesses which mutually-implying pairs enter;
   3. the leftover order sorts into stars (a sink plus its sources),
-     which partition the variables into groups a solution meets only
-     via whole quotas;
+     which partition the alive variables into groups a solution meets
+     only via whole quotas;
   4. solutions inside one or two groups are a k-IS question on the
-     groups' NAND rows, settled by `kis._decide` (search, then count);
+     groups' NAND rows, settled by `kis._decide` with its witness;
   5. one branch per composition of k over three or more chosen groups
      reduces to finding a triangle across three bins of candidate
      part-sets.  Each part-set is a (mask, block) pair, block = mask |
      NAND neighbours, as `cliques` keeps (mask, common) pairs, and the
      compat matrices come from `cliques._compat` on packed masks.  A
      group's chunk list depends only on (group, take, whole), so each
-     is built once per acyclic instance and shared by every branch.
+     is built once per acyclic leaf and shared by every branch.  The
+     first triangle `cliques.find_triangle_tripartite` finds names one
+     part-set per bin, and their masks are the solution.
 
-Equality constraints read as two implications in every step, so an
-instance is taken with its EQs as they are.
+Equality constraints read as two implications in every step, so a leaf
+is taken with its EQs as they are.
 
-The pipeline decides only.  `csp` first searches the leaf for a
-NAND-free union of descendant sets, which gives an assignment directly;
-only when that search hits its state cap does it call the pipeline, and
-then recovers an assignment by self-reduction over pipeline calls.
+`csp` first searches a leaf for a NAND-free union of descendant sets;
+only when that search hits its state cap does it call `_solve_leaf`,
+and it checks the set it gets back against the leaf's constraints.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import cliques
 from .csp import (
     CspInstance,
-    _has_false,
+    _branch,
+    _fix,
+    _Leaf,
     _nand_rows,
-    branch_and_bound,
+    _propagate,
+    _tighten,
     build_impl_structure,
     impl_edges,
-    impl_prune,
     is_eq_fn,
     is_impl_fn,
     is_nand_fn,
-    preprocess_easy,
-    set_variables,
 )
 from .errors import ResourceLimit, VerificationError
 from .hypergraph import _block, _mask, _vertices
@@ -61,15 +66,29 @@ from .kis import _decide
 #: Part-sets materialized per bin before a branch aborts.
 NODE_CAP = 200_000
 
+_Group = tuple[Optional[int], int]
+
 
 def _clean(rows: Sequence[int], m: int) -> bool:
     """True iff no NAND pair lies inside the set of mask `m`."""
     return _block(rows, m) & m == 0
 
 
-def restrict_instance(
-    phi: CspInstance, k: int
-) -> Iterator[tuple[CspInstance, int]]:
+def _take(leaf: _Leaf, true: int, false: int) -> Optional[_Leaf]:
+    """Fix the variables of mask `true` true and of `false` false, then
+    propagate; None on contradiction."""
+    fixed = dict.fromkeys(_vertices(true), 1)
+    fixed.update(dict.fromkeys(_vertices(false), 0))
+    cons = _fix(leaf.constraints, fixed)
+    if cons is None:
+        return None
+    return _propagate(_Leaf(
+        leaf.n, cons, leaf.alive & ~(true | false),
+        leaf.k - true.bit_count(), leaf.forced | true,
+    ))
+
+
+def _restrict(leaf: _Leaf) -> Iterator[_Leaf]:
     """Branch on which heavy descendant cones the solution contains.
 
     A variable is heavy when its descendant set has three or more
@@ -79,123 +98,84 @@ def restrict_instance(
     ancestors, then deletes whatever is still heavy.  Some branch
     preserves each weight-k solution, with residual budget k - |D(S)|.
     """
-    desc, anc = build_impl_structure(phi)
-    rows = _nand_rows(phi)
+    desc, anc = build_impl_structure(leaf)
+    rows = _nand_rows(leaf)
     heavy = [d for d in desc if d.bit_count() >= 3]
-    for size in range(0, k // 3 + 1):
+    for size in range(0, leaf.k // 3 + 1):
         for S in itertools.combinations(heavy, size):
             cone = 0
             for d in S:
                 cone |= d
             weight = cone.bit_count()
-            if weight > k or (size and weight < 3 * size):
+            if weight > leaf.k or (size and weight < 3 * size):
                 continue
             blocked = _block(rows, cone)
             if blocked & cone:
                 continue
-            fixed = dict.fromkeys(_vertices(cone), 1)
-            fixed.update(dict.fromkeys(_vertices(_block(anc, blocked)), 0))
-            branch = set_variables(phi, fixed)
+            branch = _take(leaf, cone, _block(anc, blocked))
             if branch is None:
                 continue
-            k_i = k - weight
-            branch = preprocess_easy(branch, k_i)
-            if _has_false(branch):
-                continue
             desc2, _ = build_impl_structure(branch)
-            still_heavy = [v for v, d in enumerate(desc2, 1) if d.bit_count() >= 3]
+            still_heavy = _mask(v for v, d in enumerate(desc2, 1) if d.bit_count() >= 3)
             if still_heavy:
-                branch = set_variables(branch, dict.fromkeys(still_heavy, 0))
+                branch = _take(branch, 0, still_heavy)
                 if branch is None:
-                    continue
-                branch = preprocess_easy(branch, k_i)
-                if _has_false(branch):
                     continue
             desc3, _ = build_impl_structure(branch)
             if any(d.bit_count() > 2 for d in desc3):
                 raise VerificationError("restriction left a heavy variable")
-            yield branch, k_i
+            yield branch
 
 
-def _two_cycles(phi: CspInstance) -> list[frozenset[int]]:
-    edges = impl_edges(phi)
-    return sorted(
-        {frozenset((u, v)) for u, v in edges if (v, u) in edges and u != v},
-        key=sorted,
-    )
-
-
-def remove_two_cycles(
-    phi: CspInstance, k: int
-) -> Iterator[tuple[CspInstance, int]]:
+def _two_cycle_branches(leaf: _Leaf) -> Iterator[_Leaf]:
     """Branch on which mutually-implying pairs the solution contains.
 
-    In a restricted instance such pairs touch no other implication edge,
-    so each is taken or dropped whole: a guessed subset of at most
+    In a restricted leaf such pairs touch no other implication edge, so
+    each is taken or dropped whole: a guessed subset of at most
     floor(k/2) NAND-free pairs is fixed true, every other cycle vertex
     false.  Residual budget drops by two per taken pair.
     """
-    cycles = _two_cycles(phi)
+    edges = impl_edges(leaf)
+    cycles = sorted({_mask((u, v)) for u, v in edges if u < v and (v, u) in edges})
     if not cycles:
-        yield phi, k
+        yield leaf
         return
-    rows = _nand_rows(phi)
-    takeable = [c for c in cycles if _clean(rows, _mask(c))]
-    cycle_vertices = set().union(*cycles)
-    for r in range(0, min(len(takeable), k // 2) + 1):
+    rows = _nand_rows(leaf)
+    takeable = [c for c in cycles if _clean(rows, c)]
+    # Restriction leaves each variable at most two descendants, so the
+    # pairs are disjoint and a sum of them is their union.
+    on_cycles = sum(cycles)
+    for r in range(0, min(len(takeable), leaf.k // 2) + 1):
         for C in itertools.combinations(takeable, r):
-            taken = set().union(*C) if C else set()
-            fixed = {v: 1 for v in taken}
-            fixed.update({v: 0 for v in cycle_vertices - taken})
-            branch = set_variables(phi, fixed)
-            if branch is None:
-                continue
-            k_j = k - 2 * r
-            branch = preprocess_easy(branch, k_j)
-            if _has_false(branch):
-                continue
-            yield branch, k_j
+            taken = sum(C)
+            branch = _take(leaf, taken, on_cycles & ~taken)
+            if branch is not None:
+                yield branch
 
 
-@dataclass(frozen=True)
-class GroupPartition:
-    """Star decomposition of an acyclic restricted instance.
+def _groups(leaf: _Leaf) -> list[_Group]:
+    """Star decomposition of the alive variables of an acyclic restricted
+    leaf, as (sink, members mask) pairs.
 
     Sinks (two or more ancestors) with their sources form one group
     each; implication-free variables pool into a final sinkless group.
-    """
-
-    v_l: frozenset[int]
-    v_r: frozenset[int]
-    v_0: frozenset[int]
-    groups: tuple[tuple[Optional[int], frozenset[int]], ...]
-
-
-def build_groups(phi: CspInstance) -> GroupPartition:
-    """Partition the variables of an acyclic restricted instance into stars.
-
     A solution lying wholly inside one group, or two, needs no triangle
     branch; `_solve_acyclic` checks those pools first.
     """
-    desc, anc = build_impl_structure(phi)
+    desc, anc = build_impl_structure(leaf)
     for v, d in enumerate(desc, 1):
         if d.bit_count() > 2:
             raise ValueError(f"variable {v} is heavy; restrict first")
         other = (d & ~(1 << (v - 1))).bit_length()
         if other and desc[other - 1] >> (v - 1) & 1:
             raise ValueError(f"two-cycle {{{v},{other}}}; remove cycles first")
-    v_r = frozenset(v for v, a in enumerate(anc, 1) if a.bit_count() >= 2)
-    v_l = frozenset(
-        v for v, (a, d) in enumerate(zip(anc, desc), 1)
-        if a.bit_count() == 1 and d.bit_count() == 2
-    )
-    v_0 = frozenset(range(1, phi.n + 1)) - v_r - v_l
-    groups: list[tuple[Optional[int], frozenset[int]]] = [
-        (s, frozenset(_vertices(anc[s - 1]))) for s in sorted(v_r)
+    groups: list[_Group] = [
+        (s, anc[s - 1]) for s in _vertices(leaf.alive) if anc[s - 1].bit_count() >= 2
     ]
-    if v_0:
-        groups.append((None, v_0))
-    return GroupPartition(v_l, v_r, v_0, tuple(groups))
+    rest = leaf.alive & ~sum(members for _, members in groups)
+    if rest:
+        groups.append((None, rest))
+    return groups
 
 
 def balance_partition(
@@ -225,7 +205,7 @@ def balance_partition(
 def _chunks_for_split(
     rows: Sequence[int],
     sink: Optional[int],
-    members: frozenset[int],
+    members: int,
     take: int,
     with_sink: bool,
 ) -> list[tuple[int, int]]:
@@ -237,35 +217,39 @@ def _chunks_for_split(
             raise ValueError("a whole-group split needs a sink")
         if take < 1:
             return []
-        rest = sorted(members - {sink})
-        combos = (c + (sink,) for c in itertools.combinations(rest, take - 1))
+        sink_bit = 1 << (sink - 1)
+        rest = _vertices(members & ~sink_bit)
+        combos = (_mask(c) | sink_bit for c in itertools.combinations(rest, take - 1))
     else:
-        base = sorted(members if sink is None else members - {sink})
-        combos = itertools.combinations(base, take)
+        base = members if sink is None else members & ~(1 << (sink - 1))
+        combos = (_mask(c) for c in itertools.combinations(_vertices(base), take))
     out = []
-    for c in combos:
-        m = _mask(c)
+    for m in combos:
         nbrs = _block(rows, m)
         if nbrs & m == 0:
             out.append((m, m | nbrs))
     return out
 
 
-def _triangle_exists(n: int, nodes: list[list[tuple[int, int]]]) -> bool:
-    """Tripartite check: disjoint, cross-NAND-free triple of part-sets.
+def _find_triangle(n: int, nodes: list[list[tuple[int, int]]]) -> Optional[int]:
+    """Tripartite find: the union of a disjoint, cross-NAND-free triple
+    of part-sets, one per bin, or None when there is none.
 
     A part-set y fits beside x when y's mask misses x's block, that is,
     lies inside the complement of the block; `cliques._compat` tests
     exactly that containment on packed masks."""
     if any(not part for part in nodes):
-        return False
+        return None
     full = (1 << n) - 1
     masks = [cliques._pack([m for m, _ in part], n) for part in nodes]
     frees = [cliques._pack([full & ~b for _, b in part], n) for part in nodes]
     ab = cliques._compat(frees[0], masks[1])
     bc = cliques._compat(frees[1], masks[2])
     ac = cliques._compat(frees[0], masks[2])
-    return cliques.count_triangles_tripartite(ab, bc, ac) > 0
+    hit = cliques.find_triangle_tripartite(ab, bc, ac)
+    if hit is None:
+        return None
+    return nodes[0][hit[0]][0] | nodes[1][hit[1]][0] | nodes[2][hit[2]][0]
 
 
 def _distributions(total: int, has_sink: bool) -> Iterator[tuple[tuple[int, int, int], Optional[int]]]:
@@ -282,36 +266,34 @@ def _distributions(total: int, has_sink: bool) -> Iterator[tuple[tuple[int, int,
                         yield c, t
 
 
-def _solve_acyclic(phi: CspInstance, k: int) -> bool:
-    if _has_false(phi):
-        return False
+def _solve_acyclic(leaf: _Leaf) -> Optional[int]:
+    """A solution of an acyclic restricted leaf, as the mask of its true
+    set (forced variables included), or None."""
+    k = leaf.k
     if k == 0:
-        return True
-    if k > phi.n:
-        return False
-    rows = _nand_rows(phi)
-    groups = list(build_groups(phi).groups)
+        return leaf.forced
+    if k > leaf.alive.bit_count():
+        return None
+    rows = _nand_rows(leaf)
+    groups = _groups(leaf)
 
-    def pool_count(chosen: list[tuple[Optional[int], frozenset[int]]]) -> bool:
-        forced = [s for s, _ in chosen if s is not None]
-        if not _clean(rows, _mask(forced)):
-            return False
-        k_rest = k - len(forced)
+    def pool_solution(chosen: Sequence[_Group]) -> Optional[int]:
+        sinks = _mask(s for s, _ in chosen if s is not None)
+        if not _clean(rows, sinks):
+            return None
+        k_rest = k - sinks.bit_count()
         if k_rest < 0:
-            return False
-        pool = 0
-        for s, members in chosen:
-            pool |= _mask(members if s is None else members - {s})
-        for s in forced:
-            pool &= ~(rows[s - 1] | 1 << (s - 1))
-        return _decide(rows, pool, (), k_rest)[0]
+            return None
+        pool = sum(members for _, members in chosen) & ~(sinks | _block(rows, sinks))
+        ok, found = _decide(rows, pool, (), k_rest, True)
+        return leaf.forced | sinks | found if ok else None
 
-    for g in groups:
-        if pool_count([g]):
-            return True
-    for g1, g2 in itertools.combinations(groups, 2):
-        if pool_count([g1, g2]):
-            return True
+    for chosen in itertools.chain(
+        itertools.combinations(groups, 1), itertools.combinations(groups, 2)
+    ):
+        got = pool_solution(chosen)
+        if got is not None:
+            return got
 
     # A chunk list depends only on (group index, take, whole), so each
     # is built once per call however many branches read it.
@@ -324,7 +306,7 @@ def _solve_acyclic(phi: CspInstance, k: int) -> bool:
     hi = -(-k // 3)
     for ell in range(3, min(k, len(groups)) + 1):
         for combo in itertools.combinations(range(len(groups)), ell):
-            caps = [len(groups[i][1]) for i in combo]
+            caps = [groups[i][1].bit_count() for i in combo]
             for quotas in _compositions(k, ell, caps):
                 order = sorted(
                     range(ell),
@@ -338,8 +320,8 @@ def _solve_acyclic(phi: CspInstance, k: int) -> bool:
                 sums = [sum(parts[i - 1] for i in bn) for bn in bins]
                 split1 = order[ell - 2]
                 split2 = order[ell - 1]
-                g1s, g1m = groups[combo[split1]]
-                g2s, g2m = groups[combo[split2]]
+                g1s = groups[combo[split1]][0]
+                g2s = groups[combo[split2]][0]
                 q1 = quotas[split1]
                 q2 = quotas[split2]
                 if not _clean(rows, _mask(s for s in (g1s, g2s) if s is not None)):
@@ -349,12 +331,13 @@ def _solve_acyclic(phi: CspInstance, k: int) -> bool:
                         loads = [sums[t] + c1[t] + c2[t] for t in range(3)]
                         if not all(lo <= x <= hi for x in loads):
                             continue
-                        if _branch_triangle(
-                            phi.n, chunks_of, groups, combo, order, quotas, bins,
+                        got = _branch_triangle(
+                            leaf.n, chunks_of, groups, combo, order, quotas, bins,
                             (split1, c1, t1), (split2, c2, t2),
-                        ):
-                            return True
-    return False
+                        )
+                        if got is not None:
+                            return leaf.forced | got
+    return None
 
 
 def _compositions(total: int, ell: int, caps: list[int]) -> Iterator[tuple[int, ...]]:
@@ -378,16 +361,17 @@ def _compositions(total: int, ell: int, caps: list[int]) -> Iterator[tuple[int, 
 def _branch_triangle(
     n: int,
     chunks_of: Callable[[int, int, bool], list[tuple[int, int]]],
-    groups: list[tuple[Optional[int], frozenset[int]]],
+    groups: list[_Group],
     combo: tuple[int, ...],
     order: list[int],
     quotas: tuple[int, ...],
     bins: tuple[list[int], list[int], list[int]],
     split_a: tuple[int, tuple[int, int, int], Optional[int]],
     split_b: tuple[int, tuple[int, int, int], Optional[int]],
-) -> bool:
-    """Materialize the three bins' part-sets for one branch and test;
-    `chunks_of(group index, take, whole)` is a group's chunk list."""
+) -> Optional[int]:
+    """Materialize the three bins' part-sets for one branch and find a
+    triangle; `chunks_of(group index, take, whole)` is a group's chunk
+    list."""
     nodes: list[list[tuple[int, int]]] = []
     for t in range(3):
         chunk_lists: list[list[tuple[int, int]]] = []
@@ -413,16 +397,33 @@ def _branch_triangle(
                     raise ResourceLimit("triangle part-sets", f"> {NODE_CAP}", NODE_CAP)
             part = nxt
         nodes.append(part)
-    return _triangle_exists(n, nodes)
+    return _find_triangle(n, nodes)
 
 
-def solve_restricted(phi: CspInstance, k: int) -> bool:
-    """Decide a restricted instance: guess two-cycle pairs, then the
-    group/triangle machinery on each acyclic branch."""
-    for branch, k_j in remove_two_cycles(phi, k):
-        if _solve_acyclic(branch, k_j):
-            return True
-    return False
+def _solve_leaf(leaf: _Leaf) -> Optional[int]:
+    """A weight-k solution of a 0-valid leaf over NAND, IMPL and EQ, as
+    the mask of its true set (forced variables included), or None.
+
+    Pinning constraints are propagated and the implication order pruned
+    first; any other constraint left is a ValueError.
+    """
+    leaf = _propagate(leaf)
+    if leaf is None or leaf.k > leaf.alive.bit_count():
+        return None
+    if leaf.k == 0:
+        return leaf.forced
+    leaf = _tighten(leaf)
+    if leaf is None:
+        return None
+    for f, _ in leaf.constraints:
+        if not (is_nand_fn(f) or is_impl_fn(f) or is_eq_fn(f)):
+            raise ValueError(f"unsupported constraint {f.name!r}")
+    for restricted in _restrict(leaf):
+        for acyclic in _two_cycle_branches(restricted):
+            got = _solve_acyclic(acyclic)
+            if got is not None:
+                return got
+    return None
 
 
 def solve_nand_impl(phi: CspInstance, k: int) -> bool:
@@ -435,21 +436,4 @@ def solve_nand_impl(phi: CspInstance, k: int) -> bool:
     """
     if k < 0 or k > phi.n:
         return False
-    for leaf in branch_and_bound(phi, k):
-        inst = preprocess_easy(leaf.instance, leaf.k)
-        if _has_false(inst):
-            continue
-        if leaf.k == 0:
-            return True
-        if leaf.k > inst.n:
-            continue
-        inst = preprocess_easy(impl_prune(inst, leaf.k), leaf.k)
-        if _has_false(inst):
-            continue
-        for f, _ in inst.constraints:
-            if not (is_nand_fn(f) or is_impl_fn(f) or is_eq_fn(f)):
-                raise ValueError(f"unsupported constraint {f.name!r}")
-        for rbranch, k_i in restrict_instance(inst, leaf.k):
-            if solve_restricted(rbranch, k_i):
-                return True
-    return False
+    return any(_solve_leaf(leaf) is not None for leaf in _branch(phi, k))

@@ -9,11 +9,16 @@ import pytest
 from sparsekis import (
     Graph,
     ResourceLimit,
+    VerificationError,
     count_k_cliques,
     count_k_is,
     count_triangles_tripartite,
 )
-from sparsekis.cliques import count_k_cliques_masks, count_k_is_masks
+from sparsekis.cliques import (
+    count_k_cliques_masks,
+    count_k_is_masks,
+    find_triangle_tripartite,
+)
 
 from conftest import gnp_graph
 
@@ -40,15 +45,49 @@ def test_triangles_zero_matrix():
 
 
 def test_triangles_match_triple_loop():
+    # Sparse draws too, so that some triples of matrices hold no triangle
+    # and the find must answer None exactly then.
     rng = random.Random(3)
-    ab = np.array([[rng.randint(0, 1) for _ in range(6)] for _ in range(6)], dtype=np.uint8)
-    bc = np.array([[rng.randint(0, 1) for _ in range(6)] for _ in range(6)], dtype=np.uint8)
-    ac = np.array([[rng.randint(0, 1) for _ in range(6)] for _ in range(6)], dtype=np.uint8)
-    want = sum(
-        int(ab[a, b]) * int(bc[b, c]) * int(ac[a, c])
-        for a in range(6) for b in range(6) for c in range(6)
-    )
-    assert count_triangles_tripartite(ab, bc, ac) == want
+    found = empty = 0
+    for _ in range(60):
+        na, nb, nc = (rng.randint(1, 7) for _ in range(3))
+        p = rng.choice((0.1, 0.3, 0.5))
+
+        def rand(rows, cols):
+            return np.array(
+                [[int(rng.random() < p) for _ in range(cols)] for _ in range(rows)],
+                dtype=np.uint8,
+            )
+
+        ab, bc, ac = rand(na, nb), rand(nb, nc), rand(na, nc)
+        triples = [
+            (a, b, c)
+            for a in range(na) for b in range(nb) for c in range(nc)
+            if ab[a, b] and bc[b, c] and ac[a, c]
+        ]
+        assert count_triangles_tripartite(ab, bc, ac) == len(triples)
+        hit = find_triangle_tripartite(ab, bc, ac)
+        if triples:
+            found += 1
+            assert hit in triples
+        else:
+            empty += 1
+            assert hit is None
+    assert found and empty
+
+
+@pytest.mark.parametrize("bad", [np.nan, 5.0], ids=["nan", "out_of_range"])
+def test_triangle_block_guard(bad):
+    # A product block holding a NaN, or an entry past the inner
+    # dimension, is a failed exactness check in the shared loop, for the
+    # count and the find alike.
+    one = np.ones((3, 3), dtype=np.uint8)
+    ac = np.ones((3, 3), dtype=np.float32)
+    ac[1, 2] = bad
+    with pytest.raises(VerificationError):
+        count_triangles_tripartite(one, one, ac)
+    with pytest.raises(VerificationError):
+        find_triangle_tripartite(one, one, ac)
 
 
 def test_triangles_dimension_mismatch():

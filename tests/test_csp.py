@@ -35,10 +35,13 @@ from sparsekis.csp import (
     BadConstraintLine,
     BadFunctionDecl,
     MalformedCspHeader,
+    _checked,
+    _fix,
+    _Leaf,
     build_impl_structure,
     forced_false_positions,
-    set_variables,
 )
+from sparsekis.hypergraph import _mask
 from sparsekis.errors import ResourceLimit
 
 import branching
@@ -295,7 +298,15 @@ def test_branching_core_matches_reference(arities):
         else:
             assert out == ref
         fixed = {v: rng.randint(0, 1) for v in rng.sample(range(1, phi.n + 1), 2)}
-        assert set_variables(phi, fixed) == branching.set_variables(phi, fixed)
+        ref = branching.set_variables(phi, fixed)
+        cons = _fix(phi.constraints, fixed)
+        # The reference also answers None for an untouched constraint
+        # that is constant-false; _fix leaves such a constraint in place.
+        if cons is None or any(f.is_constant_false for f, _ in cons):
+            assert ref is None
+        else:
+            alive = (1 << phi.n) - 1 & ~_mask(fixed)
+            assert _checked(phi, _Leaf(phi.n, cons, alive)) == ref
     assert leaves_seen and unsat_seen
 
 
@@ -580,19 +591,20 @@ def test_solve_negative_k():
 def test_nand_impl_leaf_search_matches_oracle(monkeypatch, cap):
     # NAND + IMPL leaves go to the closed-set search first; with a zero
     # state cap every one of them must reach the nand_impl pipeline
-    # instead, and the answers stay the oracle's.
+    # instead, in exactly one run per solve, and the answers stay the
+    # oracle's.
     from sparsekis import csp, nand_impl
 
     if cap == "zero":
         monkeypatch.setattr(csp, "NAND_IMPL_STATE_CAP", 0)
     pipeline = []
-    real_pipeline = nand_impl.solve_nand_impl
+    real_pipeline = nand_impl._solve_leaf
 
-    def counted(phi, k):
-        pipeline.append(k)
-        return real_pipeline(phi, k)
+    def counted(leaf):
+        pipeline.append(leaf.k)
+        return real_pipeline(leaf)
 
-    monkeypatch.setattr(nand_impl, "solve_nand_impl", counted)
+    monkeypatch.setattr(nand_impl, "_solve_leaf", counted)
     searched = []
     real_search = csp._closed_set_search
 
@@ -606,14 +618,58 @@ def test_nand_impl_leaf_search_matches_oracle(monkeypatch, cap):
         n = rng.randint(3, 10)
         phi = random_csp(rng, n, [NAND2, IMPL, EQ2], rng.randint(2, 12))
         for k in range(0, n + 1):
+            runs, capped = len(pipeline), searched.count(csp.NAND_IMPL_STATE_CAP)
             res = solve_csp(phi, k)
+            runs = len(pipeline) - runs
+            capped = searched.count(csp.NAND_IMPL_STATE_CAP) - capped
             want = brute_solve_csp(phi, k)
             assert res.satisfiable == (want is not None), (format_csp(phi), k)
             if res.satisfiable:
                 assert len(res.assignment) == k
                 assert phi.satisfied_by(res.assignment)
+            assert runs == (capped if cap == "zero" else 0) <= 1
     assert csp.NAND_IMPL_STATE_CAP in searched
-    if cap == "zero":
-        assert pipeline
-    else:
-        assert not pipeline
+    assert bool(pipeline) == (cap == "zero")
+
+
+def test_nand_impl_pipeline_builds_no_instance(monkeypatch):
+    # The shape of the benchmark's Clique-regime instances: 200 NAND and
+    # IMPL constraints on 80 variables, all satisfied by a planted
+    # 6-set.  One OR2 over two planted variables makes branching force
+    # one of them, so the first leaf carries a forced variable and has
+    # a solution.  Past the state cap one pipeline run solves that leaf,
+    # and nothing after entry builds a checked instance.
+    from sparsekis import csp, nand_impl
+
+    rng = random.Random(101)
+    n, k = 80, 6
+    planted = set(rng.sample(range(1, n + 1), k))
+    cons = [(OR2, tuple(sorted(planted)[:2]))]
+    while len(cons) < 201:
+        c = (rng.choice((NAND2, IMPL)), tuple(rng.sample(range(1, n + 1), 2)))
+        if c not in cons and c[0]([int(v in planted) for v in c[1]]):
+            cons.append(c)
+    phi = CspInstance(n, tuple(cons))
+    monkeypatch.setattr(csp, "NAND_IMPL_STATE_CAP", 0)
+    pipeline = []
+    real_pipeline = nand_impl._solve_leaf
+
+    def counted(leaf):
+        pipeline.append(leaf.k)
+        return real_pipeline(leaf)
+
+    built = []
+    real_init = CspInstance.__post_init__
+
+    def counted_init(self):
+        built.append(self.n)
+        real_init(self)
+
+    monkeypatch.setattr(nand_impl, "_solve_leaf", counted)
+    monkeypatch.setattr(CspInstance, "__post_init__", counted_init)
+    res = solve_csp(phi, k)
+    monkeypatch.undo()
+    assert res.satisfiable and res.route == "regime Clique(0)"
+    assert len(res.assignment) == k and phi.satisfied_by(res.assignment)
+    assert len(pipeline) == 1
+    assert built == []

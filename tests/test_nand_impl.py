@@ -11,19 +11,29 @@ from sparsekis import (
     IMPL,
     NAND2,
     balance_partition,
-    build_groups,
     brute_solve_csp,
-    remove_two_cycles,
-    restrict_instance,
     solve_nand_impl,
-    solve_restricted,
 )
 from sparsekis import cliques, kis, nand_impl
-from sparsekis.csp import build_impl_structure
+from sparsekis.csp import _checked, _root, build_impl_structure
+from sparsekis.hypergraph import _mask, _vertices
 
 
 def yes(phi: CspInstance, k: int) -> bool:
     return brute_solve_csp(phi, k) is not None
+
+
+def leaf_yes(phi: CspInstance, leaf) -> bool:
+    """Whether a branch of phi keeps a solution, by the oracle on its
+    checked instance."""
+    inst = _checked(phi, leaf)
+    return 0 <= leaf.k <= inst.n and yes(inst, leaf.k)
+
+
+def assert_solution(phi: CspInstance, k: int, got) -> None:
+    """A YES mask is a weight-k solution of phi."""
+    if got is not None:
+        assert got.bit_count() == k and phi.satisfied_by(_vertices(got)), (phi, k, got)
 
 
 def random_nand_impl(rng, n, m_nand, m_impl, m_eq=0):
@@ -81,16 +91,16 @@ def star_instance(rng, n, nand_draws):
 
 def test_restrict_no_heavy_single_emission():
     phi = CspInstance(5, ((NAND2, (1, 2)), (IMPL, (3, 4))))
-    out = list(restrict_instance(phi, 3))
+    out = list(nand_impl._restrict(_root(phi, 3)))
     assert len(out) == 1
-    branch, k_i = out[0]
-    assert k_i == 3 and branch.n == 5
+    branch = out[0]
+    assert branch.k == 3 and branch.alive.bit_count() == 5
 
 
 def test_restrict_cone_consumes_budget():
     # v's cone is {v, a, b}; guessing it in leaves nothing to spend.
     phi = CspInstance(3, ((IMPL, (1, 2)), (IMPL, (1, 3))))
-    budgets = sorted(k_i for _, k_i in restrict_instance(phi, 3))
+    budgets = sorted(branch.k for branch in nand_impl._restrict(_root(phi, 3)))
     assert 0 in budgets
 
 
@@ -99,10 +109,10 @@ def test_restrict_output_is_light():
     for _ in range(20):
         n = rng.randint(4, 9)
         phi = random_nand_impl(rng, n, rng.randint(0, 4), rng.randint(0, 6))
-        for branch, k_i in restrict_instance(phi, rng.randint(0, 4)):
+        for branch in nand_impl._restrict(_root(phi, rng.randint(0, 4))):
             desc, _ = build_impl_structure(branch)
             assert all(d.bit_count() <= 2 for d in desc)
-            assert k_i >= 0
+            assert branch.k >= 0
 
 
 def test_restrict_decision_preserving():
@@ -113,8 +123,7 @@ def test_restrict_decision_preserving():
         for k in (2, 3):
             want = yes(phi, k)
             got = any(
-                yes(branch, k_i) if k_i <= branch.n else False
-                for branch, k_i in restrict_instance(phi, k)
+                leaf_yes(phi, branch) for branch in nand_impl._restrict(_root(phi, k))
             )
             assert got == want
 
@@ -124,16 +133,18 @@ def test_two_cycle_with_nand_drops_pair():
     phi = CspInstance(4, (
         (IMPL, (1, 2)), (IMPL, (2, 1)), (NAND2, (1, 2)),
     ))
-    out = list(remove_two_cycles(phi, 2))
+    out = list(nand_impl._two_cycle_branches(_root(phi, 2)))
     assert len(out) == 1
-    branch, k_j = out[0]
-    assert k_j == 2 and branch.n == 2
-    assert {branch.label_of(v) for v in range(1, 3)} == {3, 4}
+    branch = out[0]
+    assert branch.k == 2 and branch.alive == _mask((3, 4))
 
 
 def test_two_cycles_taken_whole():
     phi = CspInstance(5, ((IMPL, (1, 2)), (IMPL, (2, 1))))
-    got = {(k_j, branch.n) for branch, k_j in remove_two_cycles(phi, 2)}
+    got = {
+        (branch.k, branch.alive.bit_count())
+        for branch in nand_impl._two_cycle_branches(_root(phi, 2))
+    }
     # Either the pair is dropped (both deleted, full budget) or taken
     # (both deleted into the solution, budget falls by two).
     assert got == {(2, 3), (0, 3)}
@@ -157,27 +168,22 @@ def test_two_cycle_decision_preserving():
         for k in (2, 3, 4):
             want = yes(phi, k)
             got = any(
-                k_j <= branch.n and yes(branch, k_j)
-                for branch, k_j in remove_two_cycles(phi, k)
+                leaf_yes(phi, branch)
+                for branch in nand_impl._two_cycle_branches(_root(phi, k))
             )
             assert got == want
 
 
 def test_groups_pure_nand_single_pool():
     phi = CspInstance(4, ((NAND2, (1, 2)), (NAND2, (3, 4))))
-    gp = build_groups(phi)
-    assert gp.v_0 == frozenset({1, 2, 3, 4})
-    assert gp.v_r == frozenset() and gp.v_l == frozenset()
-    assert gp.groups == ((None, frozenset({1, 2, 3, 4})),)
+    assert nand_impl._groups(_root(phi, 0)) == [(None, _mask((1, 2, 3, 4)))]
 
 
 def test_groups_star():
     phi = CspInstance(4, ((IMPL, (1, 3)), (IMPL, (2, 3))))
-    gp = build_groups(phi)
-    assert gp.v_r == frozenset({3})
-    assert gp.v_l == frozenset({1, 2})
-    assert gp.v_0 == frozenset({4})
-    assert (3, frozenset({1, 2, 3})) in gp.groups
+    groups = nand_impl._groups(_root(phi, 0))
+    assert (None, _mask((4,))) in groups
+    assert (3, _mask((1, 2, 3))) in groups
 
 
 def test_groups_partition_variables():
@@ -185,14 +191,13 @@ def test_groups_partition_variables():
     for _ in range(25):
         n = rng.randint(5, 10)
         phi = random_nand_impl(rng, n, rng.randint(0, 4), rng.randint(0, 5))
-        for branch, k_i in restrict_instance(phi, 3):
-            for b2, _ in remove_two_cycles(branch, k_i):
-                gp = build_groups(b2)
-                seen: set[int] = set()
-                for _, members in gp.groups:
+        for branch in nand_impl._restrict(_root(phi, 3)):
+            for b2 in nand_impl._two_cycle_branches(branch):
+                seen = 0
+                for _, members in nand_impl._groups(b2):
                     assert not (members & seen)
                     seen |= members
-                assert seen == set(range(1, b2.n + 1))
+                assert seen == b2.alive
 
 
 def test_single_group_solution_found_without_counting(monkeypatch):
@@ -204,16 +209,18 @@ def test_single_group_solution_found_without_counting(monkeypatch):
         raise AssertionError("counted a pool the search settles")
 
     monkeypatch.setattr(cliques, "count_k_is_masks", boom)
-    assert solve_restricted(phi, 3)
+    got = nand_impl._solve_acyclic(_root(phi, 3))
+    assert got is not None
+    assert_solution(phi, 3, got)
 
 
 def test_groups_reject_heavy_and_cycles():
     heavy = CspInstance(3, ((IMPL, (1, 2)), (IMPL, (1, 3))))
     with pytest.raises(ValueError):
-        build_groups(heavy)
+        nand_impl._groups(_root(heavy, 0))
     cyc = CspInstance(2, ((IMPL, (1, 2)), (IMPL, (2, 1))))
     with pytest.raises(ValueError):
-        build_groups(cyc)
+        nand_impl._groups(_root(cyc, 0))
 
 
 def test_balance_five_singletons():
@@ -274,7 +281,9 @@ def test_solve_restricted_matches_oracle(monkeypatch, budget):
         ):
             continue
         for k in range(0, 5):
-            assert solve_restricted(phi, k) == yes(phi, k)
+            got = nand_impl._solve_acyclic(_root(phi, k))
+            assert (got is not None) == yes(phi, k)
+            assert_solution(phi, k, got)
 
 
 @pytest.mark.parametrize("budget", ["default", "zero"])
@@ -289,7 +298,11 @@ def test_solver_matches_oracle(monkeypatch, budget):
             rng, n, rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 3)
         )
         for k in range(0, 5):
-            assert solve_nand_impl(phi, k) == yes(phi, k), (phi, k)
+            want = yes(phi, k)
+            assert solve_nand_impl(phi, k) == want, (phi, k)
+            got = nand_impl._solve_leaf(_root(phi, k))
+            assert (got is not None) == want, (phi, k)
+            assert_solution(phi, k, got)
 
 
 def test_labels_do_not_change_answers():
@@ -308,19 +321,22 @@ def test_star_instances_reach_the_triangle_step(monkeypatch):
     # Sources of one star are pairwise NAND, so a solution of weight 3+
     # spreads over several stars and the triangle step has to decide.
     answers = []
-    real = nand_impl._triangle_exists
+    real = nand_impl._find_triangle
 
     def recording(*args):
-        answers.append(real(*args))
-        return answers[-1]
+        got = real(*args)
+        answers.append(got is not None)
+        return got
 
-    monkeypatch.setattr(nand_impl, "_triangle_exists", recording)
+    monkeypatch.setattr(nand_impl, "_find_triangle", recording)
     rng = random.Random(63)
     for _ in range(12):
         n = rng.randint(10, 16)
         phi = star_instance(rng, n, rng.randint(0, 12))
         for k in range(3, 8):
-            assert solve_restricted(phi, k) == yes(phi, k), (phi, k)
+            got = nand_impl._solve_leaf(_root(phi, k))
+            assert (got is not None) == yes(phi, k), (phi, k)
+            assert_solution(phi, k, got)
     assert True in answers and False in answers
 
 
@@ -335,9 +351,9 @@ def test_chunk_lists_built_once_per_call(monkeypatch):
         calls[-1].append((sink, members, take, with_sink))
         return real_chunks(rows, sink, members, take, with_sink)
 
-    def spied_solve(phi, k):
+    def spied_solve(leaf):
         calls.append([])
-        return real_solve(phi, k)
+        return real_solve(leaf)
 
     monkeypatch.setattr(nand_impl, "_chunks_for_split", spied_chunks)
     monkeypatch.setattr(nand_impl, "_solve_acyclic", spied_solve)
@@ -346,7 +362,7 @@ def test_chunk_lists_built_once_per_call(monkeypatch):
         n = rng.randint(12, 16)
         phi = star_instance(rng, n, rng.randint(0, 12))
         for k in range(3, 8):
-            solve_restricted(phi, k)
+            nand_impl._solve_leaf(_root(phi, k))
     assert sum(map(len, calls)) > 100
     for seen in calls:
         assert len(seen) == len(set(seen))
