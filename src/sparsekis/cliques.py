@@ -32,8 +32,8 @@ from .errors import ResourceLimit, VerificationError
 from .hypergraph import Graph, _vertices
 
 #: Cliques materialized per part before giving up; three boolean
-#: matrices of this side length must fit in memory.
-DEFAULT_NODE_CAP = 12_000
+#: matrices of this side length must fit in memory.  Read at call time.
+NODE_CAP = 12_000
 
 _ROW_BLOCK = 1024
 
@@ -106,18 +106,19 @@ def find_triangle_tripartite(ab, bc, ac) -> Optional[tuple[int, int, int]]:
 
 
 def _cliques_of_size(
-    rows: Sequence[int], alive: int, size: int, node_cap: int
+    rows: Sequence[int], alive: int, size: int
 ) -> tuple[list[int], list[int]]:
     """Vertex bitmasks of all size-cliques inside `alive`, with their
-    common-neighbor masks (also inside `alive`)."""
+    common-neighbor masks (also inside `alive`); ResourceLimit past
+    NODE_CAP of them."""
     masks: list[int] = []
     commons: list[int] = []
 
     def found(mask: int, common: int) -> None:
         masks.append(mask)
         commons.append(common)
-        if len(masks) > node_cap:
-            raise ResourceLimit("clique part nodes", f"> {node_cap}", node_cap)
+        if len(masks) > NODE_CAP:
+            raise ResourceLimit("clique part nodes", f"> {NODE_CAP}", NODE_CAP)
 
     def rec(mask: int, common: int, last: int, depth: int) -> None:
         if depth == size:
@@ -162,9 +163,7 @@ def _compat(commons_x: np.ndarray, masks_y: np.ndarray) -> np.ndarray:
     return (~bad).astype(np.uint8)
 
 
-def count_k_cliques_masks(
-    rows: Sequence[int], alive: int, k: int, node_cap: int = DEFAULT_NODE_CAP
-) -> int:
+def count_k_cliques_masks(rows: Sequence[int], alive: int, k: int) -> int:
     """Exact number of k-cliques among the vertices of `alive`.
 
     rows[v - 1] is vertex v's neighbor bitmask (bit u - 1 for vertex u),
@@ -186,7 +185,7 @@ def count_k_cliques_masks(
     n = alive.bit_length()
     parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for size in {a, b, c}:
-        masks, commons = _cliques_of_size(rows, alive, size, node_cap)
+        masks, commons = _cliques_of_size(rows, alive, size)
         parts[size] = (_pack(masks, n), _pack(commons, n))
     mats: dict[tuple[int, int], np.ndarray] = {}
     for sx, sy in {(a, b), (b, c), (a, c)}:
@@ -198,23 +197,21 @@ def count_k_cliques_masks(
     return total // denom
 
 
-def count_k_is_masks(
-    adj: Sequence[int], alive: int, k: int, node_cap: int = DEFAULT_NODE_CAP
-) -> int:
+def count_k_is_masks(adj: Sequence[int], alive: int, k: int) -> int:
     """Exact number of independent k-sets among the vertices of `alive`.
 
     `adj` is laid out as `rows` in count_k_cliques_masks; the count is
     the clique count over complement rows formed inside `alive`.
     """
     rows = [alive & ~a & ~(1 << i) for i, a in enumerate(adj)]
-    return count_k_cliques_masks(rows, alive, k, node_cap)
+    return count_k_cliques_masks(rows, alive, k)
 
 
-def count_k_cliques(G: Graph, k: int, node_cap: int = DEFAULT_NODE_CAP) -> int:
+def count_k_cliques(G: Graph, k: int) -> int:
     """Exact number of k-vertex cliques."""
-    return count_k_cliques_masks(G.adjacency, (1 << G.n) - 1, k, node_cap)
+    return count_k_cliques_masks(G.adjacency, (1 << G.n) - 1, k)
 
 
-def count_k_is(G: Graph, k: int, node_cap: int = DEFAULT_NODE_CAP) -> int:
+def count_k_is(G: Graph, k: int) -> int:
     """Exact number of independent k-sets: clique count in the complement."""
-    return count_k_is_masks(G.adjacency, (1 << G.n) - 1, k, node_cap)
+    return count_k_is_masks(G.adjacency, (1 << G.n) - 1, k)

@@ -20,12 +20,13 @@ constraints, a residual budget, and masks of the alive (not yet fixed)
 and forced-true variables.  Fixing a variable specialises only the
 constraints that hold it; nothing is renumbered and no `CspInstance` is
 built or validated per step.  The nand_impl pipeline takes leaves as
-they are and branches on them with the same helpers.  A checked
-instance is built only where a leaf goes to the sparse greedy (a leaf
-that fixed nothing hands over the caller's instance itself) and in the
-public `branch_and_bound`, `preprocess_easy` and `impl_prune`, which
-wrap the same core.  The exhaustive fallback scans a leaf's alive
-variables in place.
+they are and branches on them with the same helpers.  Every leaf
+solver, the sparse greedy `_greedy` and the exhaustive scan included,
+answers with the mask of a true set (forced variables included) or
+None, and `_verify` checks each YES against the caller's instance once,
+whether or not a witness is wanted.  A checked instance is built only
+in the public `branch_and_bound`, `preprocess_easy` and `impl_prune`,
+which wrap the same core.
 
 Descendant and ancestor sets are bitmasks laid out as the NAND rows, so
 the NAND neighbours of a set are one `_block` over its mask.  The table
@@ -36,10 +37,11 @@ function.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import comb
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ResourceLimit, VerificationError
 from .hypergraph import _block, _mask, _vertices
@@ -810,16 +812,17 @@ class CspResult:
 
 def _closed_set_search(
     leaf: _Leaf, k: int, state_cap: int = SEARCH_STATE_CAP
-) -> Optional[frozenset[int]]:
-    """Find a weight-k set of the leaf's alive variables closed under
-    implication with no NAND pair inside, or None when there is none.
+) -> Optional[int]:
+    """A weight-k set of the leaf's alive variables closed under
+    implication with no NAND pair inside, as the mask of the leaf's true
+    set (forced variables included), or None when there is none.
 
     Bounded DFS over unions of descendant sets, on bitmasks, with a
     visited-state memo; a union holding a NAND pair is cut.  Raises
     ResourceLimit past `state_cap` states.
     """
     if k == 0:
-        return frozenset()
+        return leaf.forced
     desc, _ = build_impl_structure(leaf)
     rows = _nand_rows(leaf)
     # Each alive variable's descendant set as (mask, its NAND
@@ -859,28 +862,137 @@ def _closed_set_search(
         return None
 
     got = rec(0, 0, 0)
-    return None if got is None else frozenset(_vertices(got))
+    return None if got is None else leaf.forced | got
 
 
-def _free_variables(leaf: _Leaf, count: int) -> list[int]:
-    """The `count` lowest alive variables no constraint holds, or all of
-    them when there are fewer."""
+def _ascending(mask: int) -> Iterator[int]:
+    """The variables of `mask`, ascending, peeled one 64-bit word at a
+    time: a caller that stops early pays for the words it reached, not
+    for the whole mask."""
+    base = 0
+    while mask:
+        word = mask & 0xFFFF_FFFF_FFFF_FFFF
+        while word:
+            low = word & -word
+            word ^= low
+            yield base + low.bit_length()
+        mask >>= 64
+        base += 64
+
+
+def _free_variables(leaf: _Leaf) -> Optional[int]:
+    """The leaf's forced variables plus its k lowest alive variables no
+    constraint holds, as a mask, or None when there are fewer than k."""
     used: set[int] = set()
     for _, vs in leaf.constraints:
         used.update(vs)
-    free: list[int] = []
-    rest = leaf.alive
-    while rest and len(free) < count:
-        low = rest & -rest
-        rest ^= low
-        if low.bit_length() not in used:
-            free.append(low.bit_length())
-    return free
+    free = [*itertools.islice((v for v in _ascending(leaf.alive) if v not in used), leaf.k)]
+    return leaf.forced | _mask(free) if len(free) == leaf.k else None
 
 
-def _exhaustive(leaf: _Leaf) -> Optional[tuple[int, ...]]:
+def _greedy(leaf: _Leaf) -> Optional[int]:
+    """The sparse greedy on a 0-valid leaf: the mask of a weight-k true
+    set (forced variables included), or None when it cannot vouch for one.
+
+    With n the leaf's alive variables, the guarantee needs each table's
+    constraint count m_f to satisfy 2 k |F| m_f <= n^u_min(f); when that
+    gate fails, or some round finds no slack variable (no incidences at
+    tables with u_min 1, and per-table degree d with d n_i <= |F| m_f),
+    the answer is None.  Each round takes the lowest slack variable in
+    id order, sets it true and specialises its constraints, adding the
+    resulting tables as new classes.
+    """
+    k = leaf.k
+    n = leaf.alive.bit_count()
+    if k > n:
+        return None
+    if k == 0:
+        return leaf.forced
+
+    # Constraints refer to table classes by index; a table's length fixes
+    # its arity, so the table alone keys a class.  Each function object
+    # is looked up once: the leaf's functions live as long as it does,
+    # and specialize caches the ones made here.
+    class_of: dict[int, int] = {}
+    index: dict[tuple[int, ...], int] = {}
+    fns: list[ConstraintFunction] = []  # one function per class
+    umin: list[int] = []
+    count: list[int] = []  # live constraints per class
+
+    def class_index(f: ConstraintFunction) -> int:
+        c = class_of.get(id(f))
+        if c is None:
+            c = index.get(f.table)
+            if c is None:
+                c = index[f.table] = len(fns)
+                fns.append(f)
+                umin.append(u_min(f))
+                count.append(0)
+            class_of[id(f)] = c
+        return c
+
+    cons: list[Optional[tuple[int, tuple[int, ...]]]] = [
+        (class_index(f), vs) for f, vs in leaf.constraints
+    ]
+    # Ids of the constraints that held each variable, dropped ones too;
+    # only variables some constraint touches get an entry.
+    incidence: defaultdict[int, list[int]] = defaultdict(list)
+    for cid, (c, vs) in enumerate(cons):  # type: ignore[misc]
+        count[c] += 1
+        for v in vs:
+            incidence[v].append(cid)
+
+    def families() -> int:
+        return max(1, sum(1 for m_f in count if m_f))
+
+    n_families = families()
+    for c, m_f in enumerate(count):
+        if m_f and 2 * k * n_families * m_f > n ** umin[c]:
+            return None
+
+    def slack(v: int, n_f: int, n_i: int) -> bool:
+        # Per-table degrees of v over its live constraints.
+        deg: dict[int, int] = {}
+        for cid in incidence.get(v, ()):
+            con = cons[cid]
+            if con is not None:
+                deg[con[0]] = deg.get(con[0], 0) + 1
+        return all(umin[c] != 1 and d * n_i <= n_f * count[c] for c, d in deg.items())
+
+    chosen = 0
+    for i in range(k):
+        n_f = families()
+        pick = next(
+            (v for v in _ascending(leaf.alive & ~chosen) if slack(v, n_f, n - i)), None
+        )
+        if pick is None:
+            return None
+        chosen |= 1 << (pick - 1)
+        for cid in incidence.get(pick, ()):
+            con = cons[cid]
+            if con is None:
+                continue
+            c, vs = con
+            cons[cid] = None
+            count[c] -= 1
+            g = specialize(fns[c], vs.index(pick) + 1, 1)
+            if g.is_constant_true:
+                continue
+            if g.is_constant_false:
+                raise VerificationError("0-validity lost during specialization")
+            c = class_index(g)
+            count[c] += 1
+            rest = tuple(v for v in vs if v != pick)
+            for v in rest:
+                incidence[v].append(len(cons))
+            cons.append((c, rest))
+    return leaf.forced | chosen
+
+
+def _exhaustive(leaf: _Leaf) -> Optional[int]:
     """First weight-k solution of a leaf, scanning k-sets of its alive
-    variables in lexicographic order; None when there is none.
+    variables in lexicographic order, as the mask of its true set
+    (forced variables included); None when there is none.
 
     Raises ResourceLimit instead when there are more than FALLBACK_CAP
     k-sets to scan.
@@ -907,22 +1019,28 @@ def _exhaustive(leaf: _Leaf) -> Optional[tuple[int, ...]]:
             if m & held in rejected:
                 break
         else:
-            return combo
+            return leaf.forced | m
     return None
 
 
-def _verify(phi: CspInstance, true_vars: Iterable[int], k: int) -> tuple[int, ...]:
-    chosen = tuple(sorted(set(true_vars)))
+def _verify(phi: CspInstance, mask: int, k: int, want_witness: bool) -> Optional[tuple[int, ...]]:
+    """Check a YES answer, the mask of its true set, against phi: weight
+    k, variables in 1..n, every constraint satisfied.  The check runs
+    whether or not a witness is wanted; the sorted true set is returned
+    when one is."""
+    if mask < 0 or mask >> phi.n:
+        raise VerificationError(f"witness holds a variable outside 1..{phi.n}")
+    chosen = _vertices(mask)
     if len(chosen) != k:
         raise VerificationError(f"witness weight {len(chosen)} != {k}")
     if not phi.satisfied_by(chosen):
         raise VerificationError("witness fails verification")
-    return chosen
+    return tuple(chosen) if want_witness else None
 
 
-def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[set[int]]:
-    """Solve one 0-valid binary leaf; returns its true set (forced
-    variables included) in the leaf's ids, or None."""
+def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[int]:
+    """Solve one 0-valid binary leaf: the mask of its true set (forced
+    variables included), or None."""
     from . import kis as _kis
     from . import nand_impl as _nand_impl
 
@@ -930,9 +1048,8 @@ def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[set[int]]:
     if leaf is None:
         return None
     k = leaf.k
-    forced = set(_vertices(leaf.forced))
     if k == 0:
-        return forced
+        return leaf.forced
     if k > leaf.alive.bit_count():
         return None
 
@@ -942,16 +1059,13 @@ def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[set[int]]:
         picked = _subset_sum_pick([w if w <= k else k + 1 for w in weights], k)
         if picked is None:
             return None
-        return forced.union(*(comps[i] for i in picked))
+        return leaf.forced | _mask(v for i in picked for v in comps[i])
 
     if regime.kind == "Subexponential":
         leaf = _tighten(leaf)
         if leaf is None or k > leaf.alive.bit_count():
             return None
-        got = _closed_set_search(leaf, k)
-        if got is None:
-            return None
-        return forced | got
+        return _closed_set_search(leaf, k)
 
     # KIS and Clique leaves reduce to graphs of NAND edges, possibly with
     # implication structure (IMPL or EQ) on top.
@@ -962,21 +1076,13 @@ def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[set[int]]:
         if impl_edges(leaf):
             # A solution is a NAND-free union of descendant sets, so an
             # exhausted search is a NO; past the cap the pipeline solves
-            # the leaf.  Either set is checked here, witness wanted or not.
+            # the leaf.
             try:
-                sol = _closed_set_search(leaf, k, NAND_IMPL_STATE_CAP)
+                return _closed_set_search(leaf, k, NAND_IMPL_STATE_CAP)
             except ResourceLimit:
-                got = _nand_impl._solve_leaf(leaf)
-                sol = None if got is None else _vertices(got & leaf.alive)
-            if sol is None:
-                return None
-            if len(sol) != k or not _satisfied(leaf.constraints, sol):
-                raise VerificationError("NAND + IMPL leaf solution fails verification")
-            return forced.union(sol)
+                return _nand_impl._solve_leaf(leaf)
     ok, found = _kis._decide(_nand_rows(leaf), leaf.alive, (), k, True)
-    if not ok:
-        return None
-    return forced.union(_vertices(found))
+    return leaf.forced | found if ok else None
 
 
 def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
@@ -985,20 +1091,18 @@ def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
     Binary instances go through the regime classifier; very sparse ones
     first try the free-variable shortcut.  Higher-arity instances get
     branch-and-bound, the sparse greedy solver, and an exhaustive
-    fallback behind a size guard.  Any returned assignment is verified
-    against `phi` before this function returns.
+    fallback behind a size guard.  Every leaf solver answers with the
+    mask of a true set in phi's own variable ids, and every YES is
+    verified against `phi` once before this function returns, whether
+    or not a witness is wanted.
     """
     if k < 0:
         raise ValueError(f"negative weight budget {k}")
-    # Work label-free so every assignment is in phi's own variable ids; a
-    # label-free phi is already validated and frozen.
-    if phi.labels is not None:
-        phi = CspInstance(phi.n, phi.constraints)
     if k > phi.n:
         return CspResult(False, None, "budget exceeds variable count")
     if k == 0:
         if all(f.table[0] == 1 for f, _ in phi.constraints):
-            return CspResult(True, () if want_witness else None, "weight zero")
+            return CspResult(True, _verify(phi, 0, 0, want_witness), "weight zero")
         return CspResult(False, None, "weight zero")
 
     leaves = _branch(phi, k)
@@ -1006,47 +1110,25 @@ def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
     if phi.max_arity <= 2:
         if 2 * k * n_funcs * phi.m < phi.n:
             for leaf in leaves:
-                free = _free_variables(leaf, leaf.k)
-                if len(free) == leaf.k:
-                    sol = _vertices(leaf.forced) + free
-                    return CspResult(
-                        True,
-                        _verify(phi, sol, k) if want_witness else None,
-                        "free variables",
-                    )
+                got = _free_variables(leaf)
+                if got is not None:
+                    return CspResult(True, _verify(phi, got, k, want_witness), "free variables")
         regime = classify_binary_family(phi.functions)
         for leaf in leaves:
-            sol = _solve_leaf_binary(leaf, regime)
-            if sol is not None:
-                return CspResult(
-                    True,
-                    _verify(phi, sol, k) if want_witness else None,
-                    f"regime {regime}",
-                )
+            got = _solve_leaf_binary(leaf, regime)
+            if got is not None:
+                return CspResult(True, _verify(phi, got, k, want_witness), f"regime {regime}")
         return CspResult(False, None, f"regime {regime}")
 
     # Higher-arity route: make leaves 0-valid, try the sparse greedy
-    # solver, fall back to bounded exhaustive search.
-    from . import turan as _turan
-
+    # solver (None is its "no guarantee"), fall back to bounded
+    # exhaustive search.
     for leaf in leaves:
-        # None is the greedy's NO_GUARANTEE: the leaf goes to the fallback.
-        inst = _checked(phi, leaf)
-        got = _turan.sparse_csp_solve(inst, leaf.k)
+        got = _greedy(leaf)
         if got is not None:
-            sol = _vertices(leaf.forced) + [inst.label_of(v) for v in got]
-            return CspResult(
-                True,
-                _verify(phi, sol, k) if want_witness else None,
-                "sparse greedy",
-            )
+            return CspResult(True, _verify(phi, got, k, want_witness), "sparse greedy")
     for leaf in leaves:
         got = _exhaustive(leaf)
         if got is not None:
-            sol = _vertices(leaf.forced) + list(got)
-            return CspResult(
-                True,
-                _verify(phi, sol, k) if want_witness else None,
-                "exhaustive fallback",
-            )
+            return CspResult(True, _verify(phi, got, k, want_witness), "exhaustive fallback")
     return CspResult(False, None, "exhaustive fallback")

@@ -35,7 +35,8 @@ is taken with its EQs as they are.
 
 `csp` first searches a leaf for a NAND-free union of descendant sets;
 only when that search hits its state cap does it call `_solve_leaf`,
-and it checks the set it gets back against the leaf's constraints.
+and `solve_csp` checks the mask it gets back against the caller's
+instance, as it checks every YES.
 """
 
 from __future__ import annotations

@@ -16,21 +16,21 @@ from .csp import CspInstance
 from .errors import ResourceLimit
 from .hypergraph import Hypergraph
 
-#: Refuse scans beyond this many k-subsets.
+#: Refuse scans beyond this many k-subsets; read at call time.
 ORACLE_CAP = 20_000_000
 
 
-def _guard(n: int, k: int, cap: int) -> None:
+def _guard(n: int, k: int) -> None:
     if k < 0:
         raise ValueError(f"negative k {k}")
     total = comb(n, k) if k <= n else 0
-    if total > cap:
-        raise ResourceLimit("exhaustive subset scan", total, cap)
+    if total > ORACLE_CAP:
+        raise ResourceLimit("exhaustive subset scan", total, ORACLE_CAP)
 
 
-def brute_count_k_is(H: Hypergraph, k: int, cap: int = ORACLE_CAP) -> int:
+def brute_count_k_is(H: Hypergraph, k: int) -> int:
     """Count k-subsets of vertices containing no edge of any arity."""
-    _guard(H.n, k, cap)
+    _guard(H.n, k)
     if k > H.n:
         return 0
     masks = H.edge_masks
@@ -44,9 +44,9 @@ def brute_count_k_is(H: Hypergraph, k: int, cap: int = ORACLE_CAP) -> int:
     return count
 
 
-def brute_count_invalid(H: Hypergraph, k: int, cap: int = ORACLE_CAP) -> int:
+def brute_count_invalid(H: Hypergraph, k: int) -> int:
     """Count k-subsets independent in the arity-2 edges but covering some larger edge."""
-    _guard(H.n, k, cap)
+    _guard(H.n, k)
     if k > H.n:
         return 0
     pair_masks = [m for e, m in zip(H.edges, H.edge_masks) if len(e) == 2]
@@ -61,11 +61,9 @@ def brute_count_invalid(H: Hypergraph, k: int, cap: int = ORACLE_CAP) -> int:
     return count
 
 
-def brute_solve_csp(
-    phi: CspInstance, k: int, cap: int = ORACLE_CAP
-) -> Optional[tuple[int, ...]]:
+def brute_solve_csp(phi: CspInstance, k: int) -> Optional[tuple[int, ...]]:
     """First weight-k satisfying assignment in lexicographic order, or None."""
-    _guard(phi.n, k, cap)
+    _guard(phi.n, k)
     if k > phi.n:
         return None
     tables = [(f.table, vs) for f, vs in phi.constraints]

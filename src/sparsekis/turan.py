@@ -10,18 +10,17 @@ The graph sweep runs on adjacency bitmask rows inside an `alive` vertex
 mask (`find_k_is_masks`), so `kis` calls it on the rows it already
 holds; `find_k_is_sparse` is the thin wrapper for a `Graph`.
 
-The constraint greedy (`sparse_csp_solve`) keys table classes by the
-table alone, looks each function object up once, keeps one list of
-constraint ids per variable, and works out per-table degrees only for
-the variable it is testing.
+The constraint greedy lives in `csp` as `_greedy`, which `solve_csp`
+runs on its branch leaves in the caller's own variable ids;
+`sparse_csp_solve` is the thin public wrapper that checks its input,
+runs it on the whole instance and verifies the answer.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Optional, Sequence
 
-from .csp import ConstraintFunction, CspInstance, specialize, u_min
+from .csp import CspInstance, _greedy, _root
 from .errors import VerificationError
 from .hypergraph import Graph, _vertices
 
@@ -92,95 +91,10 @@ def sparse_csp_solve(phi: CspInstance, k: int) -> Optional[frozenset[int]]:
             raise ValueError(f"function {f.name!r} is not 0-valid")
     if k < 0:
         raise ValueError(f"negative k {k}")
-    if k > phi.n:
+    got = _greedy(_root(phi, k))
+    if got is None:
         return NO_GUARANTEE
-    if k == 0:
-        return frozenset()
-
-    # Constraints refer to table classes by index; a table's length fixes
-    # its arity, so the table alone keys a class.  Each function object
-    # is looked up once: the instance's functions live as long as it does,
-    # and specialize caches the ones made here.
-    class_of: dict[int, int] = {}
-    index: dict[tuple[int, ...], int] = {}
-    fns: list[ConstraintFunction] = []  # one function per class
-    umin: list[int] = []
-    count: list[int] = []  # live constraints per class
-
-    def class_index(f: ConstraintFunction) -> int:
-        c = class_of.get(id(f))
-        if c is None:
-            c = index.get(f.table)
-            if c is None:
-                c = index[f.table] = len(fns)
-                fns.append(f)
-                umin.append(u_min(f))
-                count.append(0)
-            class_of[id(f)] = c
-        return c
-
-    cons: list[Optional[tuple[int, tuple[int, ...]]]] = [
-        (class_index(f), vs) for f, vs in phi.constraints
-    ]
-    # Ids of the constraints that held each variable, dropped ones too;
-    # only variables some constraint touches get an entry.
-    incidence: defaultdict[int, list[int]] = defaultdict(list)
-    for cid, (c, vs) in enumerate(cons):  # type: ignore[misc]
-        count[c] += 1
-        for v in vs:
-            incidence[v].append(cid)
-
-    def families() -> int:
-        return max(1, sum(1 for m_f in count if m_f))
-
-    n0 = phi.n
-    n_families = families()
-    for c, m_f in enumerate(count):
-        if m_f and 2 * k * n_families * m_f > n0 ** umin[c]:
-            return NO_GUARANTEE
-
-    def slack(v: int, n_f: int, n_i: int) -> bool:
-        # Per-table degrees of v over its live constraints.
-        deg: dict[int, int] = {}
-        for cid in incidence.get(v, ()):
-            con = cons[cid]
-            if con is not None:
-                deg[con[0]] = deg.get(con[0], 0) + 1
-        return all(umin[c] != 1 and d * n_i <= n_f * count[c] for c, d in deg.items())
-
-    chosen: set[int] = set()
-    for _ in range(k):
-        n_f = families()
-        n_i = phi.n - len(chosen)
-        pick = next(
-            (v for v in range(1, phi.n + 1) if v not in chosen and slack(v, n_f, n_i)),
-            None,
-        )
-        if pick is None:
-            return NO_GUARANTEE
-        chosen.add(pick)
-        for cid in incidence.get(pick, ()):
-            con = cons[cid]
-            if con is None:
-                continue
-            c, vs = con
-            cons[cid] = None
-            count[c] -= 1
-            g = specialize(fns[c], vs.index(pick) + 1, 1)
-            if g.is_constant_true:
-                continue
-            if g.is_constant_false:
-                raise VerificationError("0-validity lost during specialization")
-            c = class_index(g)
-            count[c] += 1
-            rest = tuple(v for v in vs if v != pick)
-            for v in rest:
-                incidence[v].append(len(cons))
-            cons.append((c, rest))
-
-    picked = frozenset(chosen)
-    if len(picked) != k:
-        raise VerificationError(f"greedy picked {len(picked)} variables, want {k}")
-    if not phi.satisfied_by(picked):
+    picked = frozenset(_vertices(got))
+    if len(picked) != k or not phi.satisfied_by(picked):
         raise VerificationError("greedy assignment fails verification")
     return picked

@@ -1,8 +1,9 @@
-"""Definitional references for the two greedy solvers in `sparsekis.turan`.
+"""Definitional references for the two greedy solvers of sparsekis.
 
 `turan.find_k_is_masks` runs the min-degree sweep on adjacency bitmask
 rows inside an `alive` mask; `greedy_k_is` is the same sweep on a dict
-of neighbour sets.  `turan.sparse_csp_solve` keys table classes by index
+of neighbour sets.  `csp._greedy` (behind `turan.sparse_csp_solve`)
+runs on a CSP leaf in the caller's ids, keys table classes by index
 and counts per-table degrees only for the candidate it tests;
 `sparse_csp_greedy` is the same greedy that interns every constraint and
 keeps every variable's per-table degrees up to date.  Both are kept here

@@ -14,6 +14,7 @@ from sparsekis import (
     count_k_is,
     count_triangles_tripartite,
 )
+from sparsekis import cliques
 from sparsekis.cliques import (
     count_k_cliques_masks,
     count_k_is_masks,
@@ -225,7 +226,9 @@ def test_edge_monotone_is():
         assert count_k_is(G2, k) <= count_k_is(G, k)
 
 
-def test_node_cap_raises():
+def test_node_cap_raises(monkeypatch):
     # Complement of the empty graph is complete: 66 two-cliques per part.
+    # The cap is read at call time.
+    monkeypatch.setattr(cliques, "NODE_CAP", 1)
     with pytest.raises(ResourceLimit):
-        count_k_is(Graph(12, ()), 6, node_cap=1)
+        count_k_is(Graph(12, ()), 6)

@@ -42,7 +42,7 @@ from sparsekis.csp import (
     forced_false_positions,
 )
 from sparsekis.hypergraph import _mask
-from sparsekis.errors import ResourceLimit
+from sparsekis.errors import ResourceLimit, VerificationError
 
 import branching
 from closure import closure_sets
@@ -351,9 +351,9 @@ def test_exhaustive_fallback_matches_oracle(monkeypatch):
     # comes from the exhaustive leaf scan; on a 0-valid instance (one
     # leaf, nothing fixed) it must return the oracle's lexicographically
     # first assignment.
-    from sparsekis import csp, turan
+    from sparsekis import csp
 
-    monkeypatch.setattr(turan, "sparse_csp_solve", lambda phi, k: None)
+    monkeypatch.setattr(csp, "_greedy", lambda leaf: None)
     rng = random.Random(73)
     answers = set()
     for _ in range(120):
@@ -507,17 +507,17 @@ def test_solve_routes():
 def test_solve_dense_higher_arity_falls_back(monkeypatch):
     # Every triple of six variables is a NAND3, too dense for the greedy
     # to vouch for, so both answers come from the exhaustive fallback.
-    from sparsekis import turan
+    from sparsekis import csp
 
     abstained = []
-    real = turan.sparse_csp_solve
+    real = csp._greedy
 
-    def spied(phi, k):
-        got = real(phi, k)
+    def spied(leaf):
+        got = real(leaf)
         abstained.append(got is None)
         return got
 
-    monkeypatch.setattr(turan, "sparse_csp_solve", spied)
+    monkeypatch.setattr(csp, "_greedy", spied)
     phi = CspInstance(6, tuple(
         (NAND3, c) for c in itertools.combinations(range(1, 7), 3)
     ))
@@ -537,6 +537,21 @@ def test_free_variables_skip_fixed_variables():
     phi = CspInstance(40, ((OR2, (1, 2)), (NAND2, (3, 4))))
     res = solve_csp(phi, 2)
     assert res.route == "free variables" and res.assignment == (1, 2)
+
+
+def test_lowest_free_variables_past_the_first_word():
+    # Variables 1..70 are all held, so the answer lies in the second
+    # 64-bit word of the alive mask; the scan must name it exactly.
+    from sparsekis.csp import _ascending
+    from sparsekis.hypergraph import _vertices
+
+    phi = CspInstance(200, tuple((NAND2, (2 * i - 1, 2 * i)) for i in range(1, 36)))
+    res = solve_csp(phi, 2)
+    assert res.route == "free variables" and res.assignment == (71, 72)
+    rng = random.Random(5)
+    for _ in range(50):
+        m = rng.getrandbits(rng.randint(1, 300))
+        assert list(_ascending(m)) == _vertices(m)
 
 
 def test_solve_labelled_instance_answers_in_its_own_ids():
@@ -585,6 +600,126 @@ def test_solve_decision_only():
 def test_solve_negative_k():
     with pytest.raises(ValueError):
         solve_csp(CspInstance(3, ()), -1)
+
+
+OR3 = ConstraintFunction("or3", 3, (0,) + (1,) * 7)
+
+
+@pytest.mark.parametrize("labelled", [False, True], ids=["plain", "labelled"])
+def test_branched_greedy_builds_no_instance(monkeypatch, labelled):
+    # The OR3 makes branching force one of 1, 2, 3, so every leaf has
+    # fixed a variable; the greedy still runs on the leaf as it is, and
+    # labels play no part in solving.
+    rng = random.Random(29)
+    n, k = 60, 3
+    cons = [(OR3, (1, 2, 3))]
+    cons += [(NAND3, tuple(rng.sample(range(1, n + 1), 3))) for _ in range(12)]
+    labels = tuple(range(101, 101 + n)) if labelled else None
+    phi = CspInstance(n, tuple(cons), labels=labels)
+    built = []
+    real_init = CspInstance.__post_init__
+
+    def counted_init(self):
+        built.append(self.n)
+        real_init(self)
+
+    monkeypatch.setattr(CspInstance, "__post_init__", counted_init)
+    res = solve_csp(phi, k)
+    monkeypatch.undo()
+    assert res and res.route == "sparse greedy"
+    assert len(res.assignment) == k and phi.satisfied_by(res.assignment)
+    assert {1, 2, 3} & set(res.assignment)
+    assert built == []
+
+
+def _route_cases():
+    """(instance, k, route) for a YES and, where the route has one, a NO
+    on every solve_csp route."""
+    c5 = CspInstance(5, tuple((NAND2, (i, i % 5 + 1)) for i in range(1, 6)))
+    eqs = CspInstance(8, (
+        (EQ2, (1, 2)), (EQ2, (2, 3)), (EQ2, (4, 5)), (EQ2, (5, 6)), (EQ2, (7, 8)),
+    ))
+    chain = CspInstance(10, tuple((IMPL, (i, i + 1)) for i in range(1, 10)))
+    nand_impl = CspInstance(6, ((NAND2, (1, 2)), (IMPL, (3, 4)), (IMPL, (4, 5))))
+    nand_or = CspInstance(6, ((OR2, (1, 2)), (NAND2, (2, 3)), (NAND2, (4, 5))))
+    dense3 = CspInstance(6, tuple(
+        (NAND3, c) for c in itertools.combinations(range(1, 7), 3)
+    ))
+    sparse3 = CspInstance(30, ((NAND3, (1, 2, 3)), (NAND3, (4, 5, 6))))
+    return [
+        (CspInstance(3, ((NAND2, (1, 2)),)), 0, "weight zero"),
+        (CspInstance(3, ((OR2, (1, 2)),)), 0, "weight zero"),
+        (c5, 6, "budget exceeds variable count"),
+        (CspInstance(40, ((NAND2, (1, 2)),)), 2, "free variables"),
+        (c5, 2, "regime KIS"),
+        (c5, 3, "regime KIS"),
+        (eqs, 5, "regime Linear"),
+        (eqs, 4, "regime Linear"),
+        (chain, 3, "regime Subexponential"),
+        (chain, 0, "weight zero"),
+        (nand_impl, 3, "regime Clique(0)"),
+        (nand_impl, 6, "regime Clique(0)"),
+        (nand_or, 2, "regime Clique(1)"),
+        (nand_or, 5, "regime Clique(1)"),
+        (sparse3, 2, "sparse greedy"),
+        (dense3, 2, "exhaustive fallback"),
+        (dense3, 3, "exhaustive fallback"),
+    ]
+
+
+@pytest.mark.parametrize("state_cap", ["default", "zero"])
+@pytest.mark.parametrize("want_witness", [True, False])
+def test_every_yes_is_checked_once(monkeypatch, want_witness, state_cap):
+    # One constraint check per YES on every route, witness wanted or
+    # not, and none per NO; with a zero state cap the Clique(0) leaves
+    # go through the nand_impl pipeline too.
+    from sparsekis import csp
+
+    if state_cap == "zero":
+        monkeypatch.setattr(csp, "NAND_IMPL_STATE_CAP", 0)
+    checks = []
+    real = csp._satisfied
+
+    def counted(constraints, true_vars):
+        checks.append(1)
+        return real(constraints, true_vars)
+
+    monkeypatch.setattr(csp, "_satisfied", counted)
+    seen = {True: set(), False: set()}
+    for phi, k, route in _route_cases():
+        checks.clear()
+        res = solve_csp(phi, k, want_witness=want_witness)
+        assert res.route == route, (phi, k)
+        assert len(checks) == (1 if res else 0), (route, bool(res))
+        assert res.satisfiable == (brute_solve_csp(phi, k) is not None)
+        assert (res.assignment is not None) == (res.satisfiable and want_witness)
+        seen[res.satisfiable].add(route)
+    routes = {route for _, _, route in _route_cases()}
+    assert seen[True] == routes - {"budget exceeds variable count"}
+    assert seen[False] == routes - {"free variables", "regime Subexponential", "sparse greedy"}
+
+
+@pytest.mark.parametrize(
+    "pair_mask, triple_mask",
+    [(0b11, 0b111), (0b101, 0b1011), (-1, -1)],
+    ids=["violates", "outside", "negative"],
+)
+def test_corrupted_leaf_mask_raises_without_witness(monkeypatch, pair_mask, triple_mask):
+    # A leaf answer is checked against phi even when no witness is
+    # wanted: a violated constraint, a variable beyond n and a negative
+    # mask are each refused, on a binary route and on the greedy.
+    from sparsekis import csp
+
+    monkeypatch.setattr(csp, "_solve_leaf_binary", lambda leaf, regime: pair_mask)
+    monkeypatch.setattr(csp, "_greedy", lambda leaf: triple_mask)
+    for phi, k, mask in (
+        (CspInstance(2, ((NAND2, (1, 2)),)), 2, pair_mask),
+        (CspInstance(3, ((NAND3, (1, 2, 3)),)), 3, triple_mask),
+    ):
+        assert mask < 0 or mask.bit_count() == k
+        for want_witness in (True, False):
+            with pytest.raises(VerificationError):
+                solve_csp(phi, k, want_witness=want_witness)
 
 
 @pytest.mark.parametrize("cap", ["default", "zero"])

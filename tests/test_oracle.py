@@ -11,6 +11,7 @@ from sparsekis import (
     brute_count_k_is,
     brute_solve_csp,
 )
+from sparsekis import oracle
 
 
 def test_single_edge_count():
@@ -61,13 +62,15 @@ def test_invalid_respects_graph_independence():
     assert brute_count_invalid(H, 4) == 1  # only {1,2,3,5}
 
 
-def test_cap_is_enforced():
+def test_cap_is_enforced(monkeypatch):
+    # The cap is read at call time; C(40, 5) subsets fit the default.
+    monkeypatch.setattr(oracle, "ORACLE_CAP", 1000)
     H = Hypergraph(40, ())
     with pytest.raises(ResourceLimit):
-        brute_count_k_is(H, 20, cap=1000)
+        brute_count_k_is(H, 5)
     phi = CspInstance(40, ())
     with pytest.raises(ResourceLimit):
-        brute_solve_csp(phi, 20, cap=1000)
+        brute_solve_csp(phi, 5)
 
 
 def test_negative_k_rejected():

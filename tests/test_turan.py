@@ -213,17 +213,17 @@ def test_csp_greedy_matches_interning_reference(monkeypatch):
     # variable, so slack is possible), twins under another name, and
     # specialisation that produces tables outside the family: the
     # greedy must make the reference's picks or abstain with it.
-    from sparsekis import turan
+    from sparsekis import csp
 
     made = []
-    real_specialize = turan.specialize
+    real_specialize = csp.specialize
 
     def spied(f, position, value):
         g = real_specialize(f, position, value)
         made.append(g)
         return g
 
-    monkeypatch.setattr(turan, "specialize", spied)
+    monkeypatch.setattr(csp, "specialize", spied)
     rng = random.Random(37)
     outcomes = set()
     new_tables = 0
@@ -257,3 +257,46 @@ def test_csp_greedy_matches_interning_reference(monkeypatch):
         )
     assert outcomes == {True, False}
     assert new_tables >= 10
+
+
+def test_leaf_greedy_matches_reference_on_branch_leaves():
+    # Tables that the all-false row may violate, so branching fixes
+    # variables first: on every leaf the greedy, run in the caller's ids,
+    # must pick what the reference picks on the leaf's renumbered
+    # instance, mapped back through its labels, plus the forced ones.
+    from sparsekis import csp
+    from sparsekis.hypergraph import _mask
+
+    rng = random.Random(41)
+    outcomes = set()
+    forced_hits = 0
+    for _ in range(300):
+        fam = []
+        for j in range(rng.randint(1, 3)):
+            arity = rng.randint(2, 4)
+            table = tuple(
+                int(rng.random() < 0.7) if r == 0
+                else 1 if bin(r).count("1") == 1
+                else int(rng.random() < 0.6)
+                for r in range(1 << arity)
+            )
+            if all(table):
+                table = table[:-1] + (0,)
+            fam.append(ConstraintFunction(f"g{j}", arity, table))
+        n = rng.randint(8, 30)
+        cons = [
+            (f, tuple(rng.sample(range(1, n + 1), f.arity)))
+            for f in (rng.choice(fam) for _ in range(rng.randint(1, 12)))
+        ]
+        phi = CspInstance(n, tuple(cons))
+        k = rng.randint(1, 4)
+        for leaf in csp._branch(phi, k):
+            inst = csp._checked(phi, leaf)
+            ref = sparse_csp_greedy(inst, leaf.k)
+            want = None if ref is None else leaf.forced | _mask(inst.label_of(v) for v in ref)
+            got = csp._greedy(leaf)
+            assert got == want, (phi, k, leaf)
+            outcomes.add(got is None)
+            forced_hits += got is not None and leaf.forced != 0
+    assert outcomes == {True, False}
+    assert forced_hits >= 20
