@@ -288,6 +288,11 @@ class CspInstance:
 def _satisfied(constraints: Iterable[Constraint], true_vars: Iterable[int]) -> bool:
     t = set(true_vars)
     for f, vs in constraints:
+        # A constraint with no true variable reads its all-false row.
+        if t.isdisjoint(vs):
+            if not f.table[0]:
+                return False
+            continue
         j = 0
         for p, v in enumerate(vs):
             if v in t:

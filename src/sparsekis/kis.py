@@ -19,12 +19,26 @@ pruned; their terms vanish.  The matching recursion descends from a
 member only while the smallest candidate span still fits in the k - |span|
 vertices left, so it never scans a level where nothing fits.
 
-Most terms on small k leave a residual of k2 = k - |span| <= 2 vertices,
-and those close by popcount on the term's universe U with no residual
-count: k2 = 1 gives |U|, and k2 = 2 gives C(|U|, 2) minus the distinct
-pairs inside U that are a pair edge or a leftover pair (leftovers of
-three or more vertices fit in no 2-set).  k2 = 0 scans the span's
-subsets for an earlier large edge, and k2 >= 3 takes the nested count.
+A large edge that contains an earlier one leaves nothing to span, so
+every term through it is 0 and it is no member at all.  The terms that
+close without a nested count run as numpy arrays over all large edges
+at once, on their incidence matrix B, the pair adjacency A and the
+overlaps B Bᵀ, all float32 products of 0/1 matrices (exact, and checked
+to be), in row blocks of about a megabyte:
+
+- depth 1 with k2 = k - |e| <= 2: the universe U is the alive vertices
+  outside e, its pair neighbours and every vertex an earlier edge
+  leaves alone; the term is 1, |U|, or C(|U|, 2) minus the pair edges
+  and the distinct leftover pairs inside U (leftovers of three or more
+  vertices fit in no 2-set).  A term outside 0..C(|U|, k2) raises
+  VerificationError.
+- depth 2 with a full span (|e1| + |t| = k): the term is 1 unless some
+  edge p < t inside e1 | t meets both members.
+
+Every other term stays scalar (`_InvalidCounter.term`): depth 1 with
+k2 >= 3 and deeper matchings take the nested count when k2 >= 3, close
+by popcount when k2 is 1 or 2, and scan the span's subsets for an
+earlier large edge when k2 = 0.
 
 Every public entry point turns H once into one form, in one pass over
 its edges: pair adjacency rows, an `alive` vertex mask and the ordered
@@ -47,11 +61,14 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import cached_property
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import cliques, turan
 from .errors import VerificationError
-from .hypergraph import Hypergraph, _mask, _vertices
+from .hypergraph import Hypergraph, _block, _mask, _vertices
 
 #: Nodes the bounded search may visit before counting takes over.
 SEARCH_NODE_BUDGET = 20_000
@@ -127,13 +144,74 @@ def _find_k_is(
     return True, mask
 
 
+#: Cells in one row block of an edges-by-edges array: 256 KB in float32,
+#: about 1 MB for all the temporaries of a block.
+_BLOCK_CELLS = 1 << 16
+
+
+def _bits(masks: Sequence[int], n: int) -> np.ndarray:
+    """Boolean matrix whose row i holds masks[i], column v-1 for vertex v."""
+    words = max(1, -(-n // 64))
+    low = (1 << 64) - 1
+    packed = np.fromiter(
+        ((x >> s) & low for x in masks for s in range(0, 64 * words, 64)),
+        dtype="<u8", count=len(masks) * words,
+    ).reshape(len(masks), words)
+    return np.unpackbits(
+        packed.view(np.uint8), axis=1, count=n, bitorder="little"
+    ).view(bool)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for float32 0/1 matrices.
+
+    Exact while the inner dimension stays below 2^24, since every entry
+    is then an integer in 0..inner dimension; an entry outside that
+    range, or not finite, raises VerificationError.
+    """
+    inner = a.shape[1]
+    if inner >= 1 << 24:
+        raise ValueError("inner dimension too large for exact float32 products")
+    prod = a @ b
+    if prod.size and not (prod.min() >= 0 and prod.max() <= inner):
+        raise VerificationError(f"edge product outside 0..{inner} or not finite")
+    return prod
+
+
+def _leftovers(span: dict[int, int], through: dict[int, list[int]], idx: int) -> list[int]:
+    """What the earlier large edges meeting edge idx leave outside it."""
+    m = span[idx]
+    earlier = {p for v in _vertices(m) for p in through[v] if p < idx}
+    return [span[p] & ~m for p in sorted(earlier)]
+
+
+class _Lazy(dict):
+    """A dict that fills a missing key with make(key)."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: int) -> int:
+        value = self[key] = self.make(key)
+        return value
+
+
 class _InvalidCounter:
-    """Shared state for one inclusion-exclusion count, on bitmasks only.
+    """Shared state for one inclusion-exclusion count.
 
     `rows` are pair adjacency rows (index v-1, bit u-1), `alive` the
     vertex mask the count runs inside, and `edge_masks` the ordered edge
     masks.  Masks of three or more vertices are the large edges; each
-    keeps its 1-based list position as its index.
+    keeps its 1-based list position as its index.  The arrays hold one
+    row per large edge in the same order, and "position" is that row.
+
+    The constructor scans the large edges in row blocks of their overlap
+    matrix once.  It keeps as candidates the edges that fit in a k-set,
+    hold no pair edge and contain no earlier large edge, notes for every
+    candidate e and vertex c the first edge p with p \\ e = {c} (D), and
+    sums every depth-1 term with at most two vertices left to choose
+    (level1).  `run` adds the rest.
     """
 
     def __init__(
@@ -142,41 +220,149 @@ class _InvalidCounter:
         self.k = k
         self.adj = rows
         self.full = alive
-        # Per large edge, in order: span mask, span neighborhood, whether
-        # the span is independent, and the constraints induced by earlier
-        # intersecting large edges, as their leftover masks.
-        self.span: dict[int, int] = {}
-        self.nbrs: dict[int, int] = {}
-        self.internally_ok: dict[int, bool] = {}
-        self.actions: dict[int, list[int]] = {}
-        # Position lookup for the saturated-span shortcut, keyed by the
-        # sorted vertex tuple.
-        self.pos_of: dict[tuple[int, ...], int] = {}
-        incident: dict[int, list[int]] = {}
-        for idx, m in enumerate(edge_masks, start=1):
-            if m.bit_count() < 3:
-                continue
-            vs = _vertices(m)
-            nb = 0
-            for v in vs:
-                nb |= rows[v - 1]
-            earlier: set[int] = set()
-            for v in vs:
-                earlier.update(incident.setdefault(v, []))
-                incident[v].append(idx)
-            self.span[idx] = m
-            self.nbrs[idx] = nb & ~m
-            self.internally_ok[idx] = nb & m == 0
-            self.actions[idx] = [self.span[p] & ~m for p in sorted(earlier)]
-            self.pos_of[tuple(vs)] = idx
+        self.span = {
+            idx: m for idx, m in enumerate(edge_masks, start=1) if m.bit_count() >= 3
+        }
+        # Built on demand, for the members of scalar terms only.  The
+        # makers hold no reference to self, so a counter is freed as
+        # soon as its count ends.
+        span = self.span
+        through = _Lazy(lambda v: [idx for idx, m in span.items() if m >> (v - 1) & 1])
+        self.nbrs = _Lazy(lambda idx: _block(rows, span[idx]) & ~span[idx])
+        self.actions = _Lazy(lambda idx: _leftovers(span, through, idx))
         self.big_sizes = sorted({m.bit_count() for m in self.span.values()})
+        n = len(rows)
+        m = len(self.span)
+        B = _bits(list(self.span.values()), n)
+        self.A = _bits(rows, n)
+        self.Af = self.A.astype(np.float32)
+        self.Bf = B.astype(np.float32)
+        self.s = B.sum(1)
+        self.sf = self.s.astype(np.float32)
+        pair_nbrs = _product(self.Bf, self.Af) > 0
+        # Each edge's vertices and their pair neighbours.
+        self.touch = B | pair_nbrs
+        # Sorted vertex columns per edge, padded with column n; Bx is B
+        # with that column set, flattened, so it reads Bx[pos * (n+1) + v].
+        self.V = np.full((m, max(self.big_sizes, default=0)), n, dtype=np.intp)
+        r, c = np.nonzero(B)
+        starts = np.cumsum(self.s) - self.s
+        self.V[r, np.arange(len(r)) - np.repeat(starts, self.s)] = c
+        self.Bx = np.concatenate([B, np.ones((m, 1), dtype=bool)], axis=1).ravel()
+        # D[e, c]: position of the first edge p with p \ e = {c}; m if none.
+        self.D = np.full((m, n + 1), m, dtype=np.int32)
+        self.alive_row = _bits([alive], n)[0]
+        self.level1 = 0
+        fit = np.flatnonzero(~(B & pair_nbrs).any(1) & (self.s <= k))
+        dead = np.zeros(len(fit), dtype=bool)
+        step = max(1, _BLOCK_CELLS // max(m, 1))
+        for lo in range(0, len(fit), step):
+            dead[lo:lo + step], terms = self._scan(fit[lo:lo + step])
+            self.level1 += terms
+        self.cand_pos = fit[~dead]
+        order = list(self.span)
+        self.cands = [order[p] for p in self.cand_pos]
+        self.cand_sizes = self.s[self.cand_pos].tolist()
+        self.smin = min(self.cand_sizes, default=0)
 
-    def candidates(self) -> list[int]:
-        return [
-            idx
-            for idx, m in self.span.items()
-            if self.internally_ok[idx] and m.bit_count() <= self.k
-        ]
+    def _scan(self, block: np.ndarray) -> tuple[np.ndarray, int]:
+        """Fill D's rows for the edges at positions `block`, and flag those
+        that contain an earlier edge; returns the flags and the sum of the
+        depth-1 terms with k2 <= 2 of the others."""
+        n, k = len(self.adj), self.k
+        overlap = _product(self.Bf[block], self.Bf.T)
+        left = self.sf - overlap
+        earlier = np.arange(len(self.s)) < block[:, None]
+        dead = ((left == 0) & earlier).any(1)
+        r, p = np.nonzero(left == 1)
+        vp = self.V[p]
+        c = vp[~self.Bx[block[r, None] * (n + 1) + vp]]
+        np.minimum.at(self.D, (block[r], c), p)
+        k2 = k - self.s[block]
+        bulk = ~dead & (k2 <= 2)
+        if not bulk.any():
+            return dead, 0
+        # An earlier edge leaving one vertex forbids it, and one leaving
+        # two forbids that pair.
+        forbidden = self.touch[block] | (self.D[block, :n] < block[:, None])
+        universe = self.alive_row & ~forbidden
+        size = universe.sum(1)
+        pairs = bulk & (k2 == 2)
+        lost = np.zeros(len(block), dtype=np.int64)
+        if pairs.any():
+            uf = universe.astype(np.float32)
+            inside = (_product(uf, self.Af) * uf).sum(1, dtype=np.float64)
+            lost += (inside // 2).astype(np.int64)
+            in_universe = _product(uf, self.Bf.T) == 2
+            r, p = np.nonzero((left == 2) & in_universe & earlier & pairs[:, None])
+            vp = self.V[p]
+            u, v = vp[~self.Bx[block[r, None] * (n + 1) + vp]].reshape(-1, 2).T
+            # The same pair left by several edges counts once.
+            codes = np.sort(((r * n + u) * n + v)[~self.A[u, v]])
+            codes = codes[np.diff(codes, prepend=-1) != 0]
+            lost += np.bincount(codes // (n * n), minlength=len(block))
+        top = np.select([k2 == 0, k2 == 1], [1, size], size * (size - 1) // 2)
+        terms = np.where(k2 == 2, top - lost, top)
+        if not ((terms >= 0) & (terms <= top))[bulk].all():
+            raise VerificationError("depth-1 term outside 0..C(|U|, k2)")
+        return dead, int(terms[bulk].sum())
+
+    def _full_pairs(self) -> int:
+        """Sum of the depth-2 terms whose span has k vertices.
+
+        Such a term is 0 or 1: it dies on an edge p < t inside e1 | t
+        that meets both members e1 < t.  p leaves one vertex outside e1
+        or outside t (looked up in D), or at least two outside each.
+        """
+        cp = self.cand_pos
+        sizes = self.s[cp]
+        k = self.k
+        partner = np.zeros(k + 1, dtype=bool)
+        partner[sizes] = True
+        first = cp[partner[k - sizes]]
+        if not len(first):
+            return 0
+        targets = self.Bf[cp].T
+        wide = bool(((self.s >= 4) & (self.s <= k)).any())
+        total = 0
+        step = max(1, _BLOCK_CELLS // len(cp))
+        for lo in range(0, len(first), step):
+            block = first[lo:lo + step]
+            apart = _product(self.touch[block].astype(np.float32), targets) == 0
+            ok = apart & (cp > block[:, None]) & (sizes == k - self.s[block][:, None])
+            r, c = np.nonzero(ok)
+            e1, t = block[r], cp[c]
+            bad = self.D[e1[:, None], self.V[t]].min(1) < t
+            bad |= self.D[t[:, None], self.V[e1]].min(1) < t
+            if wide:
+                bad |= self._split_kills(block, r, t)
+            total += len(t) - int(bad.sum())
+        return total
+
+    def _split_kills(self, block: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """For the pairs (block[r], t): whether an edge p < t with two or
+        more vertices in each member lies inside their union."""
+        overlap = _product(self.Bf[block], self.Bf.T)
+        qr, qp = np.nonzero((overlap >= 2) & (self.sf - overlap >= 2) & (self.s <= self.k))
+        per_row = np.bincount(qr, minlength=len(block))
+        # Join each pair with every such edge of its first member: qr is
+        # sorted, so row i's edges sit at qp[first[i]:first[i] + per_row[i]].
+        first = np.cumsum(per_row) - per_row
+        count = per_row[r]
+        pair = np.repeat(np.arange(len(r)), count)
+        q = np.arange(len(pair)) + np.repeat(first[r] - (np.cumsum(count) - count), count)
+        p, tt = qp[q], t[pair]
+        vp = self.V[p]
+        outside_t = (~self.Bx[tt[:, None] * (len(self.adj) + 1) + vp]).sum(1)
+        hit = (p < tt) & (outside_t == overlap[qr[q], p])
+        bad = np.zeros(len(t), dtype=bool)
+        bad[pair[hit]] = True
+        return bad
+
+    @cached_property
+    def pos_of(self) -> dict[tuple[int, ...], int]:
+        """Index of each large edge, keyed by its sorted vertex tuple."""
+        return {tuple(_vertices(m)): idx for idx, m in self.span.items()}
 
     def term(self, members: list[int], span_mask: int, span_size: int) -> int:
         """Count independent k-sets containing the span and avoiding every
@@ -252,32 +438,36 @@ class _InvalidCounter:
         return _count(rows, universe, sorted(hypers), k2)
 
     def run(self) -> int:
-        cands = self.candidates()
+        k, span = self.k, self.span
+        total = self.level1 - self._full_pairs()
+        for t, idx in enumerate(self.cands):
+            sm, size = span[idx], self.cand_sizes[t]
+            if k - size > 2:
+                total += self.term([idx], sm, size)
+            if size + self.smin < k:
+                total += self._deeper(t + 1, [idx], sm, size, sm | self.nbrs[idx], -1)
+        return total
+
+    def _deeper(self, start: int, members: list[int], span_mask: int,
+                span_size: int, blocked: int, sign: int) -> int:
+        """Signed sum of the scalar terms of the matchings that extend
+        `members` by candidates from list position `start` on, leaving
+        out the full-span pairs the arrays count.  A member descends only
+        while the smallest span still fits."""
+        k, span, cands, sizes = self.k, self.span, self.cands, self.cand_sizes
         total = 0
-        span, nbrs, term, k = self.span, self.nbrs, self.term, self.k
-        ncands = len(cands)
-        # A member descends only while the smallest span could still fit.
-        room = k - min((span[idx].bit_count() for idx in cands), default=0)
-
-        def rec(start: int, members: list[int], span_mask: int,
-                span_size: int, blocked: int, sign: int) -> None:
-            nonlocal total
-            for t in range(start, ncands):
-                idx = cands[t]
-                sm = span[idx]
-                if sm & blocked:
-                    continue
-                size2 = span_size + sm.bit_count()
-                if size2 > k:
-                    continue
-                members.append(idx)
-                total += sign * term(members, span_mask | sm, size2)
-                if size2 <= room:
-                    rec(t + 1, members, span_mask | sm, size2,
-                        blocked | sm | nbrs[idx], -sign)
-                members.pop()
-
-        rec(0, [], 0, 0, 0, 1)
+        for t in range(start, len(cands)):
+            idx = cands[t]
+            sm = span[idx]
+            size2 = span_size + sizes[t]
+            if sm & blocked or size2 > k or size2 == k and len(members) == 1:
+                continue
+            members.append(idx)
+            total += sign * self.term(members, span_mask | sm, size2)
+            if size2 + self.smin <= k:
+                total += self._deeper(t + 1, members, span_mask | sm, size2,
+                                      blocked | sm | self.nbrs[idx], -sign)
+            members.pop()
         return total
 
 

@@ -722,6 +722,20 @@ def test_corrupted_leaf_mask_raises_without_witness(monkeypatch, pair_mask, trip
                 solve_csp(phi, k, want_witness=want_witness)
 
 
+def test_constraint_with_no_true_variable_is_still_checked():
+    # OR2 on two false variables fails on its all-false row, though the
+    # check skips the variable walk for a constraint the true set misses.
+    from sparsekis.csp import _verify
+
+    phi = CspInstance(4, ((NAND2, (3, 4)), (OR2, (1, 2))))
+    for want_witness in (True, False):
+        with pytest.raises(VerificationError):
+            _verify(phi, 0b1000, 1, want_witness)
+    assert _verify(phi, 0b1001, 2, True) == (1, 4)
+    assert not phi.satisfied_by([3, 4])
+    assert phi.satisfied_by([2])
+
+
 @pytest.mark.parametrize("cap", ["default", "zero"])
 def test_nand_impl_leaf_search_matches_oracle(monkeypatch, cap):
     # NAND + IMPL leaves go to the closed-set search first; with a zero

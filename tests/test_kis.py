@@ -27,7 +27,7 @@ from sparsekis import (
     solve_nand_impl,
 )
 from sparsekis.cli import main
-from sparsekis.hypergraph import format_hgr, underlying_graph
+from sparsekis.hypergraph import _vertices, format_hgr, underlying_graph
 
 from conftest import random_hypergraph
 from greedy import greedy_k_is
@@ -262,7 +262,10 @@ def test_checked_rejects_a_bad_witness(monkeypatch, bad):
 def test_closed_form_leaves_match_oracle(monkeypatch):
     # Leaves with k2 = k - |span| of 0, 1, 2 and 3 or more, against the
     # exhaustive counts.  The hand-built cases leave a pair that is also a
-    # pair edge, and the same pair from two members or two earlier edges.
+    # pair edge, and the same pair from two members or two earlier edges;
+    # three disjoint triples at k = 9 give a full span at depth 3.
+    # Depth-1 leaves with k2 <= 2 close in the constructor's array scan,
+    # the others in the scalar term.
     cases = [
         (Hypergraph(7, (frozenset({1, 2}), frozenset({1, 2, 3}),
                         frozenset({3, 4, 5}))), k)
@@ -272,6 +275,8 @@ def test_closed_form_leaves_match_oracle(monkeypatch):
                  frozenset({1, 2, 6}), frozenset({3, 4, 5}), frozenset({6, 7, 8}))
     cases += [(Hypergraph(10, same_pair), k) for k in (5, 6, 7, 8)]
     cases += [(Hypergraph(10, (frozenset({1, 2}),) + same_pair), k) for k in (6, 8)]
+    triples = ((2, 6, 8), (1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 5, 9), (3, 4, 10))
+    cases.append((Hypergraph(11, tuple(frozenset(e) for e in triples)), 9))
     rng = random.Random(71)
     for _ in range(30):
         n = rng.randint(7, 11)
@@ -279,17 +284,25 @@ def test_closed_form_leaves_match_oracle(monkeypatch):
         H = random_hypergraph(rng, n, arities)
         cases += [(H, k) for k in (3, 4, 5, 6)]
     leaves: set[int] = set()
+    scanned: set[int] = set()
     real_term = kis._InvalidCounter.term
+    real_scan = kis._InvalidCounter._scan
 
     def term(self, members, span_mask, span_size):
         leaves.add(min(self.k - span_size, 3))
         return real_term(self, members, span_mask, span_size)
 
+    def scan(self, rows):
+        scanned.update(min(self.k - int(s), 3) for s in self.s[rows])
+        return real_scan(self, rows)
+
     monkeypatch.setattr(kis._InvalidCounter, "term", term)
+    monkeypatch.setattr(kis._InvalidCounter, "_scan", scan)
     for H, k in cases:
         assert count_invalid(H, k) == brute_count_invalid(H, k), (H, k)
         assert count_k_is_hypergraph(H, k) == brute_count_k_is(H, k), (H, k)
     assert leaves == {0, 1, 2, 3}
+    assert scanned == {0, 1, 2, 3}
 
 
 def test_small_leaves_skip_the_clique_engine(monkeypatch):
@@ -337,7 +350,7 @@ def test_terms_match_definition():
         for k in (3, 5, 6):
             rows = underlying_graph(H).adjacency
             counter = _InvalidCounter(rows, (1 << n) - 1, H.edge_masks, k)
-            cands = set(counter.candidates())
+            cands = set(counter.cands)
             for size in (1, 2):
                 for S in enumerate_matchings(H, size):
                     want = term_by_definition(H, S, k)
@@ -357,6 +370,141 @@ def test_terms_match_definition():
                         mask |= 1 << (v - 1)
                     got = counter.term(members, mask, len(S.span))
                     assert got == want, (n, k, sorted(map(sorted, S.edges)))
+
+
+def counter_for(H: Hypergraph, k: int) -> "kis._InvalidCounter":
+    rows = underlying_graph(H).adjacency
+    return kis._InvalidCounter(rows, (1 << H.n) - 1, H.edge_masks, k)
+
+
+def bulk_levels(counter) -> tuple[int, int]:
+    """The two levels the counter evaluates as arrays: depth-1 terms with
+    k2 <= 2, and depth-2 terms whose span has k vertices."""
+    return counter.level1, counter._full_pairs()
+
+
+def scalar_levels(counter) -> tuple[int, int]:
+    """The same two levels through the scalar term, over every matching
+    the recursion could keep, edges holding an earlier edge included."""
+    k, span = counter.k, counter.span
+    size = {idx: m.bit_count() for idx, m in span.items()}
+    ok = [idx for idx, m in span.items()
+          if size[idx] <= k and all(counter.adj[v - 1] & m == 0 for v in _vertices(m))]
+    one = sum(counter.term([e], span[e], size[e]) for e in ok if k - size[e] <= 2)
+    two = sum(
+        counter.term([a, b], span[a] | span[b], k)
+        for a, b in itertools.combinations(ok, 2)
+        if size[a] + size[b] == k and span[b] & (span[a] | counter.nbrs[a]) == 0
+    )
+    return one, two
+
+
+def definition_levels(H: Hypergraph, k: int) -> tuple[int, int]:
+    """The same two levels straight from the definition of a term."""
+    one = sum(term_by_definition(H, S, k) for S in enumerate_matchings(H, 1)
+              if k - 2 <= len(S.span) <= k)
+    two = sum(term_by_definition(H, S, k) for S in enumerate_matchings(H, 2)
+              if len(S.span) == k)
+    return one, two
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bulk_levels_match_scalar_terms_and_definition():
+    rng = random.Random(81)
+    levels = set()
+    for _ in range(40):
+        n = rng.randint(7, 10)
+        arities = {a: rng.randint(0, 6) for a in (2, 3, 4, 5)}
+        H = random_hypergraph(rng, n, arities)
+        for k in range(3, 9):
+            counter = counter_for(H, k)
+            got = bulk_levels(counter)
+            assert got == scalar_levels(counter) == definition_levels(H, k), (H, k)
+            assert counter.run() == brute_count_invalid(H, k), (H, k)
+            levels.update(i for i, x in enumerate(got) if x)
+    assert levels == {0, 1}
+
+
+def triple_inside_a_four_edge() -> tuple[Hypergraph, tuple[int, ...]]:
+    # {1,2,3,4} holds the earlier {1,2,3}: its depth-1 term and every
+    # pair through it are dead, so it is no candidate.
+    edges = ((1, 2, 3), (1, 2, 3, 4), (5, 6, 7), (4, 8, 9), (2, 5, 9))
+    return Hypergraph(10, tuple(frozenset(e) for e in edges)), (5, 6, 7)
+
+
+def shared_leftover_pair() -> tuple[Hypergraph, tuple[int, ...]]:
+    # {1,5,6} and {2,5,6} both leave {5,6} beside the later {1,2,3}; the
+    # pair leaves its 2-sets once.
+    edges = ((1, 5, 6), (2, 5, 6), (3, 7, 8), (1, 2, 3), (6, 7, 9))
+    return Hypergraph(10, tuple(frozenset(e) for e in edges)), (5, 6)
+
+
+def two_by_two_split() -> tuple[Hypergraph, tuple[int, ...]]:
+    # {1,2,5,6} meets {1,2,3,4} and {5,6,7,8} in two vertices each and
+    # comes first, so their full-span pair dies; {3,4,9,10} does the same
+    # to {1,2,3,4} and {9,10,11,12} but comes after both, so it kills
+    # nothing.
+    edges = ((1, 2, 5, 6), (1, 2, 3, 4), (5, 6, 7, 8), (3, 4, 7, 8),
+             (9, 10, 11, 12), (3, 4, 9, 10))
+    return Hypergraph(12, tuple(frozenset(e) for e in edges)), (8,)
+
+
+def over_64_vertices() -> tuple[Hypergraph, tuple[int, ...]]:
+    # Edges among vertices 58..71, across the first 64-bit word, and 58
+    # isolated vertices below them.
+    rng = random.Random(82)
+    core = random_hypergraph(rng, 14, {2: 6, 3: 10, 4: 6, 5: 3})
+    edges = tuple(frozenset(v + 57 for v in e) for e in core.edges)
+    return Hypergraph(71, edges), (5, 6)
+
+
+def invalid_with_isolated_vertices(H: Hypergraph, k: int, low: int) -> int:
+    """count_invalid when vertices 1..low touch no edge: choose the rest
+    among the others, where the exhaustive count is cheap."""
+    core = Hypergraph(H.n - low, tuple(frozenset(v - low for v in e) for e in H.edges))
+    return sum(
+        math.comb(low, k - j) * brute_count_invalid(core, j) for j in range(3, k + 1)
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "build",
+    [triple_inside_a_four_edge, shared_leftover_pair, two_by_two_split, over_64_vertices],
+)
+def test_bulk_levels_on_named_instances(build):
+    H, ks = build()
+    seen = 0
+    for k in ks:
+        counter = counter_for(H, k)
+        got = bulk_levels(counter)
+        seen += sum(got)
+        assert got == scalar_levels(counter)
+        if H.n > 64:
+            # The definition scans every k-set of 71 vertices.
+            want = invalid_with_isolated_vertices(H, k, 57)
+        else:
+            assert got == definition_levels(H, k)
+            want = brute_count_invalid(H, k)
+        assert counter.run() == want == count_invalid(H, k)
+        if build is triple_inside_a_four_edge:
+            nested = H.order_index(frozenset({1, 2, 3, 4}))
+            assert nested not in counter.cands
+            assert counter.term([nested], 0b1111, 4) == 0
+        if build is shared_leftover_pair and k == 5:
+            # The universe is {4, ..., 10}, and two of its 2-sets are the
+            # leftover pairs {5, 6} and {7, 8}.
+            late = H.order_index(frozenset({1, 2, 3}))
+            assert counter.term([late], 0b111, 3) == math.comb(7, 2) - 2
+    assert seen
+
+
+def test_bulk_term_outside_its_range_raises():
+    # Self-loops on 4 and 5 make the pair count inside the universe
+    # {4, 5} exceed its one 2-set, a term no consistent rows can give.
+    rows = [0, 0, 0, 0b11000, 0b11000]
+    with pytest.raises(VerificationError, match="outside"):
+        kis._InvalidCounter(rows, 0b11111, [0b111], 5)
 
 
 def test_high_order_terms_vanish():
