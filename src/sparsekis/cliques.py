@@ -6,19 +6,25 @@ compatibility structure; every unordered k-clique shows up once per
 ordered partition into the three block sizes, so the triangle count is
 divided by that exact factor.
 
-The engine works on adjacency bitmask rows restricted to a vertex mask
-`alive`, so callers that already hold rows count on a subset without
-building a relabeled graph; independent sets are cliques over
-complement rows formed inside `alive`.  The `Graph` entry points are
-thin wrappers over it.
+The engine takes adjacency bitmask rows and a vertex mask `alive`, so
+callers that already hold rows count on a subset without building a
+relabeled graph; independent sets are cliques over the complement
+inside `alive`.  It turns the rows inside `alive` into one boolean
+matrix and works on arrays from there.  A part is a pair of arrays: the
+sorted vertex columns of each clique and the boolean rows of their
+common neighbours, and all cliques of one size grow by one vertex at a
+time from the previous size's arrays.  A compatibility matrix is the AND,
+over a part's vertex columns, of row gathers from the other part's
+transposed commons.  The `Graph` entry points are thin wrappers over it.
 
-All arithmetic is exact.  Matrix products run in float32 row blocks,
-which is lossless here: entries are 0/1, so every product entry is an
-integer bounded by the inner dimension, and a ValueError guards the
-2^24 limit on it.  Each block is checked to hold only such integers
-(a VerificationError otherwise), summed in float64, and the totals are
-accumulated in Python integers.  The triangle count and the triangle
-find share that loop.
+All arithmetic is exact.  Matrix products run in float32 (in row blocks
+for the triangles), which is lossless here: entries are 0/1, so every
+product entry is an integer bounded by the inner dimension, and a
+ValueError guards the 2^24 limit on it.  Each product is checked to hold
+only such integers (a VerificationError otherwise); the triangle blocks
+are summed in float64 and the totals accumulated in Python integers.
+The triangle count and the triangle find share that loop, and `kis`
+uses the same checked product.
 """
 
 from __future__ import annotations
@@ -29,13 +35,51 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ResourceLimit, VerificationError
-from .hypergraph import Graph, _vertices
+from .hypergraph import Graph
 
-#: Cliques materialized per part before giving up; three boolean
-#: matrices of this side length must fit in memory.  Read at call time.
+#: Cliques materialized per part, and per size on the way to it, before
+#: giving up; three boolean matrices of this side length must fit in
+#: memory.  Read at call time.
 NODE_CAP = 12_000
 
 _ROW_BLOCK = 1024
+
+
+def _bits(masks: Sequence[int], n: int) -> np.ndarray:
+    """Boolean matrix whose row i holds masks[i], column v-1 for vertex v."""
+    width = max(1, -(-n // 8))
+    low = (1 << 8 * width) - 1
+    raw = b"".join([(x & low).to_bytes(width, "little") for x in masks])
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+
+
+def _columns(B: np.ndarray) -> np.ndarray:
+    """Each row's set columns, ascending, padded with column B.shape[1]
+    up to the widest row."""
+    n = B.shape[1]
+    cols = np.where(B, np.arange(n), n)
+    cols.sort(axis=1)
+    return cols[:, :B.sum(1).max(initial=0)]
+
+
+def _product(a: np.ndarray, b: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """a @ b for float32 0/1 matrices, times `mask` entrywise if given.
+
+    Exact while the inner dimension stays below 2^24, since every entry
+    is then an integer in 0..inner dimension; an entry outside that
+    range, or not finite, raises VerificationError.
+    """
+    inner = a.shape[1]
+    if inner >= 1 << 24:
+        raise ValueError("inner dimension too large for exact float32 products")
+    prod = a @ b
+    if mask is not None:
+        prod *= mask
+    # NaN fails both comparisons.
+    if prod.size and not (prod.min() >= 0 and prod.max() <= inner):
+        raise VerificationError(f"product outside 0..{inner} or not finite")
+    return prod
 
 
 def _product_blocks(
@@ -43,11 +87,7 @@ def _product_blocks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Check the shapes of three 0/1 matrices, then yield (lo, block)
     per block of AB rows from lo, with block = AC * (AB @ BC) on those
-    rows in float32.
-
-    Every entry is an integer in 0..inner dimension; a block with an
-    entry outside that range, or not finite, raises VerificationError.
-    """
+    rows in float32, checked by `_product`."""
     if ab.ndim != 2 or bc.ndim != 2 or ac.ndim != 2:
         raise ValueError("inputs must be matrices")
     na, nb = ab.shape
@@ -58,21 +98,10 @@ def _product_blocks(
         )
     if 0 in (na, nb, nc):
         return
-    # float32 products are lossless for 0/1 inputs while the inner
-    # dimension stays below 2^24.
-    if nb >= 1 << 24:
-        raise ValueError("inner dimension too large for exact float32 products")
     bc_f = bc.astype(np.float32)
     for lo in range(0, na, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, na)
-        prod = ab[lo:hi].astype(np.float32) @ bc_f
-        prod *= ac[lo:hi]
-        # NaN fails both comparisons.
-        if not (prod.min() >= 0 and prod.max() <= nb):
-            raise VerificationError(
-                f"triangle product block outside 0..{nb} or not finite"
-            )
-        yield lo, prod
+        yield lo, _product(ab[lo:hi].astype(np.float32), bc_f, ac[lo:hi])
 
 
 def count_triangles_tripartite(ab, bc, ac) -> int:
@@ -105,62 +134,80 @@ def find_triangle_tripartite(ab, bc, ac) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _cliques_of_size(
-    rows: Sequence[int], alive: int, size: int
-) -> tuple[list[int], list[int]]:
-    """Vertex bitmasks of all size-cliques inside `alive`, with their
-    common-neighbor masks (also inside `alive`); ResourceLimit past
-    NODE_CAP of them."""
-    masks: list[int] = []
-    commons: list[int] = []
-
-    def found(mask: int, common: int) -> None:
-        masks.append(mask)
-        commons.append(common)
-        if len(masks) > NODE_CAP:
-            raise ResourceLimit("clique part nodes", f"> {NODE_CAP}", NODE_CAP)
-
-    def rec(mask: int, common: int, last: int, depth: int) -> None:
-        if depth == size:
-            found(mask, common)
-            return
-        cand = common & ~((1 << last) - 1)
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            v = bit.bit_length()
-            rec(mask | bit, common & rows[v - 1], v, depth + 1)
-
-    if size == 0:
-        found(0, alive)
-    else:
-        for v in _vertices(alive):
-            rec(1 << (v - 1), rows[v - 1] & alive, v, 1)
-    return masks, commons
+def _cliques_of_size(M: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """All cliques of `size` vertices in the graph of the boolean
+    adjacency matrix M, as (cols, commons): row i of cols holds clique
+    i's vertices ascending, and row i of commons their common
+    neighbours.  ResourceLimit when some size up to `size` has more
+    than NODE_CAP cliques."""
+    n = len(M)
+    # Start from the empty clique; each round extends every clique by a
+    # common neighbour past its last vertex.
+    cols = np.zeros((1, 0), dtype=np.intp)
+    commons = np.ones((1, n), dtype=bool)
+    last = np.full((1, 1), -1)
+    for _ in range(size):
+        r, v = np.nonzero(commons & (np.arange(n) > last))
+        if len(v) > NODE_CAP:
+            raise ResourceLimit("clique part nodes", len(v), NODE_CAP)
+        cols = np.column_stack((cols[r], v))
+        commons = commons[r] & M[v]
+        last = v[:, None]
+    return cols, commons
 
 
-def _pack(masks: Sequence[int], n: int) -> np.ndarray:
-    words = max(1, (n + 63) // 64)
-    out = np.zeros((len(masks), words), dtype=np.uint64)
-    low = (1 << 64) - 1
-    for i, m in enumerate(masks):
-        for w in range(words):
-            out[i, w] = (m >> (64 * w)) & low
+def _compat(cols: np.ndarray, commons: np.ndarray) -> np.ndarray:
+    """Boolean matrix: entry (j, i) set iff every column in cols[j] is
+    set in commons[i]; cols holds at least one column.
+
+    With cols the vertices of y-cliques and commons the common
+    neighbours of x-cliques, that is y-clique j inside x-clique i's
+    common neighbours, which makes the union of the two a clique: every
+    cross pair is adjacent, and no vertex neighbours itself, so the
+    parts are disjoint too.
+    """
+    ct = np.ascontiguousarray(commons.T)
+    out = ct[cols[:, 0]]
+    for c in cols.T[1:]:
+        out &= ct[c]
     return out
 
 
-def _compat(commons_x: np.ndarray, masks_y: np.ndarray) -> np.ndarray:
-    """0/1 matrix: entry (i, j) set iff y-clique j lies inside x-clique i's common neighbors.
+def _count_cliques(M: np.ndarray, k: int) -> int:
+    """Exact number of k-cliques in the graph of the symmetric boolean
+    adjacency matrix M (zero diagonal)."""
+    if k < 0:
+        raise ValueError(f"negative k {k}")
+    n = len(M)
+    if k > n:
+        return 0
+    if k < 2:
+        return n if k else 1
+    if k == 2:
+        return int(M.sum()) // 2
+    a = k // 3
+    c = -(-k // 3)
+    b = k - a - c
+    parts = {size: _cliques_of_size(M, size) for size in sorted({a, b, c})}
+    # fits[(sx, sy)]: which sy-cliques (rows) fit beside which
+    # sx-cliques (columns).  The triangles run c -> b -> a, so every
+    # matrix is used as built.
+    fits: dict[tuple[int, int], np.ndarray] = {}
+    for sx, sy in {(a, b), (b, c), (a, c)}:
+        fits[(sx, sy)] = _compat(parts[sy][0], parts[sx][1])
+    total = count_triangles_tripartite(fits[(b, c)], fits[(a, b)], fits[(a, c)])
+    denom = factorial(k) // (factorial(a) * factorial(b) * factorial(c))
+    if total % denom:
+        raise VerificationError(f"triple count {total} not divisible by {denom}")
+    return total // denom
 
-    That containment makes the union of the two cliques a clique: every
-    cross pair is adjacent, and no vertex neighbors itself, so the parts
-    are disjoint too.
-    """
-    bad = np.zeros((commons_x.shape[0], masks_y.shape[0]), dtype=bool)
-    for w in range(commons_x.shape[1]):
-        notc = ~commons_x[:, w]
-        bad |= (notc[:, None] & masks_y[None, :, w]) != 0
-    return (~bad).astype(np.uint8)
+
+def _inside(rows: Sequence[int], alive: int) -> np.ndarray:
+    """Boolean matrix of `rows` among the vertices of `alive`, in
+    increasing order; bits outside `alive` are dropped."""
+    n = alive.bit_length()
+    keep = np.flatnonzero(_bits([alive], n)[0])
+    return _bits(rows[:n], n)[np.ix_(keep, keep)]
 
 
 def count_k_cliques_masks(rows: Sequence[int], alive: int, k: int) -> int:
@@ -169,42 +216,18 @@ def count_k_cliques_masks(rows: Sequence[int], alive: int, k: int) -> int:
     rows[v - 1] is vertex v's neighbor bitmask (bit u - 1 for vertex u),
     symmetric and without v's own bit; bits outside `alive` are ignored.
     """
-    if k < 0:
-        raise ValueError(f"negative k {k}")
-    if k > alive.bit_count():
-        return 0
-    if k == 0:
-        return 1
-    if k == 1:
-        return alive.bit_count()
-    if k == 2:
-        return sum((rows[v - 1] & alive).bit_count() for v in _vertices(alive)) // 2
-    a = k // 3
-    c = -(-k // 3)
-    b = k - a - c
-    n = alive.bit_length()
-    parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for size in {a, b, c}:
-        masks, commons = _cliques_of_size(rows, alive, size)
-        parts[size] = (_pack(masks, n), _pack(commons, n))
-    mats: dict[tuple[int, int], np.ndarray] = {}
-    for sx, sy in {(a, b), (b, c), (a, c)}:
-        mats[(sx, sy)] = _compat(parts[sx][1], parts[sy][0])
-    total = count_triangles_tripartite(mats[(a, b)], mats[(b, c)], mats[(a, c)])
-    denom = factorial(k) // (factorial(a) * factorial(b) * factorial(c))
-    if total % denom:
-        raise VerificationError(f"triple count {total} not divisible by {denom}")
-    return total // denom
+    return _count_cliques(_inside(rows, alive), k)
 
 
 def count_k_is_masks(adj: Sequence[int], alive: int, k: int) -> int:
     """Exact number of independent k-sets among the vertices of `alive`.
 
     `adj` is laid out as `rows` in count_k_cliques_masks; the count is
-    the clique count over complement rows formed inside `alive`.
+    the clique count over the complement inside `alive`.
     """
-    rows = [alive & ~a & ~(1 << i) for i, a in enumerate(adj)]
-    return count_k_cliques_masks(rows, alive, k)
+    M = ~_inside(adj, alive)
+    np.fill_diagonal(M, False)
+    return _count_cliques(M, k)
 
 
 def count_k_cliques(G: Graph, k: int) -> int:

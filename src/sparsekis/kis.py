@@ -74,6 +74,18 @@ from .hypergraph import Hypergraph, _block, _mask, _vertices
 SEARCH_NODE_BUDGET = 20_000
 
 
+class _Lazy(dict):
+    """A dict that fills a missing key with make(key)."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: int) -> object:
+        value = self[key] = self.make(key)
+        return value
+
+
 def _search_k_is(
     rows: Sequence[int], alive: int, big: Sequence[int], k: int
 ) -> tuple[bool, Optional[int]]:
@@ -94,10 +106,9 @@ def _search_k_is(
         return False, None
     if k == 0:
         return True, 0
-    through: dict[int, list[int]] = {}
-    for m in big:
-        for v in _vertices(m):
-            through.setdefault(v, []).append(m)
+    # The edges through a vertex, keyed by its bit and built when the
+    # search first picks it.
+    through = _Lazy(lambda bit: [m for m in big if m & bit])
     # One frame per pick depth: [chosen, untried candidates, still needed].
     stack = [[0, alive, k]]
     nodes = 1
@@ -115,9 +126,8 @@ def _search_k_is(
         picked = chosen | bit
         if need == 1:
             return True, picked
-        v = bit.bit_length()
-        nxt = frame[1] & ~rows[v - 1]
-        for m in through.get(v, ()):
+        nxt = frame[1] & ~rows[bit.bit_length() - 1]
+        for m in through[bit]:
             rest = m & ~picked
             if rest & (rest - 1) == 0:
                 nxt &= ~rest
@@ -149,52 +159,11 @@ def _find_k_is(
 _BLOCK_CELLS = 1 << 16
 
 
-def _bits(masks: Sequence[int], n: int) -> np.ndarray:
-    """Boolean matrix whose row i holds masks[i], column v-1 for vertex v."""
-    words = max(1, -(-n // 64))
-    low = (1 << 64) - 1
-    packed = np.fromiter(
-        ((x >> s) & low for x in masks for s in range(0, 64 * words, 64)),
-        dtype="<u8", count=len(masks) * words,
-    ).reshape(len(masks), words)
-    return np.unpackbits(
-        packed.view(np.uint8), axis=1, count=n, bitorder="little"
-    ).view(bool)
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for float32 0/1 matrices.
-
-    Exact while the inner dimension stays below 2^24, since every entry
-    is then an integer in 0..inner dimension; an entry outside that
-    range, or not finite, raises VerificationError.
-    """
-    inner = a.shape[1]
-    if inner >= 1 << 24:
-        raise ValueError("inner dimension too large for exact float32 products")
-    prod = a @ b
-    if prod.size and not (prod.min() >= 0 and prod.max() <= inner):
-        raise VerificationError(f"edge product outside 0..{inner} or not finite")
-    return prod
-
-
 def _leftovers(span: dict[int, int], through: dict[int, list[int]], idx: int) -> list[int]:
     """What the earlier large edges meeting edge idx leave outside it."""
     m = span[idx]
     earlier = {p for v in _vertices(m) for p in through[v] if p < idx}
     return [span[p] & ~m for p in sorted(earlier)]
-
-
-class _Lazy(dict):
-    """A dict that fills a missing key with make(key)."""
-
-    def __init__(self, make) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: int) -> int:
-        value = self[key] = self.make(key)
-        return value
 
 
 class _InvalidCounter:
@@ -233,25 +202,22 @@ class _InvalidCounter:
         self.big_sizes = sorted({m.bit_count() for m in self.span.values()})
         n = len(rows)
         m = len(self.span)
-        B = _bits(list(self.span.values()), n)
-        self.A = _bits(rows, n)
+        B = cliques._bits(list(self.span.values()), n)
+        self.A = cliques._bits(rows, n)
         self.Af = self.A.astype(np.float32)
         self.Bf = B.astype(np.float32)
         self.s = B.sum(1)
         self.sf = self.s.astype(np.float32)
-        pair_nbrs = _product(self.Bf, self.Af) > 0
+        pair_nbrs = cliques._product(self.Bf, self.Af) > 0
         # Each edge's vertices and their pair neighbours.
         self.touch = B | pair_nbrs
         # Sorted vertex columns per edge, padded with column n; Bx is B
         # with that column set, flattened, so it reads Bx[pos * (n+1) + v].
-        self.V = np.full((m, max(self.big_sizes, default=0)), n, dtype=np.intp)
-        r, c = np.nonzero(B)
-        starts = np.cumsum(self.s) - self.s
-        self.V[r, np.arange(len(r)) - np.repeat(starts, self.s)] = c
+        self.V = cliques._columns(B)
         self.Bx = np.concatenate([B, np.ones((m, 1), dtype=bool)], axis=1).ravel()
         # D[e, c]: position of the first edge p with p \ e = {c}; m if none.
         self.D = np.full((m, n + 1), m, dtype=np.int32)
-        self.alive_row = _bits([alive], n)[0]
+        self.alive_row = cliques._bits([alive], n)[0]
         self.level1 = 0
         fit = np.flatnonzero(~(B & pair_nbrs).any(1) & (self.s <= k))
         dead = np.zeros(len(fit), dtype=bool)
@@ -270,7 +236,7 @@ class _InvalidCounter:
         that contain an earlier edge; returns the flags and the sum of the
         depth-1 terms with k2 <= 2 of the others."""
         n, k = len(self.adj), self.k
-        overlap = _product(self.Bf[block], self.Bf.T)
+        overlap = cliques._product(self.Bf[block], self.Bf.T)
         left = self.sf - overlap
         earlier = np.arange(len(self.s)) < block[:, None]
         dead = ((left == 0) & earlier).any(1)
@@ -291,9 +257,9 @@ class _InvalidCounter:
         lost = np.zeros(len(block), dtype=np.int64)
         if pairs.any():
             uf = universe.astype(np.float32)
-            inside = (_product(uf, self.Af) * uf).sum(1, dtype=np.float64)
+            inside = (cliques._product(uf, self.Af) * uf).sum(1, dtype=np.float64)
             lost += (inside // 2).astype(np.int64)
-            in_universe = _product(uf, self.Bf.T) == 2
+            in_universe = cliques._product(uf, self.Bf.T) == 2
             r, p = np.nonzero((left == 2) & in_universe & earlier & pairs[:, None])
             vp = self.V[p]
             u, v = vp[~self.Bx[block[r, None] * (n + 1) + vp]].reshape(-1, 2).T
@@ -328,7 +294,7 @@ class _InvalidCounter:
         step = max(1, _BLOCK_CELLS // len(cp))
         for lo in range(0, len(first), step):
             block = first[lo:lo + step]
-            apart = _product(self.touch[block].astype(np.float32), targets) == 0
+            apart = cliques._product(self.touch[block].astype(np.float32), targets) == 0
             ok = apart & (cp > block[:, None]) & (sizes == k - self.s[block][:, None])
             r, c = np.nonzero(ok)
             e1, t = block[r], cp[c]
@@ -342,7 +308,7 @@ class _InvalidCounter:
     def _split_kills(self, block: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
         """For the pairs (block[r], t): whether an edge p < t with two or
         more vertices in each member lies inside their union."""
-        overlap = _product(self.Bf[block], self.Bf.T)
+        overlap = cliques._product(self.Bf[block], self.Bf.T)
         qr, qp = np.nonzero((overlap >= 2) & (self.sf - overlap >= 2) & (self.s <= self.k))
         per_row = np.bincount(qr, minlength=len(block))
         # Join each pair with every such edge of its first member: qr is

@@ -23,12 +23,14 @@ included) or None.
   5. one branch per composition of k over three or more chosen groups
      reduces to finding a triangle across three bins of candidate
      part-sets.  Each part-set is a (mask, block) pair, block = mask |
-     NAND neighbours, as `cliques` keeps (mask, common) pairs, and the
-     compat matrices come from `cliques._compat` on packed masks.  A
-     group's chunk list depends only on (group, take, whole), so each
-     is built once per acyclic leaf and shared by every branch.  The
-     first triangle `cliques.find_triangle_tripartite` finds names one
-     part-set per bin, and their masks are the solution.
+     NAND neighbours, and the compat matrices come from
+     `cliques._compat` on the masks' vertex columns and the blocks'
+     complements, as the clique count's come from its cliques' columns
+     and commons.  A group's chunk list depends only on (group, take,
+     whole), so each is built once per acyclic leaf and shared by
+     every branch.  The first triangle
+     `cliques.find_triangle_tripartite` finds names one part-set per
+     bin, and their masks are the solution.
 
 Equality constraints read as two implications in every step, so a leaf
 is taken with its EQs as they are.
@@ -237,17 +239,21 @@ def _find_triangle(n: int, nodes: list[list[tuple[int, int]]]) -> Optional[int]:
     of part-sets, one per bin, or None when there is none.
 
     A part-set y fits beside x when y's mask misses x's block, that is,
-    lies inside the complement of the block; `cliques._compat` tests
-    exactly that containment on packed masks."""
+    lies inside the complement of the block: `cliques._compat` on the
+    complement rows and y's vertex columns.  The masks vary in size, so
+    their columns are padded with column n, which every complement row
+    holds."""
     if any(not part for part in nodes):
         return None
-    full = (1 << n) - 1
-    masks = [cliques._pack([m for m, _ in part], n) for part in nodes]
-    frees = [cliques._pack([full & ~b for _, b in part], n) for part in nodes]
-    ab = cliques._compat(frees[0], masks[1])
-    bc = cliques._compat(frees[1], masks[2])
-    ac = cliques._compat(frees[0], masks[2])
-    hit = cliques.find_triangle_tripartite(ab, bc, ac)
+    top = (2 << n) - 1
+    a, b = len(nodes[0]), len(nodes[1])
+    frees = cliques._bits([top & ~bb for part in nodes[:2] for _, bb in part], n + 1)
+    cols = cliques._columns(cliques._bits([m for part in nodes[1:] for m, _ in part], n))
+    # Rows: the part-sets of bins 1 and 2; columns: those of bins 0 and 1.
+    fits = cliques._compat(cols, frees)
+    hit = cliques.find_triangle_tripartite(
+        fits[:b, :a].T, fits[b:, a:].T, fits[b:, :a].T
+    )
     if hit is None:
         return None
     return nodes[0][hit[0]][0] | nodes[1][hit[1]][0] | nodes[2][hit[2]][0]

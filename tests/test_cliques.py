@@ -21,6 +21,7 @@ from sparsekis.cliques import (
     find_triangle_tripartite,
 )
 
+from cliques_ref import cliques_of_size, complement_rows
 from conftest import gnp_graph
 
 
@@ -232,3 +233,62 @@ def test_node_cap_raises(monkeypatch):
     monkeypatch.setattr(cliques, "NODE_CAP", 1)
     with pytest.raises(ResourceLimit):
         count_k_is(Graph(12, ()), 6)
+
+
+def _random_rows(rng: random.Random, n: int, p: float) -> list[int]:
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return rows
+
+
+def _alive_with_holes(rng: random.Random, n: int, size: int) -> int:
+    """A mask of `size` scattered vertices, at least one of them past 64."""
+    inside = rng.sample(range(1, n + 1), size - 1) + [rng.randint(65, n)]
+    return sum({1 << (v - 1) for v in inside})
+
+
+def test_engine_matches_recursive_reference_past_one_word():
+    # Vertex ids run to 130, so rows and masks take more than one 64-bit
+    # word, and `alive` keeps a scattered few of them.  Sparse graphs
+    # have few cliques and many independent sets, dense ones the reverse.
+    rng = random.Random(65)
+    checked = 0
+    for p in (0.1, 0.3, 0.7, 0.9):
+        for _ in range(3):
+            n = rng.randint(65, 130)
+            rows = _random_rows(rng, n, p)
+            alive = _alive_with_holes(rng, n, rng.randint(10, 20))
+            comp = complement_rows(rows, alive)
+            for k in range(3, 9):
+                want_cliques = len(cliques_of_size(rows, alive, k)[0])
+                want_is = len(cliques_of_size(comp, alive, k)[0])
+                assert count_k_cliques_masks(rows, alive, k) == want_cliques, (n, p, k)
+                assert count_k_is_masks(rows, alive, k) == want_is, (n, p, k)
+                checked += want_cliques > 0
+                checked += want_is > 0
+    assert checked > 20
+
+
+def test_parts_match_recursive_reference():
+    # Same cliques in the same (lexicographic) order, with the same
+    # common neighbours, once the engine's columns map back to vertices.
+    rng = random.Random(66)
+    for p in (0.2, 0.6):
+        n = rng.randint(65, 130)
+        rows = _random_rows(rng, n, p)
+        alive = _alive_with_holes(rng, n, 24)
+        keep = [v for v in range(1, n + 1) if alive >> (v - 1) & 1]
+        M = cliques._inside(rows, alive)
+        for size in range(1, 5):
+            cols, commons = cliques._cliques_of_size(M, size)
+            masks = [sum(1 << (keep[c] - 1) for c in row) for row in cols]
+            common_masks = [
+                sum(1 << (keep[c] - 1) for c in np.flatnonzero(row)) for row in commons
+            ]
+            want = cliques_of_size(rows, alive, size)
+            assert len(cols) == len(want[0])
+            assert (masks, common_masks) == want, (p, size)
