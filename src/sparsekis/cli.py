@@ -4,6 +4,11 @@ Subcommands parse HGR/CSP files, run the fast solvers or their
 exhaustive oracles, generate seeded instances (random models plus the
 hardness constructions), and sweep benchmark grids into CSV.
 
+Every solve command (`solve-kis`, `count-kis`, `solve-csp`, `oracle
+kis|csp`) is a parse plus a `solve` closure handed to `_answer`, the one
+place that times the solver, prints the answer, re-checks the witness,
+writes the ``--json`` report and picks the exit code.
+
 Exit codes: 0 on success (a NO answer included), 1 for NO under
 ``--strict-exit``, 2 for unreadable input or bad parameters, 3 when a
 resource limit stops a solver, 4 when an answer fails its re-check
@@ -15,6 +20,7 @@ timing uses the monotonic clock.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv as _csv
 import itertools
 import json
@@ -23,8 +29,9 @@ import random
 import statistics
 import sys
 import time
+from collections import Counter
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from . import kis, oracle, reductions
 from .csp import (
@@ -35,23 +42,19 @@ from .csp import (
     NOR2,
     NOT1,
     OR2,
+    Constraint,
     ConstraintFunction,
     CspInstance,
-    CspParseError,
     classify_binary_family,
     format_csp,
     parse_csp,
     solve_csp,
 )
 from .errors import ResourceLimit, VerificationError
-from .hypergraph import (
-    MAX_ARITY,
-    HgrError,
-    Hypergraph,
-    format_hgr,
-    parse_hypergraph,
-)
+from .hypergraph import MAX_ARITY, Hypergraph, format_hgr, parse_hypergraph
 from .reductions import _ceil_pow
+
+_T = TypeVar("_T")
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +93,11 @@ def _family(spec: str) -> list[ConstraintFunction]:
     names = [s for s in spec.split(",") if s]
     if not names:
         raise ValueError("empty function family")
-    return [_lookup_fn(s) for s in names]
+    family = [_lookup_fn(s) for s in names]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"function {name!r} repeated in the family")
+    return family
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +105,7 @@ def _family(spec: str) -> list[ConstraintFunction]:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    return sys.stdin.read() if path == "-" else Path(path).read_text()
 
 
 def _write_text(path: str, text: str) -> None:
@@ -110,37 +115,8 @@ def _write_text(path: str, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _emit_report(args: argparse.Namespace, payload: dict) -> None:
-    if getattr(args, "json", None):
-        _write_text(args.json, json.dumps(payload) + "\n")
-
-
-def _report(
-    n: int,
-    m: int,
-    m_i: dict[int, int],
-    k: int,
-    decision: bool,
-    count: Optional[int],
-    elapsed_ns: int,
-) -> dict:
-    return {
-        "schema": 1,
-        "n": n,
-        "m": m,
-        "m_i": {str(i): m_i[i] for i in sorted(m_i)},
-        "k": k,
-        "decision": "YES" if decision else "NO",
-        "count": count,
-        "elapsed": elapsed_ns / 1e9,
-    }
-
-
-def _csp_arity_counts(phi: CspInstance) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for f, _ in phi.constraints:
-        counts[f.arity] = counts.get(f.arity, 0) + 1
-    return counts
+def _list(spec: str, cast: Callable[[str], _T] = int) -> list[_T]:
+    return [cast(s) for s in spec.split(",") if s]
 
 
 # ---------------------------------------------------------------------------
@@ -173,70 +149,87 @@ def _check_csp_witness(phi: CspInstance, wit: Iterable[int], k: int) -> list[int
 # ---------------------------------------------------------------------------
 # solve / count / classify commands
 
+_Answer = tuple[bool, Optional[int], Optional[Iterable[int]]]
 
-def _finish_decision(args: argparse.Namespace, decision: bool) -> int:
+
+def _answer(
+    args: argparse.Namespace,
+    inst: Hypergraph | CspInstance,
+    solve: Callable[[], _Answer],
+    check: Callable[..., list[int]],
+) -> int:
+    """Time `solve()`, print its answer and pick the exit code.
+
+    `solve()` returns (decision, count or None, witness or None).  The
+    answer prints as YES/NO, then the count under --count, then the
+    witness once `check` has re-verified it against `inst`; count-kis
+    prints the bare count instead.  --json gets the report.
+    """
+    t0 = time.monotonic_ns()
+    decision, count, wit = solve()
+    elapsed = time.monotonic_ns() - t0
+    if args.command == "count-kis":
+        print(count)
+    else:
+        print("YES" if decision else "NO")
+        if getattr(args, "count", False):
+            print(f"count {count}")
+    if wit is not None:
+        print("witness " + " ".join(map(str, check(inst, wit, args.k))))
+    if args.json:
+        if isinstance(inst, Hypergraph):
+            m_i = inst.arity_counts
+        else:
+            m_i = Counter(f.arity for f, _ in inst.constraints)
+        report = {
+            "schema": 1,
+            "n": inst.n,
+            "m": inst.m,
+            "m_i": {str(i): m_i[i] for i in sorted(m_i)},
+            "k": args.k,
+            "decision": "YES" if decision else "NO",
+            "count": count,
+            "elapsed": elapsed / 1e9,
+        }
+        _write_text(args.json, json.dumps(report) + "\n")
     return 1 if (args.strict_exit and not decision) else 0
 
 
 def _cmd_solve_kis(args: argparse.Namespace) -> int:
     H = parse_hypergraph(_read_text(args.path))
-    t0 = time.monotonic_ns()
-    count: Optional[int] = None
-    wit: Optional[frozenset[int]] = None
-    if args.count:
-        count = kis.count_k_is_mixed(H, args.k)
-        decision = count > 0
-        if args.witness and decision:
-            wit = kis.witness_k_is(H, args.k)
-    else:
-        decision, wit = kis.decide_k_is(H, args.k, want_witness=args.witness)
-    elapsed = time.monotonic_ns() - t0
 
-    print("YES" if decision else "NO")
-    if count is not None:
-        print(f"count {count}")
-    if wit is not None:
-        print("witness " + " ".join(map(str, _check_kis_witness(H, wit, args.k))))
-    _emit_report(
-        args, _report(H.n, H.m, H.arity_counts, args.k, decision, count, elapsed)
-    )
-    return _finish_decision(args, decision)
+    def solve() -> _Answer:
+        if not args.count:
+            decision, wit = kis.decide_k_is(H, args.k, want_witness=args.witness)
+            return decision, None, wit
+        count = kis.count_k_is_mixed(H, args.k)
+        wit = kis.witness_k_is(H, args.k) if args.witness and count > 0 else None
+        return count > 0, count, wit
+
+    return _answer(args, H, solve, _check_kis_witness)
 
 
 def _cmd_count_kis(args: argparse.Namespace) -> int:
     H = parse_hypergraph(_read_text(args.path))
-    t0 = time.monotonic_ns()
-    count = kis.count_k_is_mixed(H, args.k)
-    elapsed = time.monotonic_ns() - t0
-    print(count)
-    _emit_report(
-        args, _report(H.n, H.m, H.arity_counts, args.k, count > 0, count, elapsed)
-    )
-    return _finish_decision(args, count > 0)
+
+    def solve() -> _Answer:
+        count = kis.count_k_is_mixed(H, args.k)
+        return count > 0, count, None
+
+    return _answer(args, H, solve, _check_kis_witness)
 
 
 def _cmd_solve_csp(args: argparse.Namespace) -> int:
     phi = parse_csp(_read_text(args.path))
     if args.regime:
-        print(f"regime {classify_binary_family(phi.functions)}")
-    t0 = time.monotonic_ns()
-    res = solve_csp(phi, args.k, want_witness=args.witness)
-    elapsed = time.monotonic_ns() - t0
+        regime = classify_binary_family(phi.functions) if phi.max_arity <= 2 else "n/a"
+        print(f"regime {regime}")
 
-    print("YES" if res.satisfiable else "NO")
-    if args.witness and res.assignment is not None:
-        print(
-            "witness "
-            + " ".join(map(str, _check_csp_witness(phi, res.assignment, args.k)))
-        )
-    _emit_report(
-        args,
-        _report(
-            phi.n, phi.m, _csp_arity_counts(phi), args.k,
-            res.satisfiable, None, elapsed,
-        ),
-    )
-    return _finish_decision(args, res.satisfiable)
+    def solve() -> _Answer:
+        res = solve_csp(phi, args.k, want_witness=args.witness)
+        return res.satisfiable, None, res.assignment if args.witness else None
+
+    return _answer(args, phi, solve, _check_csp_witness)
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -245,71 +238,59 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    if args.target == "kis":
-        H = parse_hypergraph(_read_text(args.path))
-        t0 = time.monotonic_ns()
-        count = oracle.brute_count_k_is(H, args.k)
-        decision = count > 0
-        wit: Optional[tuple[int, ...]] = None
-        if args.witness and decision:
-            for combo in itertools.combinations(range(1, H.n + 1), args.k):
-                s = set(combo)
-                if all(not e <= s for e in H.edges):
-                    wit = combo
-                    break
-        elapsed = time.monotonic_ns() - t0
-        print("YES" if decision else "NO")
-        if args.count:
-            print(f"count {count}")
-        if wit is not None:
-            print(
-                "witness " + " ".join(map(str, _check_kis_witness(H, wit, args.k)))
-            )
-        _emit_report(
-            args,
-            _report(H.n, H.m, H.arity_counts, args.k, decision, count, elapsed),
-        )
-        return _finish_decision(args, decision)
+def _cmd_oracle_kis(args: argparse.Namespace) -> int:
+    H = parse_hypergraph(_read_text(args.path))
 
+    def solve() -> _Answer:
+        count = oracle.brute_count_k_is(H, args.k)
+        wit = None
+        if args.witness and count > 0:
+            wit = next(
+                combo
+                for combo in itertools.combinations(range(1, H.n + 1), args.k)
+                if not any(e <= set(combo) for e in H.edges)
+            )
+        return count > 0, count, wit
+
+    return _answer(args, H, solve, _check_kis_witness)
+
+
+def _cmd_oracle_csp(args: argparse.Namespace) -> int:
     phi = parse_csp(_read_text(args.path))
-    t0 = time.monotonic_ns()
-    sol = oracle.brute_solve_csp(phi, args.k)
-    elapsed = time.monotonic_ns() - t0
-    decision = sol is not None
-    print("YES" if decision else "NO")
-    if args.witness and sol is not None:
-        print("witness " + " ".join(map(str, _check_csp_witness(phi, sol, args.k))))
-    _emit_report(
-        args,
-        _report(
-            phi.n, phi.m, _csp_arity_counts(phi), args.k, decision, None, elapsed
-        ),
-    )
-    return _finish_decision(args, decision)
+
+    def solve() -> _Answer:
+        sol = oracle.brute_solve_csp(phi, args.k)
+        return sol is not None, None, sol if args.witness else None
+
+    return _answer(args, phi, solve, _check_csp_witness)
 
 
 # ---------------------------------------------------------------------------
 # random instance models (shared by gen and bench)
 
 
-def _sample_subsets(
-    rng: random.Random, n: int, r: int, want: int
-) -> list[frozenset[int]]:
-    """`want` distinct r-subsets of 1..n, deterministic for a given rng state."""
-    total = math.comb(n, r)
-    if want > total:
-        raise ValueError(f"cannot place {want} distinct arity-{r} edges on {n} vertices")
+def _distinct(
+    rng: random.Random,
+    want: int,
+    total: int,
+    pool: Callable[[], list[_T]],
+    draw: Callable[[], _T],
+) -> list[_T]:
+    """min(want, total) distinct items out of `total`, deterministic per rng state.
+
+    A dense request samples the listed `pool()`; a sparse one repeats
+    `draw()` and keeps the items not seen before.
+    """
+    want = min(want, total)
     if 3 * want >= total:
-        pool = [frozenset(c) for c in itertools.combinations(range(1, n + 1), r)]
-        return rng.sample(pool, want)
-    seen: set[frozenset[int]] = set()
-    out: list[frozenset[int]] = []
+        return rng.sample(pool(), want)
+    seen: set[_T] = set()
+    out: list[_T] = []
     while len(out) < want:
-        e = frozenset(rng.sample(range(1, n + 1), r))
-        if e not in seen:
-            seen.add(e)
-            out.append(e)
+        item = draw()
+        if item not in seen:
+            seen.add(item)
+            out.append(item)
     return out
 
 
@@ -318,9 +299,12 @@ def _random_hgr(
 ) -> Hypergraph:
     """Random hypergraph with ceil(n^gamma_i) arity-i edges, capped at C(n, i)."""
     edges: list[frozenset[int]] = []
-    for arity in sorted(gammas):
-        want = min(_ceil_pow(n, gammas[arity]), math.comb(n, arity))
-        edges.extend(_sample_subsets(rng, n, arity, want))
+    for r in sorted(gammas):
+        edges += _distinct(
+            rng, _ceil_pow(n, gammas[r]), math.comb(n, r),
+            lambda: [frozenset(c) for c in itertools.combinations(range(1, n + 1), r)],
+            lambda: frozenset(rng.sample(range(1, n + 1), r)),
+        )
     return Hypergraph(n, tuple(edges))
 
 
@@ -328,23 +312,20 @@ def _random_csp(
     rng: random.Random, n: int, family: Sequence[ConstraintFunction], m: int
 ) -> CspInstance:
     """m distinct constraints, each a family member on ordered distinct variables."""
-    total = sum(math.perm(n, f.arity) for f in family)
-    m = min(m, total)
-    if 3 * m >= total:
-        pool = [
+
+    def draw() -> Constraint:
+        f = rng.choice(family)
+        return f, tuple(rng.sample(range(1, n + 1), f.arity))
+
+    cons = _distinct(
+        rng, m, sum(math.perm(n, f.arity) for f in family),
+        lambda: [
             (f, vs)
             for f in family
             for vs in itertools.permutations(range(1, n + 1), f.arity)
-        ]
-        return CspInstance(n, tuple(rng.sample(pool, m)))
-    seen: set[tuple[str, tuple[int, ...]]] = set()
-    cons: list[tuple[ConstraintFunction, tuple[int, ...]]] = []
-    while len(cons) < m:
-        f = rng.choice(list(family))
-        vs = tuple(rng.sample(range(1, n + 1), f.arity))
-        if (f.name, vs) not in seen:
-            seen.add((f.name, vs))
-            cons.append((f, vs))
+        ],
+        draw,
+    )
     return CspInstance(n, tuple(cons))
 
 
@@ -354,41 +335,34 @@ def _random_partite(
     """Distinct r-uniform edges with at most one endpoint per part."""
     if r > len(parts):
         raise ValueError(f"uniformity {r} exceeds the {len(parts)} parts")
-    bounds = []
-    start = 1
-    for size in parts:
-        bounds.append(range(start, start + size))
-        start += size
-    total = sum(
-        math.prod(len(bounds[i]) for i in combo)
-        for combo in itertools.combinations(range(len(parts)), r)
-    )
-    want = min(want, total)
-    if 3 * want >= total:
-        pool = [
+    starts = itertools.accumulate(parts, initial=1)
+    bounds = [range(s, s + size) for s, size in zip(starts, parts)]
+    combos = list(itertools.combinations(range(len(parts)), r))
+    return _distinct(
+        rng, want, sum(math.prod(len(bounds[i]) for i in c) for c in combos),
+        lambda: [
             frozenset(vs)
-            for combo in itertools.combinations(range(len(parts)), r)
-            for vs in itertools.product(*(bounds[i] for i in combo))
-        ]
-        return rng.sample(pool, want)
-    seen: set[frozenset[int]] = set()
-    out: list[frozenset[int]] = []
-    while len(out) < want:
-        combo = rng.sample(range(len(parts)), r)
-        e = frozenset(rng.choice(bounds[i]) for i in combo)
-        if len(e) == r and e not in seen:
-            seen.add(e)
-            out.append(e)
-    return out
+            for c in combos
+            for vs in itertools.product(*(bounds[i] for i in c))
+        ],
+        lambda: frozenset(
+            rng.choice(bounds[i]) for i in rng.sample(range(len(parts)), r)
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
 # gen command
 
 
-def _provenance(recipe: str, pairs: Sequence[tuple[str, object]]) -> list[str]:
-    echo = " ".join(f"{key}={val}" for key, val in pairs if val is not None)
-    return [f"sparsekis gen {recipe} {echo}".rstrip()]
+def _provenance(args: argparse.Namespace, *names: str) -> list[str]:
+    """The header comment: the recipe and each named flag that is set."""
+    echo = " ".join(
+        f"{name}={getattr(args, name)}"
+        for name in names
+        if getattr(args, name) is not None
+    )
+    return [f"sparsekis gen {args.recipe} {echo}".rstrip()]
 
 
 def _gen_random_hgr(args: argparse.Namespace) -> str:
@@ -399,12 +373,9 @@ def _gen_random_hgr(args: argparse.Namespace) -> str:
     }
     if not gammas:
         raise ValueError("give at least one of --gamma2 .. --gamma6")
-    rng = random.Random(args.seed)
-    H = _random_hgr(rng, args.n, gammas)
-    pairs = [("n", args.n)]
-    pairs += [(f"gamma{i}", gammas[i]) for i in sorted(gammas)]
-    pairs.append(("seed", args.seed))
-    return format_hgr(H, comments=_provenance("random-hgr", pairs))
+    H = _random_hgr(random.Random(args.seed), args.n, gammas)
+    flags = [f"gamma{i}" for i in sorted(gammas)]
+    return format_hgr(H, comments=_provenance(args, "n", *flags, "seed"))
 
 
 def _gen_random_csp(args: argparse.Namespace) -> str:
@@ -412,76 +383,59 @@ def _gen_random_csp(args: argparse.Namespace) -> str:
     if (args.m is None) == (args.gamma is None):
         raise ValueError("give exactly one of --m and --gamma")
     m = args.m if args.m is not None else _ceil_pow(args.n, args.gamma)
-    rng = random.Random(args.seed)
-    phi = _random_csp(rng, args.n, family, m)
-    pairs = [
-        ("n", args.n), ("family", args.family), ("m", args.m),
-        ("gamma", args.gamma), ("seed", args.seed),
-    ]
-    return format_csp(phi, comments=_provenance("random-csp", pairs))
+    phi = _random_csp(random.Random(args.seed), args.n, family, m)
+    comments = _provenance(args, "n", "family", "m", "gamma", "seed")
+    return format_csp(phi, comments=comments)
 
 
 def _gen_lessthan(args: argparse.Namespace) -> str:
     fn = _lookup_fn(args.fn)
     cons = reductions.build_less_than(fn, args.vars, range(1, args.vars + 1))
     phi = CspInstance(args.vars, tuple(cons))
-    pairs = [("fn", args.fn), ("vars", args.vars)]
-    return format_csp(phi, comments=_provenance("lessthan", pairs))
+    return format_csp(phi, comments=_provenance(args, "fn", "vars"))
 
 
 def _gen_dense_embed(args: argparse.Namespace) -> str:
     src = parse_csp(_read_text(args.input))
-    fn = _lookup_fn(args.fn)
-    out = reductions.dense_embed(src, fn, args.gamma, args.k)
-    pairs = [
-        ("input", args.input), ("fn", args.fn),
-        ("gamma", args.gamma), ("k", args.k),
-    ]
-    return format_csp(out, comments=_provenance("dense-embed", pairs))
+    out = reductions.dense_embed(src, _lookup_fn(args.fn), args.gamma, args.k)
+    comments = _provenance(args, "input", "fn", "gamma", "k")
+    return format_csp(out, comments=comments)
 
 
 def _gen_sparse_embed(args: argparse.Namespace) -> str:
     src = parse_csp(_read_text(args.input))
-    fn = _lookup_fn(args.fn)
-    out = reductions.sparse_embed(src, fn, args.gamma, args.k, delta=args.delta)
-    pairs = [
-        ("input", args.input), ("fn", args.fn), ("gamma", args.gamma),
-        ("k", args.k), ("delta", args.delta),
-    ]
-    return format_csp(out, comments=_provenance("sparse-embed", pairs))
+    out = reductions.sparse_embed(
+        src, _lookup_fn(args.fn), args.gamma, args.k, delta=args.delta
+    )
+    comments = _provenance(args, "input", "fn", "gamma", "k", "delta")
+    return format_csp(out, comments=comments)
 
 
 def _gen_kis_lb(args: argparse.Namespace) -> str:
     src = parse_hypergraph(_read_text(args.input))
     out = reductions.gen_kis_sparse_lb(src, args.gamma)
-    pairs = [("input", args.input), ("gamma", args.gamma)]
-    return format_hgr(out, comments=_provenance("kis-lb", pairs))
+    return format_hgr(out, comments=_provenance(args, "input", "gamma"))
 
 
 def _gen_mixed_lb(args: argparse.Namespace) -> str:
-    parts = [int(s) for s in args.parts.split(",") if s]
+    parts = _list(args.parts)
     if not parts:
         raise ValueError("empty --parts list")
     r = math.floor(args.gamma) if args.gamma > 3 else 3
-    rng = random.Random(args.seed)
-    msrc = args.msrc if args.msrc is not None else 2 * sum(parts)
-    edges = _random_partite(rng, parts, r, msrc)
+    if args.msrc is None:
+        args.msrc = 2 * sum(parts)
+    edges = _random_partite(random.Random(args.seed), parts, r, args.msrc)
     out, k_shifted = reductions.gen_mixed_lb(parts, edges, args.arity, args.gamma)
-    pairs = [
-        ("parts", args.parts), ("arity", args.arity), ("gamma", args.gamma),
-        ("msrc", msrc), ("seed", args.seed),
-    ]
-    comments = _provenance("mixed-lb", pairs) + [f"solve-for k={k_shifted}"]
-    return format_hgr(out, comments=comments)
+    comments = _provenance(args, "parts", "arity", "gamma", "msrc", "seed")
+    return format_hgr(out, comments=comments + [f"solve-for k={k_shifted}"])
 
 
 def _gen_binary_hardness(args: argparse.Namespace) -> str:
     src = parse_csp(_read_text(args.input))
     family = _family(args.family)
     out, offset = reductions.gen_binary_hardness(src, family, args.gamma)
-    pairs = [("input", args.input), ("family", args.family), ("gamma", args.gamma)]
-    comments = _provenance("binary-hardness", pairs) + [f"weight-offset {offset}"]
-    return format_csp(out, comments=comments)
+    comments = _provenance(args, "input", "family", "gamma")
+    return format_csp(out, comments=comments + [f"weight-offset {offset}"])
 
 
 _RECIPES = {
@@ -505,58 +459,32 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 # bench command
 
 
-def _int_list(spec: str) -> list[int]:
-    return [int(s) for s in spec.split(",") if s]
-
-
-def _float_list(spec: str) -> list[float]:
-    return [float(s) for s in spec.split(",") if s]
-
-
-_BENCH_SOLVERS = {
-    "random-hgr": ("ie", "decide", "oracle"),
-    "random-csp": ("csp", "oracle"),
+# recipe -> solver name -> decision on one generated instance
+_BENCH_SOLVERS: dict[str, dict[str, Callable[..., bool]]] = {
+    "random-hgr": {
+        "ie": lambda H, k: kis.count_k_is_mixed(H, k) > 0,
+        "decide": lambda H, k: kis.decide_k_is(H, k)[0],
+        "oracle": lambda H, k: oracle.brute_count_k_is(H, k) > 0,
+    },
+    "random-csp": {
+        "csp": lambda phi, k: solve_csp(phi, k, want_witness=False).satisfiable,
+        "oracle": lambda phi, k: oracle.brute_solve_csp(phi, k) is not None,
+    },
 }
 
 
-def _bench_cell(
-    recipe: str,
-    solver: str,
-    rng: random.Random,
-    n: int,
-    gamma: float,
-    k: int,
-    family: Sequence[ConstraintFunction],
-) -> tuple[int, int, bool]:
-    """Returns (m, elapsed_ns, decision) for one grid cell."""
-    if recipe == "random-hgr":
-        H = _random_hgr(rng, n, {3: gamma})
-        t0 = time.monotonic_ns()
-        if solver == "ie":
-            decision = kis.count_k_is_mixed(H, k) > 0
-        elif solver == "decide":
-            decision = kis.decide_k_is(H, k)[0]
-        else:
-            decision = oracle.brute_count_k_is(H, k) > 0
-        return H.m, time.monotonic_ns() - t0, decision
-    m = min(_ceil_pow(n, gamma), sum(math.perm(n, f.arity) for f in family))
-    phi = _random_csp(rng, n, family, m)
-    t0 = time.monotonic_ns()
-    if solver == "csp":
-        decision = solve_csp(phi, k, want_witness=False).satisfiable
-    else:
-        decision = oracle.brute_solve_csp(phi, k) is not None
-    return phi.m, time.monotonic_ns() - t0, decision
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.solver not in _BENCH_SOLVERS[args.recipe]:
-        allowed = ", ".join(_BENCH_SOLVERS[args.recipe])
+    solvers = _BENCH_SOLVERS[args.recipe]
+    if args.solver not in solvers:
         raise ValueError(
-            f"solver {args.solver!r} not available for {args.recipe} (use {allowed})"
+            f"solver {args.solver!r} not available for {args.recipe} "
+            f"(use {', '.join(solvers)})"
         )
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
+    solver = solvers[args.solver]
     family = _family(args.family) if args.recipe == "random-csp" else ()
-    ns, gammas, ks = _int_list(args.n), _float_list(args.gamma), _int_list(args.k)
+    ns, gammas, ks = _list(args.n), _list(args.gamma, float), _list(args.k)
 
     rows: list[tuple] = []
     medians: list[tuple] = []
@@ -568,12 +496,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 for _ in range(args.repeat):
                     rng = random.Random((args.seed * 1_000_003 + cell) & (2**64 - 1))
                     cell += 1
-                    m, elapsed, decision = _bench_cell(
-                        args.recipe, args.solver, rng, n, gamma, k, family
-                    )
+                    if args.recipe == "random-hgr":
+                        inst = _random_hgr(rng, n, {3: gamma})
+                    else:
+                        inst = _random_csp(rng, n, family, _ceil_pow(n, gamma))
+                    t0 = time.monotonic_ns()
+                    decision = solver(inst, k)
+                    elapsed = time.monotonic_ns() - t0
                     times.append(elapsed)
                     rows.append(
-                        (args.recipe, n, m, k, args.solver, elapsed,
+                        (args.recipe, n, inst.m, k, args.solver, elapsed,
                          "YES" if decision else "NO")
                     )
                 medians.append(
@@ -582,14 +514,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 )
 
     def _dump(path: str, header: Sequence[str], data: Sequence[tuple]) -> None:
-        out = sys.stdout if path == "-" else open(path, "w", newline="")
-        try:
+        stdout = contextlib.nullcontext(sys.stdout)
+        with stdout if path == "-" else open(path, "w", newline="") as out:
             w = _csv.writer(out)
             w.writerow(header)
             w.writerows(data)
-        finally:
-            if out is not sys.stdout:
-                out.close()
 
     _dump(args.out, ("recipe", "n", "m", "k", "solver", "elapsed_ns", "decision"), rows)
     if args.plotdata:
@@ -649,10 +578,10 @@ def _build_parser() -> argparse.ArgumentParser:
     osub = p.add_subparsers(dest="target", required=True)
     q = osub.add_parser("kis", help="exhaustive k-independent-set scan")
     _add_solve_flags(q, with_count=True)
-    q.set_defaults(func=_cmd_oracle)
+    q.set_defaults(func=_cmd_oracle_kis)
     q = osub.add_parser("csp", help="exhaustive weight-k assignment scan")
     _add_solve_flags(q, with_count=False)
-    q.set_defaults(func=_cmd_oracle)
+    q.set_defaults(func=_cmd_oracle_csp)
 
     p = sub.add_parser("gen", help="generate instances (deterministic per seed)")
     gsub = p.add_subparsers(dest="recipe", required=True)
@@ -737,10 +666,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 4
-    except (HgrError, CspParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # HgrError, CspParseError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -199,7 +198,6 @@ class _InvalidCounter:
         through = _Lazy(lambda v: [idx for idx, m in span.items() if m >> (v - 1) & 1])
         self.nbrs = _Lazy(lambda idx: _block(rows, span[idx]) & ~span[idx])
         self.actions = _Lazy(lambda idx: _leftovers(span, through, idx))
-        self.big_sizes = sorted({m.bit_count() for m in self.span.values()})
         n = len(rows)
         m = len(self.span)
         B = cliques._bits(list(self.span.values()), n)
@@ -325,34 +323,10 @@ class _InvalidCounter:
         bad[pair[hit]] = True
         return bad
 
-    @cached_property
-    def pos_of(self) -> dict[tuple[int, ...], int]:
-        """Index of each large edge, keyed by its sorted vertex tuple."""
-        return {tuple(_vertices(m)): idx for idx, m in self.span.items()}
-
     def term(self, members: list[int], span_mask: int, span_size: int) -> int:
         """Count independent k-sets containing the span and avoiding every
         earlier large edge that touches a member."""
         k2 = self.k - span_size
-        if k2 == 0:
-            # The span is the whole set, so the only way the term dies is
-            # an earlier large edge inside it: one intersecting a member
-            # that comes later in the order.  Scan the span's subsets.
-            span_vs = _vertices(span_mask)
-            pos_of = self.pos_of
-            span = self.span
-            for size in self.big_sizes:
-                if size > span_size:
-                    break
-                for sub in itertools.combinations(span_vs, size):
-                    p = pos_of.get(sub)
-                    if p is None:
-                        continue
-                    sm = _mask(sub)
-                    for m in members:
-                        if p < m and span[m] & sm:
-                            return 0
-            return 1
         # An earlier edge inside the span kills the term; leftovers of one
         # vertex outside it are forbidden, larger ones become edges.
         forbidden = span_mask
@@ -367,6 +341,8 @@ class _InvalidCounter:
                     leftovers.append(rem)
                 else:
                     forbidden |= rem
+        if k2 == 0:
+            return 1
         universe = self.full & ~forbidden
         size = universe.bit_count()
         if size < k2:

@@ -242,9 +242,7 @@ def _find_triangle(n: int, nodes: list[list[tuple[int, int]]]) -> Optional[int]:
     lies inside the complement of the block: `cliques._compat` on the
     complement rows and y's vertex columns.  The masks vary in size, so
     their columns are padded with column n, which every complement row
-    holds."""
-    if any(not part for part in nodes):
-        return None
+    holds.  Every part must be non-empty."""
     top = (2 << n) - 1
     a, b = len(nodes[0]), len(nodes[1])
     frees = cliques._bits([top & ~bb for part in nodes[:2] for _, bb in part], n + 1)
@@ -378,24 +376,25 @@ def _branch_triangle(
 ) -> Optional[int]:
     """Materialize the three bins' part-sets for one branch and find a
     triangle; `chunks_of(group index, take, whole)` is a group's chunk
-    list."""
-    nodes: list[list[tuple[int, int]]] = []
+    list.  A branch with an empty chunk list, or a bin whose joins leave
+    nothing, has no triangle and stops before any further join."""
+    bin_lists: list[list[list[tuple[int, int]]]] = []
     for t in range(3):
-        chunk_lists: list[list[tuple[int, int]]] = []
+        chunk_lists = []
         for idx in bins[t]:
             gi = order[idx - 1]
             whole = groups[combo[gi]][0] is not None
             chunk_lists.append(chunks_of(combo[gi], quotas[gi], whole))
         for si, c, tpos in (split_a, split_b):
-            take = c[t]
-            if take == 0:
-                continue
-            chunk_lists.append(chunks_of(combo[si], take, tpos == t))
+            if c[t]:
+                chunk_lists.append(chunks_of(combo[si], c[t], tpos == t))
+        if not all(chunk_lists):
+            return None
+        bin_lists.append(chunk_lists)
+    nodes: list[list[tuple[int, int]]] = []
+    for chunk_lists in bin_lists:
         part: list[tuple[int, int]] = [(0, 0)]
         for chunks in chunk_lists:
-            if not chunks:
-                part = []
-                break
             nxt = []
             for bm, bb in part:
                 # A chunk joins when its mask misses the base's block.
@@ -403,6 +402,8 @@ def _branch_triangle(
                 if len(nxt) > NODE_CAP:
                     raise ResourceLimit("triangle part-sets", f"> {NODE_CAP}", NODE_CAP)
             part = nxt
+        if not part:
+            return None
         nodes.append(part)
     return _find_triangle(n, nodes)
 

@@ -1,9 +1,12 @@
 """End-to-end runs of the command-line front end."""
 
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -178,6 +181,13 @@ def test_solve_csp_regime_line(tmp_path, capsys):
     code, out, _ = run(capsys, "solve-csp", str(p), "-k", "1", "--regime")
     assert code == 0
     assert out.splitlines()[0] == "regime KIS"
+
+
+def test_solve_csp_regime_on_higher_arity(tmp_path, capsys):
+    p = tmp_path / "phi.csp"
+    p.write_text("p csp 4 1\nf nand3 3 11111110\nc nand3 1 2 3\n")
+    code, out, err = run(capsys, "solve-csp", str(p), "-k", "2", "--regime")
+    assert (code, out.splitlines(), err) == (0, ["regime n/a", "YES"], "")
 
 
 def test_classify_families(tmp_path, capsys):
@@ -372,6 +382,24 @@ def test_bench_plotdata_medians(tmp_path, capsys):
     assert len(prows) == 3 and [r[2] for r in prows[1:]] == ["8", "10"]
 
 
+def test_gen_rejects_repeated_family_name(capsys):
+    code, out, err = run(
+        capsys, "gen", "random-csp", "--n", "4", "--family", "nand2,nand2",
+        "--m", "12", "--seed", "1",
+    )
+    assert code == 2 and out == ""
+    assert "'nand2' repeated" in err
+
+
+def test_bench_rejects_zero_repeat(capsys):
+    code, out, err = run(
+        capsys, "bench", "--recipe", "random-hgr", "--n", "8", "--gamma", "1.5",
+        "-k", "3", "--solver", "ie", "--repeat", "0",
+    )
+    assert code == 2 and out == ""
+    assert "--repeat must be at least 1" in err
+
+
 def test_bench_rejects_wrong_solver(capsys):
     code, _, err = run(
         capsys, "bench", "--recipe", "random-hgr", "--n", "8", "--gamma", "1.5",
@@ -477,3 +505,176 @@ def test_broken_count_exits_4_under_optimize(tmp_path, where):
     assert done.returncode == 4, done.stderr
     assert "verification failed" in done.stderr and message in done.stderr
     assert done.stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# Pinned output bytes: every subcommand over a fixed grid of inputs and
+# flags.  Each case's exit code, stdout and stderr are hashed after the
+# run-dependent parts are masked (the JSON `elapsed`, the bench time
+# column, the temporary directory).  A change to any printed byte shows
+# up as a changed digest here.
+
+GRID_HGR = {
+    "one": ONE_EDGE,
+    "tri": TRIANGLE,
+    "mixed": "p hgr 8 5\ne 1 2\ne 3 4 5\ne 2 5 6 7\ne 1 6\ne 6 7 8\n",
+    "empty": "p hgr 5 0\n",
+}
+GRID_CSP = {
+    "nand": NAND_PAIR,
+    "impl_eq": IMPL_EQ,
+    "nand_or": NAND_OR,
+    "nand3": "p csp 4 1\nf nand3 3 11111110\nc nand3 1 2 3\n",
+}
+GRID_GEN = {
+    "rhgr": ["random-hgr", "--n", "12", "--gamma2", "1.2", "--gamma3", "1.4",
+             "--seed", "4"],
+    "rcsp": ["random-csp", "--n", "8", "--family", "nand2,impl,or2", "--m",
+             "10", "--seed", "3"],
+}
+
+
+def _grid_cases():
+    hgrs = [f"{{tmp}}/{name}.hgr" for name in GRID_HGR] + ["{tmp}/rhgr.hgr"]
+    csps = [f"{{tmp}}/{name}.csp" for name in GRID_CSP] + ["{tmp}/rcsp.csp"]
+    cases = []
+    for path in hgrs:
+        for k in ("0", "2", "3", "5"):
+            for flags in ((), ("--count",), ("--witness",),
+                          ("--count", "--witness", "--json", "-"),
+                          ("--strict-exit",)):
+                cases.append(["solve-kis", path, "-k", k, *flags])
+            cases.append(["count-kis", path, "-k", k, "--json", "-"])
+            cases.append(["oracle", "kis", path, "-k", k, "--count", "--witness"])
+        cases.append(["count-kis", path, "-k", "3", "--strict-exit"])
+        cases.append(["oracle", "kis", path, "-k", "2", "--strict-exit", "--json", "-"])
+    for path in csps:
+        for k in ("0", "1", "2", "3"):
+            for flags in ((), ("--witness",), ("--regime", "--json", "-"),
+                          ("--strict-exit",)):
+                cases.append(["solve-csp", path, "-k", k, *flags])
+            cases.append(["oracle", "csp", path, "-k", k, "--witness", "--json", "-"])
+        cases.append(["classify", path])
+    cases += [
+        ["solve-kis", "{tmp}/bad.hgr", "-k", "2"],
+        ["oracle", "csp", "{tmp}/bad.csp", "-k", "2"],
+        ["solve-kis", "{tmp}/one.hgr", "-k", "-1"],
+        ["solve-kis", "{tmp}/nope.hgr", "-k", "2"],
+        ["solve-kis", "{tmp}/one.hgr", "-k", "2", "--no-such-flag"],
+        ["oracle", "kis", "{tmp}/big.hgr", "-k", "50"],
+        ["oracle", "csp", "{tmp}/nand.csp", "-k", "2", "--count"],
+    ]
+    gen = [
+        ["random-hgr", "--n", "9", "--gamma2", "0.9"],
+        ["random-hgr", "--n", "9", "--gamma2", "1.13", "--seed", "8"],
+        ["random-hgr", "--n", "9", "--gamma2", "1.9", "--seed", "2"],
+        ["random-hgr", "--n", "10", "--gamma2", "1.1", "--gamma3", "1.5",
+         "--gamma4", "1.2", "--seed", "5"],
+        ["random-hgr", "--n", "6", "--gamma3", "3.0", "--seed", "1"],
+        ["random-hgr", "--n", "9"],
+        ["random-csp", "--n", "9", "--family", "nand2,impl", "--m", "5", "--seed", "7"],
+        ["random-csp", "--n", "4", "--family", "nand2", "--m", "4", "--seed", "3"],
+        ["random-csp", "--n", "4", "--family", "nand2,or2", "--m", "20", "--seed", "7"],
+        ["random-csp", "--n", "8", "--family", "nand3,eq2", "--gamma", "1.3"],
+        ["random-csp", "--n", "8", "--family", "nand2", "--m", "3", "--gamma", "1.3"],
+        ["random-csp", "--n", "4", "--family", "nand2,nand2", "--m", "12", "--seed", "1"],
+        ["random-csp", "--n", "4", "--family", ",", "--m", "2"],
+        ["random-csp", "--n", "4", "--family", "nosuch", "--m", "2"],
+        ["lessthan", "--fn", "nand3", "--vars", "5"],
+        ["lessthan", "--fn", "nosuch", "--vars", "4"],
+        ["dense-embed", "--input", "{tmp}/nand.csp", "--fn", "atmost1of3",
+         "--gamma", "2.5", "-k", "2"],
+        ["sparse-embed", "--input", "{tmp}/rcsp.csp", "--fn", "nand2",
+         "--gamma", "1.0", "-k", "2"],
+        ["sparse-embed", "--input", "{tmp}/rcsp.csp", "--fn", "nand2",
+         "--gamma", "1.0", "--delta", "1.5", "-k", "2"],
+        ["kis-lb", "--input", "{tmp}/rhgr3.hgr", "--gamma", "2.5"],
+        ["kis-lb", "--input", "{tmp}/nope.hgr", "--gamma", "2.5"],
+        ["mixed-lb", "--parts", "2,2,2", "--arity", "4", "--gamma", "2.5", "--seed", "5"],
+        ["mixed-lb", "--parts", "3,3,3", "--arity", "4", "--gamma", "2.5",
+         "--msrc", "9", "--seed", "2"],
+        ["mixed-lb", "--parts", "3,3,3,3", "--arity", "5", "--gamma", "2.5",
+         "--msrc", "4", "--seed", "6"],
+        ["mixed-lb", "--parts", "2,3,2,2", "--arity", "5", "--gamma", "4.2",
+         "--msrc", "30"],
+        ["mixed-lb", "--parts", "2,2", "--arity", "4", "--gamma", "2.5"],
+        ["mixed-lb", "--parts", ",", "--arity", "4", "--gamma", "2.5"],
+        ["binary-hardness", "--input", "{tmp}/nand.csp", "--family", "or2",
+         "--gamma", "1.5"],
+        ["binary-hardness", "--input", "{tmp}/nand.csp", "--family", "impl,eq2",
+         "--gamma", "1.5"],
+    ]
+    cases += [["gen", *g, "--out", "-"] for g in gen]
+    bench = [
+        ["--recipe", "random-hgr", "--n", "8,9", "--gamma", "1.2,1.6", "-k", "3",
+         "--solver", "ie", "--repeat", "2"],
+        ["--recipe", "random-hgr", "--n", "8", "--gamma", "1.5", "-k", "2,3",
+         "--solver", "decide", "--seed", "3"],
+        ["--recipe", "random-hgr", "--n", "7", "--gamma", "1.5", "-k", "3",
+         "--solver", "oracle"],
+        ["--recipe", "random-csp", "--n", "8", "--gamma", "1.2", "-k", "2",
+         "--solver", "csp", "--family", "nand2,impl", "--repeat", "2"],
+        ["--recipe", "random-csp", "--n", "6", "--gamma", "1.4", "-k", "2",
+         "--solver", "oracle"],
+        ["--recipe", "random-hgr", "--n", "", "--gamma", "1.5", "-k", "3",
+         "--solver", "ie"],
+        ["--recipe", "random-hgr", "--n", "8", "--gamma", "1.5", "-k", "3",
+         "--solver", "csp"],
+        ["--recipe", "random-hgr", "--n", "8", "--gamma", "1.5", "-k", "3",
+         "--solver", "ie", "--repeat", "0"],
+        ["--recipe", "random-hgr", "--n", "", "--gamma", "1.5", "-k", "3",
+         "--solver", "ie", "--repeat", "0"],
+    ]
+    cases += [["bench", *b, "--out", "-", "--plotdata", "-"] for b in bench]
+    return cases
+
+
+def _masked_run(argv, tmp):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    text = out.getvalue()
+    text = re.sub(r'"elapsed": [0-9.e+-]+', '"elapsed": T', text)
+    if argv[0] == "bench":
+        text = re.sub(r"^((?:[^,\n]*,){5})\d+", r"\1T", text, flags=re.M)
+    return f"{code}\0{text}\0{err.getvalue()}".replace(tmp, "{tmp}")
+
+
+def grid_digests(tmp_path):
+    """{case: sha256 prefix} for every grid case, run in-process."""
+    tmp = str(tmp_path)
+    for name, text in GRID_HGR.items():
+        (tmp_path / f"{name}.hgr").write_text(text)
+    for name, text in GRID_CSP.items():
+        (tmp_path / f"{name}.csp").write_text(text)
+    (tmp_path / "bad.hgr").write_text("p wrong 3 1\ne 1 2\n")
+    (tmp_path / "bad.csp").write_text("p csp 2 1\nc nand2 1 2\n")
+    (tmp_path / "big.hgr").write_text("p hgr 100 0\n")
+    (tmp_path / "rhgr3.hgr").write_text(
+        "p hgr 8 4\ne 1 2 3\ne 2 4 5\ne 5 6 7\ne 1 7 8\n"
+    )
+    for name, argv in GRID_GEN.items():
+        ext = "hgr" if name == "rhgr" else "csp"
+        main(["gen", *argv, "--out", f"{tmp}/{name}.{ext}"])
+    digests = {}
+    for argv in _grid_cases():
+        argv = [a.replace("{tmp}", tmp) for a in argv]
+        key = " ".join(argv).replace(tmp, "{tmp}")
+        blob = _masked_run(argv, tmp).encode()
+        digests[key] = hashlib.sha256(blob).hexdigest()[:16]
+    return digests
+
+
+def test_output_bytes_pinned(tmp_path, monkeypatch):
+    # tests/cli_digests.txt holds one "<digest> <case>" line per grid
+    # case, as grid_digests computes them; an intended output change
+    # rewrites the lines of the cases it changes.
+    monkeypatch.setenv("COLUMNS", "80")
+    pinned = {}
+    for line in (Path(__file__).parent / "cli_digests.txt").read_text().splitlines():
+        digest, case = line.split(" ", 1)
+        pinned[case] = digest
+    got = grid_digests(tmp_path)
+    assert sorted(got) == sorted(pinned)
+    changed = [case for case in pinned if got[case] != pinned[case]]
+    assert not changed, changed
