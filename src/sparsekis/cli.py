@@ -421,6 +421,7 @@ def _gen_mixed_lb(args: argparse.Namespace) -> str:
     parts = _list(args.parts)
     if not parts:
         raise ValueError("empty --parts list")
+    reductions._check_parts(parts)
     r = math.floor(args.gamma) if args.gamma > 3 else 3
     if args.msrc is None:
         args.msrc = 2 * sum(parts)

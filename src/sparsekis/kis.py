@@ -31,14 +31,18 @@ to be), in row blocks of about a megabyte:
   leaves alone; the term is 1, |U|, or C(|U|, 2) minus the pair edges
   and the distinct leftover pairs inside U (leftovers of three or more
   vertices fit in no 2-set).  A term outside 0..C(|U|, k2) raises
-  VerificationError.
+  VerificationError.  This scan, which also drops the edges holding an
+  earlier one, reads for each row block only the edges before the
+  block's last row.
 - depth 2 with a full span (|e1| + |t| = k): the term is 1 unless some
-  edge p < t inside e1 | t meets both members.
+  edge p < t inside e1 | t meets both members.  The table D of first
+  one-vertex leftovers it reads (`_InvalidCounter._first_leftovers`)
+  is built there, once, and only when two candidate sizes sum to k.
 
 Every other term stays scalar (`_InvalidCounter.term`): depth 1 with
-k2 >= 3 and deeper matchings take the nested count when k2 >= 3, close
-by popcount when k2 is 1 or 2, and scan the span's subsets for an
-earlier large edge when k2 = 0.
+k2 >= 3 and deeper matchings take the nested count when k2 >= 3, and
+close by popcount when k2 is 1 or 2; a member's leftovers, read from
+its earlier edges, return 0 at once when one lies inside the span.
 
 Every public entry point turns H once into one form, in one pass over
 its edges: pair adjacency rows, an `alive` vertex mask and the ordered
@@ -60,7 +64,7 @@ counting self-reduction after it works on the masks.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Optional, Sequence
 
 import numpy as np
@@ -85,6 +89,19 @@ class _Lazy(dict):
         return value
 
 
+def _edges_by_vertex(big: Sequence[int]) -> dict[int, list[int]]:
+    """The `big` masks keyed by their second-highest vertex.
+
+    That is the one vertex at which the search's drop rule can act on
+    an edge: picks rise, so at a lower vertex the edge's two highest are
+    still unpicked, and at the highest its unpicked ones lie below the
+    pick, where no candidate is left."""
+    through: dict[int, list[int]] = defaultdict(list)
+    for m in big:
+        through[(m ^ (1 << (m.bit_length() - 1))).bit_length()].append(m)
+    return through
+
+
 def _search_k_is(
     rows: Sequence[int], alive: int, big: Sequence[int], k: int
 ) -> tuple[bool, Optional[int]]:
@@ -105,9 +122,7 @@ def _search_k_is(
         return False, None
     if k == 0:
         return True, 0
-    # The edges through a vertex, keyed by its bit and built when the
-    # search first picks it.
-    through = _Lazy(lambda bit: [m for m in big if m & bit])
+    through = _edges_by_vertex(big)
     # One frame per pick depth: [chosen, untried candidates, still needed].
     stack = [[0, alive, k]]
     nodes = 1
@@ -125,8 +140,9 @@ def _search_k_is(
         picked = chosen | bit
         if need == 1:
             return True, picked
-        nxt = frame[1] & ~rows[bit.bit_length() - 1]
-        for m in through[bit]:
+        v = bit.bit_length()
+        nxt = frame[1] & ~rows[v - 1]
+        for m in through.get(v, ()):
             rest = m & ~picked
             if rest & (rest - 1) == 0:
                 nxt &= ~rest
@@ -158,6 +174,14 @@ def _find_k_is(
 _BLOCK_CELLS = 1 << 16
 
 
+def _nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.nonzero of a 2-D mask, by way of its flat indices, which numpy
+    finds several times faster."""
+    flat = np.flatnonzero(mask)
+    r = flat // mask.shape[1]
+    return r, flat - r * mask.shape[1]
+
+
 def _leftovers(span: dict[int, int], through: dict[int, list[int]], idx: int) -> list[int]:
     """What the earlier large edges meeting edge idx leave outside it."""
     m = span[idx]
@@ -174,12 +198,12 @@ class _InvalidCounter:
     keeps its 1-based list position as its index.  The arrays hold one
     row per large edge in the same order, and "position" is that row.
 
-    The constructor scans the large edges in row blocks of their overlap
-    matrix once.  It keeps as candidates the edges that fit in a k-set,
-    hold no pair edge and contain no earlier large edge, notes for every
-    candidate e and vertex c the first edge p with p \\ e = {c} (D), and
-    sums every depth-1 term with at most two vertices left to choose
-    (level1).  `run` adds the rest.
+    The constructor scans the large edges once, in row blocks of the
+    lower triangle of their overlap matrix: each row reads only earlier
+    edges.  It keeps as candidates the edges that fit in a k-set, hold
+    no pair edge and contain no earlier large edge, and sums every
+    depth-1 term with at most two vertices left to choose (level1).
+    `run` adds the rest; its full-span pairs build the table D they read.
     """
 
     def __init__(
@@ -213,8 +237,6 @@ class _InvalidCounter:
         # with that column set, flattened, so it reads Bx[pos * (n+1) + v].
         self.V = cliques._columns(B)
         self.Bx = np.concatenate([B, np.ones((m, 1), dtype=bool)], axis=1).ravel()
-        # D[e, c]: position of the first edge p with p \ e = {c}; m if none.
-        self.D = np.full((m, n + 1), m, dtype=np.int32)
         self.alive_row = cliques._bits([alive], n)[0]
         self.level1 = 0
         fit = np.flatnonzero(~(B & pair_nbrs).any(1) & (self.s <= k))
@@ -230,25 +252,27 @@ class _InvalidCounter:
         self.smin = min(self.cand_sizes, default=0)
 
     def _scan(self, block: np.ndarray) -> tuple[np.ndarray, int]:
-        """Fill D's rows for the edges at positions `block`, and flag those
-        that contain an earlier edge; returns the flags and the sum of the
-        depth-1 terms with k2 <= 2 of the others."""
+        """Flag the edges at the ascending positions `block` that contain
+        an earlier edge; returns the flags and the sum of the depth-1
+        terms with k2 <= 2 of the others.  Only the edges before the
+        block's last row are read."""
         n, k = len(self.adj), self.k
-        overlap = cliques._product(self.Bf[block], self.Bf.T)
-        left = self.sf - overlap
-        earlier = np.arange(len(self.s)) < block[:, None]
-        dead = ((left == 0) & earlier).any(1)
-        r, p = np.nonzero(left == 1)
-        vp = self.V[p]
-        c = vp[~self.Bx[block[r, None] * (n + 1) + vp]]
-        np.minimum.at(self.D, (block[r], c), p)
+        hi = block[-1]
+        before = self.Bf[:hi]
+        # A cell whose edge p is not earlier than its row's edge keeps
+        # left = |p| >= 3, so only earlier edges match 0, 1 or 2 below.
+        earlier = np.arange(hi) < block[:, None]
+        left = self.sf[:hi] - cliques._product(self.Bf[block], before.T, earlier)
+        dead = (left == 0).any(1)
         k2 = k - self.s[block]
         bulk = ~dead & (k2 <= 2)
         if not bulk.any():
             return dead, 0
-        # An earlier edge leaving one vertex forbids it, and one leaving
-        # two forbids that pair.
-        forbidden = self.touch[block] | (self.D[block, :n] < block[:, None])
+        # An earlier edge leaving one vertex forbids it (its other
+        # vertices lie in e, forbidden anyway), and one leaving two
+        # forbids that pair.
+        single = (left == 1).astype(np.float32)
+        forbidden = self.touch[block] | (cliques._product(single, before) > 0)
         universe = self.alive_row & ~forbidden
         size = universe.sum(1)
         pairs = bulk & (k2 == 2)
@@ -257,19 +281,44 @@ class _InvalidCounter:
             uf = universe.astype(np.float32)
             inside = (cliques._product(uf, self.Af) * uf).sum(1, dtype=np.float64)
             lost += (inside // 2).astype(np.int64)
-            in_universe = cliques._product(uf, self.Bf.T) == 2
-            r, p = np.nonzero((left == 2) & in_universe & earlier & pairs[:, None])
-            vp = self.V[p]
-            u, v = vp[~self.Bx[block[r, None] * (n + 1) + vp]].reshape(-1, 2).T
+            in_universe = cliques._product(uf, before.T) == 2
+            r, p = _nonzero((left == 2) & in_universe & pairs[:, None])
+            vp, out = self._outside(block[r], p)
+            u, v = vp[out].reshape(-1, 2).T
             # The same pair left by several edges counts once.
-            codes = np.sort(((r * n + u) * n + v)[~self.A[u, v]])
+            uv = u * n + v
+            codes = np.sort((r * (n * n) + uv)[~np.take(self.A, uv)])
             codes = codes[np.diff(codes, prepend=-1) != 0]
             lost += np.bincount(codes // (n * n), minlength=len(block))
-        top = np.select([k2 == 0, k2 == 1], [1, size], size * (size - 1) // 2)
+        top = np.where(k2 == 0, 1, np.where(k2 == 1, size, size * (size - 1) // 2))
         terms = np.where(k2 == 2, top - lost, top)
         if not ((terms >= 0) & (terms <= top))[bulk].all():
             raise VerificationError("depth-1 term outside 0..C(|U|, k2)")
         return dead, int(terms[bulk].sum())
+
+    def _outside(self, rows: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The vertex columns of the edges at positions p (V's rows), and
+        which of them lie outside the edges at positions `rows`."""
+        vp = np.take(self.V, p, axis=0)
+        return vp, ~np.take(self.Bx, (rows * (len(self.adj) + 1))[:, None] + vp)
+
+    def _first_leftovers(self, rows: np.ndarray) -> np.ndarray:
+        """D[e, c] for e in the ascending positions `rows`: the position
+        of the first edge p with p \\ e = {c}, or m if there is none.
+        Edges from rows[-1] on are not read, so they count as none."""
+        n, m = len(self.adj), len(self.s)
+        hi = rows[-1]
+        D = np.full((m, n + 1), m, dtype=np.int32)
+        before = self.Bf[:hi]
+        step = max(1, _BLOCK_CELLS // m)
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            overlap = cliques._product(self.Bf[block], before.T)
+            r, p = _nonzero(self.sf[:hi] - overlap == 1)
+            vp, out = self._outside(block[r], p)
+            c = vp[out]
+            np.minimum.at(D, (block[r], c), p)
+        return D
 
     def _full_pairs(self) -> int:
         """Sum of the depth-2 terms whose span has k vertices.
@@ -286,6 +335,9 @@ class _InvalidCounter:
         first = cp[partner[k - sizes]]
         if not len(first):
             return 0
+        # Every member of a full-span pair is in `first`, and each test
+        # reads D only at positions below t <= first[-1].
+        D = self._first_leftovers(first)
         targets = self.Bf[cp].T
         wide = bool(((self.s >= 4) & (self.s <= k)).any())
         total = 0
@@ -294,20 +346,30 @@ class _InvalidCounter:
             block = first[lo:lo + step]
             apart = cliques._product(self.touch[block].astype(np.float32), targets) == 0
             ok = apart & (cp > block[:, None]) & (sizes == k - self.s[block][:, None])
-            r, c = np.nonzero(ok)
+            r, c = _nonzero(ok)
             e1, t = block[r], cp[c]
-            bad = self.D[e1[:, None], self.V[t]].min(1) < t
-            bad |= self.D[t[:, None], self.V[e1]].min(1) < t
+            bad = self._leaves_one(D, e1, t, t) | self._leaves_one(D, t, e1, t)
             if wide:
                 bad |= self._split_kills(block, r, t)
             total += len(t) - int(bad.sum())
         return total
 
+    def _leaves_one(self, D: np.ndarray, e: np.ndarray, q: np.ndarray,
+                    t: np.ndarray) -> np.ndarray:
+        """Row-wise over the positions e, q, t: whether D has an edge
+        p < t with p \\ e = {c} for a vertex c of q.  One flat lookup in
+        D per vertex column of q."""
+        base = e * D.shape[1]
+        hit = np.zeros(len(t), dtype=bool)
+        for col in np.take(self.V, q, axis=0).T:
+            hit |= np.take(D, base + col) < t
+        return hit
+
     def _split_kills(self, block: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
         """For the pairs (block[r], t): whether an edge p < t with two or
         more vertices in each member lies inside their union."""
         overlap = cliques._product(self.Bf[block], self.Bf.T)
-        qr, qp = np.nonzero((overlap >= 2) & (self.sf - overlap >= 2) & (self.s <= self.k))
+        qr, qp = _nonzero((overlap >= 2) & (self.sf - overlap >= 2) & (self.s <= self.k))
         per_row = np.bincount(qr, minlength=len(block))
         # Join each pair with every such edge of its first member: qr is
         # sorted, so row i's edges sit at qp[first[i]:first[i] + per_row[i]].
@@ -316,8 +378,7 @@ class _InvalidCounter:
         pair = np.repeat(np.arange(len(r)), count)
         q = np.arange(len(pair)) + np.repeat(first[r] - (np.cumsum(count) - count), count)
         p, tt = qp[q], t[pair]
-        vp = self.V[p]
-        outside_t = (~self.Bx[tt[:, None] * (len(self.adj) + 1) + vp]).sum(1)
+        outside_t = self._outside(tt, p)[1].sum(1)
         hit = (p < tt) & (outside_t == overlap[qr[q], p])
         bad = np.zeros(len(t), dtype=bool)
         bad[pair[hit]] = True

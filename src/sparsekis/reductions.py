@@ -200,11 +200,16 @@ def gen_kis_sparse_lb(hstar: Hypergraph, gamma: float) -> Hypergraph:
     return Hypergraph(total, tuple(edges))
 
 
+def _check_parts(parts: Sequence[int]) -> None:
+    """Raise ValueError unless there is a part and every part is nonempty."""
+    if not parts or any(s < 1 for s in parts):
+        raise ValueError(f"bad part sizes {list(parts)}")
+
+
 def _validate_partite(
     parts: Sequence[int], edges: Iterable[frozenset[int]], r: int
 ) -> tuple[list[frozenset[int]], list[range]]:
-    if not parts or any(s < 1 for s in parts):
-        raise ValueError(f"bad part sizes {list(parts)}")
+    _check_parts(parts)
     bounds = []
     start = 1
     for s in parts:

@@ -295,6 +295,16 @@ def test_gen_kis_lb_pipeline(tmp_path, capsys):
     assert got == want
 
 
+@pytest.mark.parametrize("parts", ["0,3,3,3", "3,-1,3,3"])
+def test_gen_mixed_lb_bad_part_size_exits_2(capsys, parts):
+    # Checked before the sampler draws from the empty or negative part.
+    code, out, err = run(
+        capsys, "gen", "mixed-lb", f"--parts={parts}", "--arity", "5",
+        "--gamma", "2.5", "--msrc", "2",
+    )
+    assert code == 2 and out == "" and "bad part sizes" in err
+
+
 def test_gen_mixed_lb_solvefor_comment(tmp_path, capsys):
     out = tmp_path / "mix.hgr"
     code, _, _ = run(

@@ -27,7 +27,7 @@ from sparsekis import (
     solve_nand_impl,
 )
 from sparsekis.cli import main
-from sparsekis.hypergraph import _vertices, format_hgr, underlying_graph
+from sparsekis.hypergraph import _mask, _vertices, format_hgr, underlying_graph
 
 from conftest import random_hypergraph
 from greedy import greedy_k_is
@@ -181,6 +181,42 @@ def test_zero_graph_count_skips_correction(monkeypatch):
     assert count_k_is_hypergraph(H, 3) == 0
     assert count_k_is_mixed(H, 3) == 0
     assert decide_k_is(H, 3) == (False, None)
+
+
+def test_search_lists_each_edge_at_its_second_highest_vertex(monkeypatch):
+    # Listing each edge only at its second-highest vertex must steer the
+    # search as listing it at every vertex does: same outcomes and masks.
+    # Five nearly complete pair groups and triples across them at k = 6:
+    # the NO instances and some YES ones make the search pick most
+    # vertices.
+    rng = random.Random(84)
+    cases = []
+    for _ in range(20):
+        n = rng.randint(18, 22)
+        cut = sorted(rng.sample(range(2, n - 1), 4))
+        keep = rng.choice([1.0, 0.97, 0.9])
+        pairs = {frozenset(p) for a, b in zip([0] + cut, cut + [n])
+                 for p in itertools.combinations(range(a + 1, b + 1), 2)
+                 if rng.random() < keep}
+        triples: set[frozenset[int]] = set()
+        while len(triples) < 3 * n:
+            e = frozenset(rng.sample(range(1, n + 1), 3))
+            if not any(p <= e for p in pairs):
+                triples.add(e)
+        H = Hypergraph(n, tuple(pairs) + tuple(triples))
+        cases.append((kis._masks(H, 6), H))
+    outcomes = [kis._search_k_is(*masks, 6) for masks, _ in cases]
+    monkeypatch.setattr(kis, "_edges_by_vertex", lambda big: {
+        v: [m for m in big if m >> (v - 1) & 1] for v in range(1, 65)
+    })
+    assert outcomes == [kis._search_k_is(*masks, 6) for masks, _ in cases]
+    for (settled, found), (_, H) in zip(outcomes, cases):
+        assert settled
+        if found is None:
+            assert brute_count_k_is(H, 6) == 0
+        else:
+            assert found.bit_count() == 6
+            assert all(_mask(e) & ~found for e in H.edges)
 
 
 def test_exhausted_search_returns_zero_without_counting(monkeypatch):
@@ -497,6 +533,63 @@ def test_bulk_levels_on_named_instances(build):
             late = H.order_index(frozenset({1, 2, 3}))
             assert counter.term([late], 0b111, 3) == math.comb(7, 2) - 2
     assert seen
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cells", [1, 24])
+def test_bulk_levels_in_tiny_blocks(monkeypatch, cells):
+    # One row per block with a single cell, one or more with 24 cells:
+    # every blocked pass runs many triangular blocks, among them the
+    # block holding position 0 alone, which reads no earlier edge.
+    monkeypatch.setattr(kis, "_BLOCK_CELLS", cells)
+    blocks: list[tuple[int, int]] = []
+    real_scan = kis._InvalidCounter._scan
+
+    def scan(self, block):
+        assert len(block) <= max(1, cells // len(self.s))
+        blocks.append((len(block), int(block[-1])))
+        return real_scan(self, block)
+
+    monkeypatch.setattr(kis._InvalidCounter, "_scan", scan)
+    cases = []
+    for build in (triple_inside_a_four_edge, shared_leftover_pair, two_by_two_split,
+                  over_64_vertices):
+        H, ks = build()
+        cases += [(H, k) for k in ks]
+    rng = random.Random(83)
+    for _ in range(12):
+        n = rng.randint(7, 10)
+        H = random_hypergraph(rng, n, {a: rng.randint(0, 6) for a in (2, 3, 4, 5)})
+        cases += [(H, k) for k in range(3, 9)]
+    for H, k in cases:
+        counter = counter_for(H, k)
+        got = bulk_levels(counter)
+        assert got == scalar_levels(counter), (H, k)
+        if H.n > 64:
+            assert counter.run() == invalid_with_isolated_vertices(H, k, 57)
+        else:
+            assert got == definition_levels(H, k), (H, k)
+            assert counter.run() == brute_count_invalid(H, k), (H, k)
+    assert (1, 0) in blocks
+    assert max(rows for rows, _ in blocks) > 1 or cells == 1
+
+
+def test_first_leftover_table_is_built_only_for_full_span_pairs(monkeypatch):
+    built: list[int] = []
+    real = kis._InvalidCounter._first_leftovers
+
+    def counted(self, rows):
+        built.append(len(rows))
+        return real(self, rows)
+
+    monkeypatch.setattr(kis._InvalidCounter, "_first_leftovers", counted)
+    # Triples at k = 5: no two candidate sizes sum to k.
+    H = random_hypergraph(random.Random(72), 40, {2: 60, 3: 400})
+    assert count_k_is_mixed(H, 5) > 0
+    assert built == []
+    H, (k,) = two_by_two_split()
+    assert count_invalid(H, k) == brute_count_invalid(H, k)
+    assert len(built) == 1
 
 
 def test_bulk_term_outside_its_range_raises():
