@@ -14,6 +14,14 @@ variables false are propagated away, equality constraints reduce to a
 subset-sum over component sizes, implication structure is pruned through
 descendant sets, and what remains goes to the independent-set machinery.
 
+Higher-arity instances are branched to 0-valid leaves, and the sparse
+greedy `_greedy` tries each leaf first.  A leaf whose constraints are all
+downward closed (NAND_r, at-most-t-of-r: a row above a violating row
+violates too) is k-IS in the hypergraph of the constraints' minimal
+violating supports, so `kis._decide` answers it, under the route name
+"regime KIS"; the capped exhaustive scan `_exhaustive` answers only the
+leaves that hold another table, or where k-IS meets a resource limit.
+
 `solve_csp` keeps the caller's variable ids from entry to verdict.  A
 branch or leaf is a `_Leaf`: a plain list of (function, variables)
 constraints, a residual budget, and masks of the alive (not yet fixed)
@@ -30,17 +38,20 @@ which wrap the same core.
 
 Descendant and ancestor sets are bitmasks laid out as the NAND rows, so
 the NAND neighbours of a set are one `_block` over its mask.  The table
-facts `specialize`, `forced_false_positions` and `u_min` are cached per
-function.
+facts `specialize`, `forced_false_positions`, `u_min` and
+`min_violations` are cached per function; the loops over a leaf's
+constraints look each function object up by id, since a cache lookup
+calls the function's Python-level hash and equality on every hit.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import comb
+from operator import indexOf, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ResourceLimit, VerificationError
@@ -123,6 +134,23 @@ def u_min(f: ConstraintFunction) -> int:
         if not b:
             best = min(best, j.bit_count())
     return best
+
+
+@cache
+def min_violations(f: ConstraintFunction) -> Optional[tuple[int, ...]]:
+    """The minimal violating rows of f, or None when f is not downward
+    closed (some row above a violating row satisfies it); worked out once
+    per function.
+
+    A true set satisfies a downward-closed constraint exactly when it
+    holds the variables of none of these rows, its violating supports.
+    """
+    bad = [j for j, ok in enumerate(f.table) if not ok]
+    if any(f.table[j | 1 << p] for j in bad for p in range(f.arity)):
+        return None
+    return tuple(
+        j for j in bad if all(f.table[j ^ 1 << p] for p in range(f.arity) if j >> p & 1)
+    )
 
 
 def s_min(f: ConstraintFunction) -> int:
@@ -888,9 +916,7 @@ def _ascending(mask: int) -> Iterator[int]:
 def _free_variables(leaf: _Leaf) -> Optional[int]:
     """The leaf's forced variables plus its k lowest alive variables no
     constraint holds, as a mask, or None when there are fewer than k."""
-    used: set[int] = set()
-    for _, vs in leaf.constraints:
-        used.update(vs)
+    used = set(itertools.chain.from_iterable(map(itemgetter(1), leaf.constraints)))
     free = [*itertools.islice((v for v in _ascending(leaf.alive) if v not in used), leaf.k)]
     return leaf.forced | _mask(free) if len(free) == leaf.k else None
 
@@ -906,6 +932,11 @@ def _greedy(leaf: _Leaf) -> Optional[int]:
     the answer is None.  Each round takes the lowest slack variable in
     id order, sets it true and specialises its constraints, adding the
     resulting tables as new classes.
+
+    Only the variables of a window, ids 1..top, get incidence lists.  It
+    starts at one 64-bit word and doubles only when every candidate in
+    it fails the slack test; the constraints that specialisation makes
+    join the lists of their window variables as they are made.
     """
     k = leaf.k
     n = leaf.alive.bit_count()
@@ -914,13 +945,11 @@ def _greedy(leaf: _Leaf) -> Optional[int]:
     if k == 0:
         return leaf.forced
 
-    # Constraints refer to table classes by index; a table's length fixes
-    # its arity, so the table alone keys a class.  Each function object
-    # is looked up once: the leaf's functions live as long as it does,
-    # and specialize caches the ones made here.
+    # A table's length fixes its arity, so the table alone keys a class;
+    # each function object is looked up by id, once: the leaf's functions
+    # live as long as it does, and specialize caches the ones made here.
     class_of: dict[int, int] = {}
     index: dict[tuple[int, ...], int] = {}
-    fns: list[ConstraintFunction] = []  # one function per class
     umin: list[int] = []
     count: list[int] = []  # live constraints per class
 
@@ -929,23 +958,19 @@ def _greedy(leaf: _Leaf) -> Optional[int]:
         if c is None:
             c = index.get(f.table)
             if c is None:
-                c = index[f.table] = len(fns)
-                fns.append(f)
+                c = index[f.table] = len(count)
                 umin.append(u_min(f))
                 count.append(0)
             class_of[id(f)] = c
         return c
 
-    cons: list[Optional[tuple[int, tuple[int, ...]]]] = [
-        (class_index(f), vs) for f, vs in leaf.constraints
-    ]
-    # Ids of the constraints that held each variable, dropped ones too;
-    # only variables some constraint touches get an entry.
-    incidence: defaultdict[int, list[int]] = defaultdict(list)
-    for cid, (c, vs) in enumerate(cons):  # type: ignore[misc]
-        count[c] += 1
-        for v in vs:
-            incidence[v].append(cid)
+    # Dropped constraints become None; made ones are appended.  The
+    # counts per function object take one pass over their ids, and each
+    # object is then found at its first use.
+    cons: list[Optional[Constraint]] = list(leaf.constraints)
+    for key, m_f in Counter(map(id, map(itemgetter(0), cons))).items():
+        first = indexOf(map(id, map(itemgetter(0), cons)), key)
+        count[class_index(cons[first][0])] += m_f
 
     def families() -> int:
         return max(1, sum(1 for m_f in count if m_f))
@@ -955,43 +980,113 @@ def _greedy(leaf: _Leaf) -> Optional[int]:
         if m_f and 2 * k * n_families * m_f > n ** umin[c]:
             return None
 
+    # Ids of the constraints that held each window variable, dropped
+    # ones too.
+    incidence: defaultdict[int, list[int]] = defaultdict(list)
+    top = 0
+
+    def widen(new_top: int) -> None:
+        nonlocal top
+        for cid, con in enumerate(cons):
+            if con is not None:
+                for v in con[1]:
+                    if top < v <= new_top:
+                        incidence[v].append(cid)
+        top = new_top
+
     def slack(v: int, n_f: int, n_i: int) -> bool:
-        # Per-table degrees of v over its live constraints.
+        # Per-table degrees of v over its live constraints; a degree only
+        # grows, so the first table over its bound decides.
         deg: dict[int, int] = {}
         for cid in incidence.get(v, ()):
             con = cons[cid]
             if con is not None:
-                deg[con[0]] = deg.get(con[0], 0) + 1
-        return all(umin[c] != 1 and d * n_i <= n_f * count[c] for c, d in deg.items())
+                c = class_of[id(con[0])]
+                d = deg[c] = deg.get(c, 0) + 1
+                if umin[c] == 1 or d * n_i > n_f * count[c]:
+                    return False
+        return True
 
+    widen(64)
     chosen = 0
     for i in range(k):
         n_f = families()
-        pick = next(
-            (v for v in _ascending(leaf.alive & ~chosen) if slack(v, n_f, n - i)), None
-        )
-        if pick is None:
-            return None
+        tested = 0  # ids 1..tested failed this round
+        while True:
+            window = (leaf.alive & ~chosen & ((1 << top) - 1)) >> tested
+            pick = next(
+                (v + tested for v in _ascending(window) if slack(v + tested, n_f, n - i)),
+                None,
+            )
+            if pick is not None:
+                break
+            if not leaf.alive >> top:
+                return None
+            tested = top
+            widen(2 * top)
         chosen |= 1 << (pick - 1)
         for cid in incidence.get(pick, ()):
             con = cons[cid]
             if con is None:
                 continue
-            c, vs = con
+            f, vs = con
             cons[cid] = None
-            count[c] -= 1
-            g = specialize(fns[c], vs.index(pick) + 1, 1)
+            count[class_of[id(f)]] -= 1
+            g = specialize(f, vs.index(pick) + 1, 1)
             if g.is_constant_true:
                 continue
             if g.is_constant_false:
                 raise VerificationError("0-validity lost during specialization")
-            c = class_index(g)
-            count[c] += 1
+            count[class_index(g)] += 1
             rest = tuple(v for v in vs if v != pick)
             for v in rest:
-                incidence[v].append(len(cons))
-            cons.append((c, rest))
+                if v <= top:
+                    incidence[v].append(len(cons))
+            cons.append((g, rest))
     return leaf.forced | chosen
+
+
+def _support_form(leaf: _Leaf) -> Optional[tuple[list[int], int, list[int]]]:
+    """A 0-valid leaf whose constraints are all downward closed as k-IS:
+    the pair rows, alive mask and large-edge masks of the hypergraph of
+    the constraints' minimal violating supports, in `kis._decide`'s
+    form; None when some constraint is not downward closed.
+
+    One-vertex supports leave `alive`; two-vertex supports join the pair
+    rows; distinct supports of 3..k vertices inside `alive` are the
+    large edges.  Larger ones fit in no k-set.
+    """
+    # Each support as its size and a getter of its variables, per
+    # function object: a few functions carry many constraints, and the
+    # cached table facts are keyed by value.
+    shapes: dict[int, Optional[list[tuple[int, itemgetter]]]] = {}
+    dead = 0
+    pairs: list[tuple[int, int]] = []
+    big: dict[int, None] = {}
+    k = leaf.k
+    for f, vs in leaf.constraints:
+        if id(f) not in shapes:
+            bad = min_violations(f)
+            shapes[id(f)] = None if bad is None else [
+                (j.bit_count(), itemgetter(*(p for p in range(f.arity) if j >> p & 1)))
+                for j in bad
+            ]
+        sups = shapes[id(f)]
+        if sups is None:
+            return None
+        for size, get in sups:
+            if size == 1:
+                dead |= 1 << (get(vs) - 1)
+            elif size == 2:
+                pairs.append(get(vs))
+            elif size <= k:
+                big[_mask(get(vs))] = None
+    rows = [0] * leaf.n
+    for u, v in pairs:
+        if not (dead >> (u - 1) & 1 or dead >> (v - 1) & 1):
+            rows[u - 1] |= 1 << (v - 1)
+            rows[v - 1] |= 1 << (u - 1)
+    return rows, leaf.alive & ~dead, [m for m in big if not m & dead]
 
 
 def _exhaustive(leaf: _Leaf) -> Optional[int]:
@@ -1095,8 +1190,10 @@ def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
 
     Binary instances go through the regime classifier; very sparse ones
     first try the free-variable shortcut.  Higher-arity instances get
-    branch-and-bound, the sparse greedy solver, and an exhaustive
-    fallback behind a size guard.  Every leaf solver answers with the
+    branch-and-bound and the sparse greedy solver; then k-IS on the
+    violating supports answers the leaves whose constraints are all
+    downward closed ("regime KIS"), and an exhaustive scan behind a size
+    guard the others.  Every leaf solver answers with the
     mask of a true set in phi's own variable ids, and every YES is
     verified against `phi` once before this function returns, whether
     or not a witness is wanted.
@@ -1125,15 +1222,34 @@ def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
                 return CspResult(True, _verify(phi, got, k, want_witness), f"regime {regime}")
         return CspResult(False, None, f"regime {regime}")
 
-    # Higher-arity route: make leaves 0-valid, try the sparse greedy
-    # solver (None is its "no guarantee"), fall back to bounded
-    # exhaustive search.
+    # Higher-arity route: make leaves 0-valid and try the sparse greedy
+    # solver (None is its "no guarantee").  Then a leaf whose
+    # constraints are all downward closed is k-IS on their violating
+    # supports; the capped exhaustive scan takes the other leaves, and
+    # any leaf where k-IS meets a resource limit.
+    from . import kis as _kis
+
     for leaf in leaves:
         got = _greedy(leaf)
         if got is not None:
             return CspResult(True, _verify(phi, got, k, want_witness), "sparse greedy")
+    scanned = False
     for leaf in leaves:
+        form = _support_form(leaf)
+        if form is not None:
+            try:
+                ok, found = _kis._decide(*form, leaf.k, True)
+            except ResourceLimit:
+                pass
+            else:
+                if ok:
+                    got = leaf.forced | found
+                    return CspResult(True, _verify(phi, got, k, want_witness), "regime KIS")
+                continue
+        scanned = True
         got = _exhaustive(leaf)
         if got is not None:
             return CspResult(True, _verify(phi, got, k, want_witness), "exhaustive fallback")
-    return CspResult(False, None, "exhaustive fallback")
+    if scanned:
+        return CspResult(False, None, "exhaustive fallback")
+    return CspResult(False, None, "regime KIS")

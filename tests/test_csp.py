@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -40,6 +41,7 @@ from sparsekis.csp import (
     _Leaf,
     build_impl_structure,
     forced_false_positions,
+    min_violations,
 )
 from sparsekis.hypergraph import _mask
 from sparsekis.errors import ResourceLimit, VerificationError
@@ -50,6 +52,9 @@ from conftest import random_csp
 
 MUST1 = ConstraintFunction("must1", 1, (0, 1))
 NAND3 = ConstraintFunction("nand3", 3, (1,) * 7 + (0,))
+# 0-valid but not downward closed: two true variables violate it, three
+# satisfy it.
+NOT_TWO = ConstraintFunction("not_two", 3, tuple(int(j.bit_count() != 2) for j in range(8)))
 
 
 def weight_k_solutions(phi: CspInstance, k: int) -> set[frozenset[int]]:
@@ -348,12 +353,24 @@ def test_branching_builds_no_instance_per_node(monkeypatch):
 
 def test_exhaustive_fallback_matches_oracle(monkeypatch):
     # With the greedy abstaining everywhere, every higher-arity answer
-    # comes from the exhaustive leaf scan; on a 0-valid instance (one
-    # leaf, nothing fixed) it must return the oracle's lexicographically
-    # first assignment.
+    # comes from the k-IS route on leaves whose constraints are all
+    # downward closed and from the exhaustive leaf scan on the others;
+    # the scan runs only on leaves that hold a table that is not
+    # downward closed.  On a 0-valid instance (one leaf, nothing fixed)
+    # either must return the oracle's lexicographically first assignment.
     from sparsekis import csp
 
     monkeypatch.setattr(csp, "_greedy", lambda leaf: None)
+    scans = []
+    real_scan = csp._exhaustive
+
+    def spied(leaf):
+        assert any(min_violations(f) is None for f, _ in leaf.constraints)
+        got = real_scan(leaf)
+        scans.append(got)
+        return got
+
+    monkeypatch.setattr(csp, "_exhaustive", spied)
     rng = random.Random(73)
     answers = set()
     for _ in range(120):
@@ -361,20 +378,26 @@ def test_exhaustive_fallback_matches_oracle(monkeypatch):
         if phi.max_arity < 3:
             continue
         k = rng.randint(1, 4)
+        scans.clear()
         res = solve_csp(phi, k)
         want = brute_solve_csp(phi, k)
         assert res.satisfiable == (want is not None), (format_csp(phi), k)
         if k <= phi.n:
-            assert res.route == "exhaustive fallback"
+            # A YES names the route of the leaf that answered it; a NO
+            # names the scan when any leaf needed it.
+            scanned = bool(scans) and (scans[-1] is not None or not res.satisfiable)
+            assert res.route == ("exhaustive fallback" if scanned else "regime KIS")
         if res.satisfiable:
             assert len(res.assignment) == k and phi.satisfied_by(res.assignment)
             if all(f.table[0] for f, _ in phi.constraints):
                 assert res.assignment == want
-        answers.add(res.satisfiable)
-    assert answers == {True, False}
+        answers.add((res.satisfiable, res.route))
+    assert answers >= {
+        (yes, route) for yes in (True, False) for route in ("exhaustive fallback", "regime KIS")
+    }
     monkeypatch.setattr(csp, "FALLBACK_CAP", 10)
     with pytest.raises(ResourceLimit, match="exhaustive subset scan"):
-        solve_csp(CspInstance(8, ((NAND3, (1, 2, 3)),)), 3)
+        solve_csp(CspInstance(8, ((NOT_TWO, (1, 2, 3)),)), 3)
 
 
 def test_branch_and_bound_prunes_to_unsat():
@@ -506,7 +529,8 @@ def test_solve_routes():
 
 def test_solve_dense_higher_arity_falls_back(monkeypatch):
     # Every triple of six variables is a NAND3, too dense for the greedy
-    # to vouch for, so both answers come from the exhaustive fallback.
+    # to vouch for.  NAND3 is downward closed, so both answers come from
+    # k-IS on the triples, and the exhaustive scan never runs.
     from sparsekis import csp
 
     abstained = []
@@ -517,18 +541,166 @@ def test_solve_dense_higher_arity_falls_back(monkeypatch):
         abstained.append(got is None)
         return got
 
+    def no_scan(leaf):
+        raise AssertionError("exhaustive scan on a downward-closed leaf")
+
     monkeypatch.setattr(csp, "_greedy", spied)
+    monkeypatch.setattr(csp, "_exhaustive", no_scan)
     phi = CspInstance(6, tuple(
         (NAND3, c) for c in itertools.combinations(range(1, 7), 3)
     ))
     yes = solve_csp(phi, 2)
-    assert yes and yes.route == "exhaustive fallback"
+    assert yes and yes.route == "regime KIS"
     assert len(yes.assignment) == 2 and phi.satisfied_by(yes.assignment)
     assert brute_solve_csp(phi, 2) is not None
     no = solve_csp(phi, 3)
-    assert not no and no.route == "exhaustive fallback" and no.assignment is None
+    assert not no and no.route == "regime KIS" and no.assignment is None
     assert brute_solve_csp(phi, 3) is None
     assert abstained == [True, True]
+
+
+def at_most(t: int, r: int) -> ConstraintFunction:
+    """At most t of r variables true; NAND_r is at_most(r - 1, r)."""
+    return ConstraintFunction(f"atmost{t}of{r}", r, tuple(int(j.bit_count() <= t) for j in range(1 << r)))
+
+
+def padded(f: ConstraintFunction) -> ConstraintFunction:
+    """f with one more argument, on which it does not depend."""
+    return ConstraintFunction(f"pad_{f.name}", f.arity + 1, f.table * 2)
+
+
+DOWNWARD = (
+    [at_most(r - 1, r) for r in range(3, 7)]
+    + [at_most(t, r) for t, r in ((0, 3), (1, 3), (1, 4), (2, 4), (2, 5), (3, 6))]
+    + [padded(NAND2), padded(at_most(1, 3)), padded(at_most(2, 4))]
+    + [specialize(at_most(2, 5), 2, 0), specialize(at_most(3, 5), 4, 1), specialize(at_most(4, 6), 1, 1)]
+)
+
+
+def test_min_violations_by_definition():
+    # None exactly when a row above a violating row satisfies; otherwise
+    # the violating rows with no violating row strictly below them.
+    assert min_violations(NAND3) == (7,)
+    assert min_violations(at_most(1, 3)) == (3, 5, 6)
+    assert min_violations(NOR2) == (1, 2)
+    assert min_violations(IMPL) is None and min_violations(OR2) is None
+    assert min_violations(NOT_TWO) is None
+    assert min_violations(padded(NAND2)) == (3,)
+    rng = random.Random(81)
+    closed = 0
+    for _ in range(400):
+        arity = rng.randint(1, 4)
+        rows = range(1 << arity)
+        if rng.random() < 0.5:
+            # A random downward-closed table: rows under none of a few
+            # random ones violate nothing.
+            tops = rng.sample(rows, rng.randint(1, min(3, len(rows))))
+            table = tuple(int(not any(j & t == t for t in tops)) for j in rows)
+        else:
+            table = tuple(rng.randint(0, 1) for _ in rows)
+        f = ConstraintFunction("r", arity, table)
+        bad = [j for j in rows if not table[j]]
+        closed_by_def = all(not table[i] for j in bad for i in rows if i & j == j)
+        got = min_violations(f)
+        if not closed_by_def:
+            assert got is None, table
+            continue
+        closed += 1
+        assert got == tuple(j for j in bad if not any(i != j and i & j == i for i in bad)), table
+    assert closed >= 150
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["downward", "mixed"])
+def test_downward_closed_route_matches_oracle(mixed):
+    # NAND_r, at-most-t-of-r and their padded and specialised forms, with
+    # a table that is not downward closed thrown in when mixed: a leaf of
+    # downward-closed tables is k-IS on their violating supports, and a
+    # leaf with any other table still goes to the exhaustive scan.  The
+    # search picks in increasing order, so where it settles its set is
+    # the scan's lexicographically first one.
+    from sparsekis import csp, kis
+
+    rng = random.Random(83 + mixed)
+    seen = set()
+    for _ in range(250):
+        fam = rng.sample(DOWNWARD, rng.randint(1, 3)) + [NOT_TWO] * mixed
+        n = rng.randint(4, 10)
+        phi = random_csp(rng, n, fam, rng.randint(1, 14))
+        if phi.max_arity < 3:
+            continue
+        k = rng.randint(1, min(n, 5))
+        res = solve_csp(phi, k)
+        want = brute_solve_csp(phi, k)
+        assert res.satisfiable == (want is not None), (format_csp(phi), k)
+        closed = all(min_violations(f) is not None for f in phi.functions)
+        assert res.route in ("sparse greedy", "regime KIS" if closed else "exhaustive fallback")
+        if res.satisfiable and res.route != "sparse greedy":
+            assert res.assignment == want
+        seen.add((res.satisfiable, res.route))
+        leaf = csp._root(phi, k)
+        form = csp._support_form(leaf)
+        assert (form is None) == (not closed)
+        if form is not None and kis._search_k_is(*form, k)[0]:
+            ok, found = kis._decide(*form, k, True)
+            assert (found if ok else None) == csp._exhaustive(leaf)
+    route = "exhaustive fallback" if mixed else "regime KIS"
+    assert {(True, route), (False, route)} <= seen
+
+
+# Rejects its first variable, and its other two together.
+PIN_OR_PAIR = ConstraintFunction("pin_or_pair", 3, tuple(int(not (j & 1 or j & 6 == 6)) for j in range(8)))
+
+
+def test_support_form_splits_supports_by_size():
+    # One-vertex supports leave alive, two-vertex supports are pair rows,
+    # and larger ones are edges unless they hold a dead variable or more
+    # than k variables.
+    from sparsekis import csp
+
+    assert min_violations(PIN_OR_PAIR) == (1, 6)
+    phi = CspInstance(9, (
+        (PIN_OR_PAIR, (1, 2, 3)),
+        (PIN_OR_PAIR, (4, 1, 5)),  # its pair holds the dead variable 1
+        (NAND3, (2, 5, 7)),
+        (NAND3, (1, 6, 7)),  # holds the dead variable 1
+        (NAND3, (7, 5, 2)),  # the same support again
+        (at_most(3, 4), (6, 7, 8, 9)),  # four vertices, more than k = 3
+    ))
+    rows, alive, big = csp._support_form(csp._root(phi, 3))
+    assert alive == _mask([2, 3, 5, 6, 7, 8, 9])
+    assert rows == [0, 0b100, 0b10, 0, 0, 0, 0, 0, 0]
+    assert big == [_mask([2, 5, 7])]
+    for k in range(phi.n + 1):
+        res = solve_csp(phi, k)
+        assert res.satisfiable == (brute_solve_csp(phi, k) is not None), k
+        if 0 < k <= phi.n:
+            assert res.route == "regime KIS"
+            if res:
+                assert res.assignment == brute_solve_csp(phi, k)
+
+
+def test_downward_closed_no_past_the_scan_cap():
+    # 80 variables and k = 8 is C(80, 8) > FALLBACK_CAP subsets, which
+    # the scan refuses.  In both instances the k-IS search settles NO:
+    # the first pins 69 variables false, so 11 are left for 8; the second
+    # covers every pair inside two halves of 40 by at-most-one
+    # constraints, so no three variables can be true.
+    from sparsekis import csp
+
+    assert comb(80, 8) > csp.FALLBACK_CAP
+    nor3 = at_most(0, 3)
+    pinned = [(nor3, (3 * i + 1, 3 * i + 2, 3 * i + 3)) for i in range(23)]
+    pinned += [(NAND3, c) for c in itertools.combinations(range(70, 81), 3)]
+    halves = []
+    for half in (range(1, 41), range(41, 81)):
+        chunks = [tuple(half[i:i + 3]) for i in range(0, 40, 3)]
+        halves += [(at_most(1, len(a + b)), a + b) for a, b in itertools.combinations(chunks, 2)]
+    for cons in (pinned, halves):
+        phi = CspInstance(80, tuple(cons))
+        with pytest.raises(ResourceLimit, match="exhaustive subset scan"):
+            csp._exhaustive(csp._root(phi, 8))
+        res = solve_csp(phi, 8)
+        assert not res and res.route == "regime KIS" and res.assignment is None
 
 
 def test_free_variables_skip_fixed_variables():
@@ -646,6 +818,11 @@ def _route_cases():
         (NAND3, c) for c in itertools.combinations(range(1, 7), 3)
     ))
     sparse3 = CspInstance(30, ((NAND3, (1, 2, 3)), (NAND3, (4, 5, 6))))
+    # Every triple of four variables rejects exactly two true: too dense
+    # for the greedy, and not downward closed, so the scan answers.
+    twos = CspInstance(4, tuple(
+        (NOT_TWO, c) for c in itertools.combinations(range(1, 5), 3)
+    ))
     return [
         (CspInstance(3, ((NAND2, (1, 2)),)), 0, "weight zero"),
         (CspInstance(3, ((OR2, (1, 2)),)), 0, "weight zero"),
@@ -662,8 +839,10 @@ def _route_cases():
         (nand_or, 2, "regime Clique(1)"),
         (nand_or, 5, "regime Clique(1)"),
         (sparse3, 2, "sparse greedy"),
-        (dense3, 2, "exhaustive fallback"),
-        (dense3, 3, "exhaustive fallback"),
+        (dense3, 2, "regime KIS"),
+        (dense3, 3, "regime KIS"),
+        (twos, 1, "exhaustive fallback"),
+        (twos, 2, "exhaustive fallback"),
     ]
 
 

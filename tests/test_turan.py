@@ -300,3 +300,75 @@ def test_leaf_greedy_matches_reference_on_branch_leaves():
             forced_hits += got is not None and leaf.forced != 0
     assert outcomes == {True, False}
     assert forced_hits >= 20
+
+
+NOR3 = ConstraintFunction("nor3", 3, (1, 0, 0, 0, 0, 0, 0, 0))
+AMO3 = ConstraintFunction("amo3", 3, (1, 1, 1, 0, 1, 0, 0, 0))
+AMO4 = ConstraintFunction("amo4", 4, tuple(int(bin(j).count("1") <= 1) for j in range(16)))
+
+
+def test_leaf_greedy_window_matches_reference():
+    # The greedy lists incidences only for ids up to a window bound,
+    # first one 64-bit word, doubled whenever every candidate below it
+    # fails.  NOR3s on a prefix of the ids make every variable there
+    # fail (u_min 1), so the window has to widen once or twice.  Past
+    # the prefix, at-most-one constraints of arity 3 and 4 and NAND3s
+    # hold most variables; a pick that holds an at-most-one constraint
+    # specialises it into a new class of u_min 1 that rules its partners
+    # out in later rounds, partners that the window must list.  The
+    # picks must be the reference's, which lists every variable from
+    # the start.
+    from sparsekis import csp
+    from sparsekis.hypergraph import _mask
+
+    rng = random.Random(43)
+    past = {64: 0, 128: 0}
+    derived = 0
+    for _ in range(200):
+        k = rng.randint(1, 4)
+        prefix = rng.choice((0, 60, 63, 64, 65, 66, 120, 126, 127, 128, 129))
+        cons = [(NOR3, (v, v + 1, v + 2)) for v in range(1, prefix + 1, 3)]
+        n = max(prefix + rng.randint(30, 90), 2 * k * 4 * len(cons))
+        rest = range(max(1, prefix - 4), n + 1)
+        for _ in range(rng.randint(n // 4, n)):
+            f = rng.choice((AMO3, AMO3, AMO4, NAND3))
+            cons.append((f, tuple(rng.sample(rest, f.arity))))
+        phi = CspInstance(n, tuple(cons))
+        ref = sparse_csp_greedy(phi, k)
+        got = csp._greedy(csp._root(phi, k))
+        assert got == (None if ref is None else _mask(ref)), (prefix, n, k)
+        if ref:
+            for bound in past:
+                past[bound] += min(ref) > bound
+            derived += any(v in vs for v in ref for f, vs in cons if f in (AMO3, AMO4))
+    assert past[64] >= 40 and past[128] >= 15 and derived >= 40
+
+
+@pytest.mark.parametrize("top", [64, 128])
+def test_leaf_greedy_window_edges(top):
+    # Variables at the window's bound and just past it.  NOR3s rule out
+    # 1..top-4, so the first pick is top-3, whose at-most-one partner
+    # is the bound itself: the NOR2 its specialisation leaves must be
+    # listed there, or top would be the second pick instead of top+2.
+    # Then every id up to the bound fails and top+1 is the last one.
+    from sparsekis import csp
+    from sparsekis.hypergraph import _mask
+
+    rng = random.Random(top)
+    starts = {*range(1, top - 5, 3), top - 6}
+    cons = [(NOR3, (v, v + 1, v + 2)) for v in sorted(starts)]
+    cons.append((NOR3, (top - 2, top - 1, top + 1)))
+    n = 8 * len(cons)
+    cons.append((AMO3, (top - 3, top, n)))
+    tail = range(top + 10, n + 1)
+    seen = set()
+    while len(seen) < n // 2:
+        seen.add(tuple(rng.sample(tail, 3)))
+    phi = CspInstance(n, tuple(cons + [(AMO3, vs) for vs in sorted(seen)]))
+    assert sparse_csp_greedy(phi, 2) == {top - 3, top + 2}
+    assert csp._greedy(csp._root(phi, 2)) == _mask([top - 3, top + 2])
+
+    cons = [(NOR3, (v, v + 1, v + 2)) for v in sorted({*range(1, top - 1, 3), top - 2})]
+    phi = CspInstance(top + 1, tuple(cons))
+    assert sparse_csp_greedy(phi, 1) == {top + 1}
+    assert csp._greedy(csp._root(phi, 1)) == _mask([top + 1])
