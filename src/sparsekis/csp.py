@@ -8,11 +8,20 @@ true variables satisfies every constraint.
 The family of tables appearing in a binary instance determines how hard
 that question is, and `classify_binary_family` sorts families into four
 regimes (Linear, Subexponential, KIS, Clique).  The solver entry point
-`solve_csp` routes instances accordingly: branch-and-bound strips
-constraints the all-false assignment violates, easy constraints that pin
-variables false are propagated away, equality constraints reduce to a
-subset-sum over component sizes, implication structure is pruned through
-descendant sets, and what remains goes to the independent-set machinery.
+`solve_csp` routes instances accordingly.  Branch-and-bound (`_branch`)
+sets a variable of the first all-false-violated constraint true, and
+cuts a node when more variable-disjoint violated constraints remain than
+its budget, since each needs a true variable of its own.  Its leaves are
+0-valid: the all-false row satisfies every constraint left.
+
+A 0-valid binary table is exactly the clauses of its violated rows: row
+1 (u true, v false) means u -> v, row 2 means v -> u, row 3 means
+NAND(u, v); a table with a forced-false position is exactly its pins.
+`_solve_leaf_binary` reads each leaf once that way into masks (`_read`):
+propagation is the pins and all their ancestors, equality components
+feed a subset-sum, descendant sets from one pass over strongly
+connected components prune the implication order and drive the
+closed-set search, and NAND rows go to the independent-set machinery.
 
 Higher-arity instances are branched to 0-valid leaves, and the sparse
 greedy `_greedy` tries each leaf first.  A leaf whose constraints are all
@@ -25,21 +34,21 @@ leaves that hold another table, or where k-IS meets a resource limit.
 `solve_csp` keeps the caller's variable ids from entry to verdict.  A
 branch or leaf is a `_Leaf`: a plain list of (function, variables)
 constraints, a residual budget, and masks of the alive (not yet fixed)
-and forced-true variables.  Fixing a variable specialises only the
-constraints that hold it; nothing is renumbered and no `CspInstance` is
-built or validated per step.  The nand_impl pipeline takes leaves as
-they are and branches on them with the same helpers.  Every leaf
-solver, the sparse greedy `_greedy` and the exhaustive scan included,
-answers with the mask of a true set (forced variables included) or
-None, and `_verify` checks each YES against the caller's instance once,
-whether or not a witness is wanted.  A checked instance is built only
-in the public `branch_and_bound`, `preprocess_easy` and `impl_prune`,
-which wrap the same core.
+and forced-true variables.  `_fix` specialises only the constraints
+that hold a fixed variable; nothing is renumbered and no `CspInstance`
+is built or validated per step.  It runs when branching sets a variable
+true, in the nand_impl pipeline, and in `_propagate` rounds on leaves
+that hold a table the clause reading does not cover (arity 3 or more,
+or not 0-valid).  Every leaf solver answers with the mask of a true set
+(forced variables included) or None, and `_verify` checks each YES
+against the caller's instance once, whether or not a witness is wanted.
+A checked instance is built only in the public `branch_and_bound`,
+`preprocess_easy` and `impl_prune`, which wrap the same core.
 
 Descendant and ancestor sets are bitmasks laid out as the NAND rows, so
 the NAND neighbours of a set are one `_block` over its mask.  The table
-facts `specialize`, `forced_false_positions`, `u_min` and
-`min_violations` are cached per function; the loops over a leaf's
+facts `specialize`, `forced_false_positions`, `u_min`, `min_violations`
+and `_clauses` are cached per function; the loops over a leaf's
 constraints look each function object up by id, since a cache lookup
 calls the function's Python-level hash and equality on every hit.
 """
@@ -246,6 +255,20 @@ def forced_false_positions(f: ConstraintFunction) -> tuple[int, ...]:
         if all(not b or not (j >> p & 1) for j, b in enumerate(f.table)):
             out.append(p + 1)
     return tuple(out)
+
+
+@cache
+def _clauses(f: ConstraintFunction) -> tuple[tuple[int, ...], int]:
+    """How `_read` takes f: its forced-false positions when it has any,
+    else the bits of its violated rows (1: u -> v, 2: v -> u, 4: NAND);
+    bits -1 when f is not 0-valid of arity <= 2.  Worked out once per
+    function."""
+    if f.arity > 2 or not f.table[0]:
+        return (), -1
+    pins = forced_false_positions(f)
+    if pins or f.arity < 2:
+        return pins, 0
+    return (), (not f.table[1]) | (not f.table[2]) << 1 | (not f.table[3]) << 2
 
 
 Constraint = tuple[ConstraintFunction, tuple[int, ...]]
@@ -470,14 +493,9 @@ class Regime:
 
 def _is_easy_fn(f: ConstraintFunction) -> bool:
     # A function whose whole effect is pinning some arguments false:
-    # fixing its forced-false positions to 0 leaves it constant-true.
-    forced = forced_false_positions(f)
-    if not forced:
-        return False
-    g = f
-    for p in sorted(forced, reverse=True):
-        g = specialize(g, p, 0)
-    return g.is_constant_true
+    # every row with its forced-false positions at 0 satisfies it.
+    forced = _mask(forced_false_positions(f))
+    return bool(forced) and all(b for j, b in enumerate(f.table) if not j & forced)
 
 
 def classify_binary_family(funcs: Iterable[ConstraintFunction]) -> Regime:
@@ -517,9 +535,9 @@ class _Leaf(NamedTuple):
     `constraints` mention only variables in `alive` (bit v - 1 for
     variable v), the ones not fixed yet; `forced` holds the variables
     the branch set true and `k` the residual weight budget.  `n` is the
-    caller's variable count, so the row helpers (`_nand_rows`,
-    `build_impl_structure`) read a leaf as they read an instance: a
-    fixed variable just has no constraints left.
+    caller's variable count, so `_read` and `build_impl_structure` read
+    a leaf as they read an instance: a fixed variable just has no
+    constraints left.
     """
 
     n: int
@@ -592,9 +610,25 @@ def _unsatisfiable(inst: CspInstance) -> CspInstance:
     return CspInstance(1, ((NEVER1, (1,)),), labels=(0,))
 
 
+def _keep(leaf: _Leaf, alive: int) -> _Leaf:
+    """The leaf on the variables of `alive`: the constraints that lie
+    inside it, in their order."""
+    if alive == leaf.alive:
+        return leaf
+    gone = set(_vertices(leaf.alive & ~alive)).isdisjoint
+    return leaf._replace(constraints=[c for c in leaf.constraints if gone(c[1])], alive=alive)
+
+
 def _propagate(leaf: _Leaf) -> Optional[_Leaf]:
     """Fix every variable some constraint pins false, to a fixed point;
-    None when that contradicts a constraint."""
+    None when that contradicts a constraint.
+
+    On a 0-valid binary leaf that fixes the pins and all their ancestors,
+    and every constraint that holds one of them ends constant-true; other
+    leaves take `_fix` rounds."""
+    pinned, _, pred, _, exact = _read(leaf)
+    if exact:
+        return _keep(leaf, leaf.alive & ~_reach(pred, pinned))
     # Pinned positions per function object: a few functions carry many
     # constraints, and the cached table facts are keyed by value.
     pins: dict[int, tuple[int, ...]] = {}
@@ -639,24 +673,46 @@ class BranchLeaf:
     forced_true: frozenset[int]
 
 
+def _first_violated(leaf: _Leaf) -> Optional[tuple[int, ...]]:
+    """The variables of the leaf's first constraint that the all-false
+    row violates; None when there is none, and () when no branch below
+    can satisfy them all within the budget.
+
+    Variable-disjoint violated constraints each need a true variable of
+    their own, so a greedy packing of more than k of them cuts the node:
+    no leaf lies below it."""
+    viol = [vs for f, vs in leaf.constraints if not f.table[0]]
+    if len(viol) > leaf.k:
+        held = packed = 0
+        for vs in viol:
+            m = _mask(vs)
+            if not m & held:
+                held |= m
+                packed += 1
+                if packed > leaf.k:
+                    return ()
+    return viol[0] if viol else None
+
+
 def _branch(phi: CspInstance, k: int) -> list[_Leaf]:
     """The 0-valid leaves of branching on all-false-violated constraints."""
+    root = _root(phi, k)
+    if all(f.table[0] for f in phi.functions):
+        return [root]
     leaves: list[_Leaf] = []
 
     def rec(leaf: _Leaf) -> None:
-        viol = next((c for c in leaf.constraints if c[0].table[0] == 0), None)
+        viol = _first_violated(leaf)
         if viol is None:
             leaves.append(leaf)
             return
-        if leaf.k == 0:
-            return
-        for v in viol[1]:
+        for v in viol:
             cons = _fix(leaf.constraints, {v: 1})
             if cons is not None:
                 bit = 1 << (v - 1)
                 rec(_Leaf(leaf.n, cons, leaf.alive & ~bit, leaf.k - 1, leaf.forced | bit))
 
-    rec(_root(phi, k))
+    rec(root)
     return leaves
 
 
@@ -677,30 +733,6 @@ def branch_and_bound(phi: CspInstance, k: int) -> list[BranchLeaf]:
         )
         for leaf in _branch(phi, k)
     ]
-
-
-def _eq_components(phi: CspInstance, variables: Iterable[int]) -> list[list[int]]:
-    """Components of the equality graph over `variables` (every variable
-    a constraint holds must be among them), in order of least member."""
-    parent = list(range(phi.n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for f, vs in phi.constraints:
-        if not is_eq_fn(f):
-            raise ValueError(f"non-EQ constraint {f.name!r} in EQ-only instance")
-        a = find(vs[0])
-        b = find(vs[1])
-        if a != b:
-            parent[a] = b
-    comps: dict[int, list[int]] = {}
-    for v in variables:
-        comps.setdefault(find(v), []).append(v)
-    return list(comps.values())
 
 
 def _subset_sum_pick(weights: list[int], k: int) -> Optional[list[int]]:
@@ -736,77 +768,158 @@ def eq_components_subset_sum(phi_eq: CspInstance, k: int) -> bool:
     question is whether component sizes (each usable once, sizes above k
     discarded) can sum to exactly k.
     """
-    weights = [len(c) for c in _eq_components(phi_eq, range(1, phi_eq.n + 1))]
-    return _subset_sum_pick([w for w in weights if w <= k], k) is not None
+    for f, _ in phi_eq.constraints:
+        if not is_eq_fn(f):
+            raise ValueError(f"non-EQ constraint {f.name!r} in EQ-only instance")
+    comps = _components(_read(phi_eq)[1], (1 << phi_eq.n) - 1)
+    return _subset_sum_pick([w for c in comps if (w := c.bit_count()) <= k], k) is not None
 
 
-def impl_edges(phi: CspInstance) -> set[tuple[int, int]]:
-    """Directed implication pairs (u, v) meaning u true forces v true."""
-    out: set[tuple[int, int]] = set()
+def _read(phi: CspInstance | _Leaf) -> tuple[int, list[int], list[int], list[int], bool]:
+    """The constraints as masks: (pinned variables, successor rows,
+    predecessor rows, NAND rows, whether every constraint was read), the
+    rows laid out as index v - 1, bit u - 1.
+
+    A 0-valid binary table is exactly the clauses of its violated rows
+    (`_clauses`), or its pins when it has a forced-false position, and
+    that is how it is read.  Any other table adds nothing and makes the
+    reading inexact.  Each function object is looked up by id, once.
+    """
+    succ = [0] * phi.n
+    pred = [0] * phi.n
+    nand = [0] * phi.n
+    pinned = 0
+    exact = True
+    facts: dict[int, tuple[tuple[int, ...], int]] = {}
     for f, vs in phi.constraints:
-        if f.arity != 2:
+        fact = facts.get(id(f))
+        if fact is None:
+            fact = facts[id(f)] = _clauses(f)
+        pins, rel = fact
+        if rel <= 0:
+            exact = exact and rel == 0
+            for p in pins:
+                pinned |= 1 << (vs[p - 1] - 1)
             continue
-        if f.table == _IMPL_FWD:
-            out.add((vs[0], vs[1]))
-        elif f.table == _IMPL_BWD:
-            out.add((vs[1], vs[0]))
-        elif is_eq_fn(f):
-            out.add((vs[0], vs[1]))
-            out.add((vs[1], vs[0]))
-    return out
+        u, v = vs
+        if rel & 1:
+            succ[u - 1] |= 1 << (v - 1)
+            pred[v - 1] |= 1 << (u - 1)
+        if rel & 2:
+            succ[v - 1] |= 1 << (u - 1)
+            pred[u - 1] |= 1 << (v - 1)
+        if rel & 4:
+            nand[u - 1] |= 1 << (v - 1)
+            nand[v - 1] |= 1 << (u - 1)
+    return pinned, succ, pred, nand, exact
 
 
-def _nand_rows(phi: CspInstance) -> list[int]:
-    """NAND-neighbour bitmask per variable; index v-1, bit u-1."""
-    rows = [0] * phi.n
-    for f, vs in phi.constraints:
-        if is_nand_fn(f):
-            u, v = vs
-            rows[u - 1] |= 1 << (v - 1)
-            rows[v - 1] |= 1 << (u - 1)
-    return rows
+def _reach(rows: Sequence[int], mask: int) -> int:
+    """`mask` and every variable reachable from it along `rows`."""
+    frontier = mask
+    while frontier:
+        frontier = _block(rows, frontier) & ~mask
+        mask |= frontier
+    return mask
+
+
+def _components(rows: Sequence[int], alive: int) -> list[int]:
+    """The components inside `alive` of symmetric rows, as masks, in
+    order of least member."""
+    comps = []
+    while alive:
+        comp = _reach(rows, alive & -alive)
+        comps.append(comp)
+        alive &= ~comp
+    return comps
+
+
+def _closure(succ: Sequence[int], verts: int) -> list[int]:
+    """Descendant masks of the variables of `verts` (each its own), laid
+    out as the rows; `verts` must hold every successor of its members.
+
+    One pass over the strongly connected components (Tarjan 1972): a
+    component closes only after every component it reaches, so its set
+    is its members and their outside successors' sets.
+    """
+    desc = [0] * len(succ)
+    number = [0] * len(succ)  # DFS order, 0 while unvisited
+    low = [0] * len(succ)
+    stack: list[int] = []
+    count = 0
+    for root in _vertices(verts):
+        if number[root - 1]:
+            continue
+        count += 1
+        number[root - 1] = low[root - 1] = count
+        if not succ[root - 1]:  # a sink is a component of its own
+            desc[root - 1] = 1 << (root - 1)
+            continue
+        stack.append(root)
+        work = [[root, succ[root - 1]]]  # variable, successors not walked
+        while work:
+            frame = work[-1]
+            v, rest = frame
+            if rest:
+                frame[1] = rest & (rest - 1)
+                w = (rest & -rest).bit_length()
+                if not number[w - 1]:
+                    count += 1
+                    number[w - 1] = low[w - 1] = count
+                    stack.append(w)
+                    work.append([w, succ[w - 1]])
+                elif not desc[w - 1]:  # still on the stack
+                    low[v - 1] = min(low[v - 1], number[w - 1])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u - 1] = min(low[u - 1], low[v - 1])
+            if low[v - 1] == number[v - 1]:
+                comp = w = 0
+                while w != v:
+                    w = stack.pop()
+                    comp |= 1 << (w - 1)
+                d = comp | _block(desc, _block(succ, comp) & ~comp)
+                for w in _vertices(comp):
+                    desc[w - 1] = d
+    return desc
 
 
 def build_impl_structure(phi: CspInstance) -> tuple[list[int], list[int]]:
     """Descendant and ancestor masks of the implication digraph.
 
-    Returns `(desc, anc)`, laid out as `_nand_rows`: index v-1, bit u-1.
-    `desc[v - 1]` holds every variable that v true forces true, v itself
-    included, found by expanding a frontier over successor masks;
-    `anc[v - 1]` holds every variable that forces v.  EQ reads as two
+    Returns `(desc, anc)`, laid out as the NAND rows: index v-1, bit
+    u-1.  `desc[v - 1]` holds every variable that v true forces true, v
+    itself included; `anc[v - 1]` holds every variable that forces v,
+    the descendants along the reversed edges.  EQ reads as two
     implications.
     """
-    succ = [0] * phi.n
-    for u, v in impl_edges(phi):
-        succ[u - 1] |= 1 << (v - 1)
-    desc: list[int] = []
-    anc = [0] * phi.n
-    for i in range(phi.n):
-        seen = frontier = 1 << i
-        if not succ[i]:
-            # A variable that implies nothing (one a leaf has fixed, too).
-            desc.append(seen)
-            anc[i] |= seen
-            continue
-        while frontier:
-            frontier = _block(succ, frontier) & ~seen
-            seen |= frontier
-        desc.append(seen)
-        for u in _vertices(seen):
-            anc[u - 1] |= 1 << i
-    return desc, anc
+    _, succ, pred, _, _ = _read(phi)
+    every = (1 << phi.n) - 1
+    return _closure(succ, every), _closure(pred, every)
+
+
+def _pruned(desc: Sequence[int], rows: Sequence[int], alive: int, k: int) -> int:
+    """`alive` without the variables no weight-k solution sets true: a
+    descendant set larger than k or holding a NAND pair rules a variable
+    out.  Both tests pass to every ancestor, so the set removed is
+    closed under ancestors and the survivors' descendant sets stay."""
+    for v in _vertices(alive):
+        d = desc[v - 1]
+        if d.bit_count() > k or _block(rows, d) & d:
+            alive &= ~(1 << (v - 1))
+    return alive
 
 
 def _prune(leaf: _Leaf) -> Optional[_Leaf]:
     """`impl_prune` on a leaf, against its budget; None on contradiction."""
-    desc, anc = build_impl_structure(leaf)
-    rows = _nand_rows(leaf)
-    bad = 0
-    for i, d in enumerate(desc):
-        if d.bit_count() > leaf.k:
-            bad |= 1 << i
-        elif _block(rows, d) & d:
-            bad |= anc[i]
+    pinned, succ, _, nand, exact = _read(leaf)
+    alive = _pruned(_closure(succ, leaf.alive), nand, leaf.alive, leaf.k)
+    if exact and not pinned:
+        # Every constraint that holds a removed variable ends constant-true.
+        return _keep(leaf, alive)
+    bad = leaf.alive & ~alive
     return _drop(leaf, bad) if bad else leaf
 
 
@@ -824,13 +937,6 @@ def impl_prune(phi: CspInstance, k: int) -> CspInstance:
     return _unsatisfiable(phi) if got is None else _checked(phi, got)
 
 
-def _tighten(leaf: _Leaf) -> Optional[_Leaf]:
-    # Pruning fixes variables false, which leaves pinning constraints
-    # behind; propagate those before reading off the implication order.
-    leaf = _prune(leaf)
-    return None if leaf is None else _propagate(leaf)
-
-
 @dataclass(frozen=True)
 class CspResult:
     """Outcome of solve_csp: decision, optional verified assignment, route taken."""
@@ -844,27 +950,22 @@ class CspResult:
 
 
 def _closed_set_search(
-    leaf: _Leaf, k: int, state_cap: int = SEARCH_STATE_CAP
+    desc: Sequence[int], rows: Sequence[int], alive: int, k: int,
+    state_cap: int = SEARCH_STATE_CAP,
 ) -> Optional[int]:
-    """A weight-k set of the leaf's alive variables closed under
-    implication with no NAND pair inside, as the mask of the leaf's true
-    set (forced variables included), or None when there is none.
+    """A weight-k set inside `alive` closed under implication with no
+    NAND pair inside, as a mask, or None when there is none.
 
-    Bounded DFS over unions of descendant sets, on bitmasks, with a
-    visited-state memo; a union holding a NAND pair is cut.  Raises
-    ResourceLimit past `state_cap` states.
+    `desc` are descendant masks (those of `alive` lie inside it) and
+    `rows` the NAND rows.  Bounded DFS over unions of descendant sets,
+    on bitmasks, with a visited-state memo; a union holding a NAND pair
+    is cut.  Raises ResourceLimit past `state_cap` states.
     """
-    if k == 0:
-        return leaf.forced
-    desc, _ = build_impl_structure(leaf)
-    rows = _nand_rows(leaf)
     # Each alive variable's descendant set as (mask, its NAND
     # neighbours); a set with a NAND pair inside is never part of a
     # solution.
     gens = [
-        (m, b)
-        for i, m in enumerate(desc)
-        if leaf.alive >> i & 1 and (b := _block(rows, m)) & m == 0
+        (m, b) for v in _vertices(alive) if (b := _block(rows, m := desc[v - 1])) & m == 0
     ]
     # Minimal start index each set was already explored from; exploring
     # from start s covers all continuations with later generators, so a
@@ -894,8 +995,7 @@ def _closed_set_search(
                 return got
         return None
 
-    got = rec(0, 0, 0)
-    return None if got is None else leaf.forced | got
+    return rec(0, 0, 0)
 
 
 def _ascending(mask: int) -> Iterator[int]:
@@ -1140,48 +1240,51 @@ def _verify(phi: CspInstance, mask: int, k: int, want_witness: bool) -> Optional
 
 def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[int]:
     """Solve one 0-valid binary leaf: the mask of its true set (forced
-    variables included), or None."""
+    variables included), or None.
+
+    The leaf is read once into masks and nothing is specialised:
+    propagation, pruning, the components, the closed-set search and the
+    k-IS hand-off all run on them, and the closure is built once.
+    """
     from . import kis as _kis
     from . import nand_impl as _nand_impl
 
-    leaf = _propagate(leaf)
-    if leaf is None:
-        return None
+    pinned, succ, pred, nand, _ = _read(leaf)
+    alive = leaf.alive & ~_reach(pred, pinned)
     k = leaf.k
     if k == 0:
         return leaf.forced
-    if k > leaf.alive.bit_count():
+    if k > alive.bit_count():
         return None
 
     if regime.kind == "Linear":
-        comps = _eq_components(leaf, _vertices(leaf.alive))
-        weights = [len(c) for c in comps]
-        picked = _subset_sum_pick([w if w <= k else k + 1 for w in weights], k)
+        comps = _components(succ, alive)
+        picked = _subset_sum_pick([min(c.bit_count(), k + 1) for c in comps], k)
         if picked is None:
             return None
-        return leaf.forced | _mask(v for i in picked for v in comps[i])
+        return leaf.forced | sum(comps[i] for i in picked)
 
-    if regime.kind == "Subexponential":
-        leaf = _tighten(leaf)
-        if leaf is None or k > leaf.alive.bit_count():
-            return None
-        return _closed_set_search(leaf, k)
-
-    # KIS and Clique leaves reduce to graphs of NAND edges, possibly with
-    # implication structure (IMPL or EQ) on top.
-    if impl_edges(leaf):
-        leaf = _tighten(leaf)
-        if leaf is None:
-            return None
-        if impl_edges(leaf):
+    # Implication structure (IMPL or EQ) is pruned through descendant
+    # sets and searched; what KIS and Clique leaves keep without it is a
+    # graph of NAND edges.
+    if regime.kind == "Subexponential" or (any(succ) and _block(succ, alive)):
+        desc = _closure(succ, alive)
+        alive = _pruned(desc, nand, alive, k)
+        if regime.kind == "Subexponential":
+            if k > alive.bit_count():
+                return None
+            got = _closed_set_search(desc, nand, alive, k)
+            return None if got is None else leaf.forced | got
+        if _block(succ, alive):
             # A solution is a NAND-free union of descendant sets, so an
             # exhausted search is a NO; past the cap the pipeline solves
             # the leaf.
             try:
-                return _closed_set_search(leaf, k, NAND_IMPL_STATE_CAP)
+                got = _closed_set_search(desc, nand, alive, k, NAND_IMPL_STATE_CAP)
             except ResourceLimit:
-                return _nand_impl._solve_leaf(leaf)
-    ok, found = _kis._decide(_nand_rows(leaf), leaf.alive, (), k, True)
+                return _nand_impl._solve_leaf(_keep(leaf, alive))
+            return None if got is None else leaf.forced | got
+    ok, found = _kis._decide(nand, alive, (), k, True)
     return leaf.forced | found if ok else None
 
 

@@ -4,17 +4,20 @@ Variables under implication edges drag their descendant cones into any
 solution, and exclusion (NAND) edges forbid co-selection.  The pipeline
 peels structure until a triangle can finish the job.  It runs on
 `csp._Leaf`s in the caller's own variable ids: a stage fixes variables
-with `csp._fix` and `csp._propagate`, so each branch is a
-leaf with fewer alive and more forced-true variables, and a stage
-answers with the mask of a solution's true set (forced variables
-included) or None.
+with `csp._fix` and `csp._propagate`, so each branch is a leaf with
+fewer alive and more forced-true variables, and a stage answers with
+the mask of a solution's true set (forced variables included) or None.
+The NAND rows, descendant and ancestor masks of a leaf come from
+`csp._read` and `csp.build_impl_structure`, the masks the binary leaf
+solver reads too.
 
   1. `_restrict` guesses which high-fanout cones enter the solution,
      leaving every alive variable with at most two descendants; cones
      are ORs of the descendant masks `csp.build_impl_structure`
      returns, and a cone is clean when its NAND neighbours (`_block`
      over the NAND rows) miss it;
-  2. `_two_cycle_branches` guesses which mutually-implying pairs enter;
+  2. `_two_cycle_branches` guesses which mutually-implying pairs (a
+     variable's descendants that are also its ancestors) enter;
   3. the leftover order sorts into stars (a sink plus its sources),
      which partition the alive variables into groups a solution meets
      only via whole quotas;
@@ -37,8 +40,8 @@ is taken with its EQs as they are.
 
 `csp` first searches a leaf for a NAND-free union of descendant sets;
 only when that search hits its state cap does it call `_solve_leaf`,
-and `solve_csp` checks the mask it gets back against the caller's
-instance, as it checks every YES.
+on the leaf as propagated and pruned, and `solve_csp` checks the mask
+it gets back against the caller's instance, as it checks every YES.
 """
 
 from __future__ import annotations
@@ -53,11 +56,10 @@ from .csp import (
     _branch,
     _fix,
     _Leaf,
-    _nand_rows,
     _propagate,
-    _tighten,
+    _prune,
+    _read,
     build_impl_structure,
-    impl_edges,
     is_eq_fn,
     is_impl_fn,
     is_nand_fn,
@@ -102,7 +104,7 @@ def _restrict(leaf: _Leaf) -> Iterator[_Leaf]:
     preserves each weight-k solution, with residual budget k - |D(S)|.
     """
     desc, anc = build_impl_structure(leaf)
-    rows = _nand_rows(leaf)
+    rows = _read(leaf)[3]
     heavy = [d for d in desc if d.bit_count() >= 3]
     for size in range(0, leaf.k // 3 + 1):
         for S in itertools.combinations(heavy, size):
@@ -138,12 +140,14 @@ def _two_cycle_branches(leaf: _Leaf) -> Iterator[_Leaf]:
     floor(k/2) NAND-free pairs is fixed true, every other cycle vertex
     false.  Residual budget drops by two per taken pair.
     """
-    edges = impl_edges(leaf)
-    cycles = sorted({_mask((u, v)) for u, v in edges if u < v and (v, u) in edges})
+    desc, anc = build_impl_structure(leaf)
+    cycles = sorted({
+        c for v in _vertices(leaf.alive) if (c := desc[v - 1] & anc[v - 1]) != 1 << (v - 1)
+    })
     if not cycles:
         yield leaf
         return
-    rows = _nand_rows(leaf)
+    rows = _read(leaf)[3]
     takeable = [c for c in cycles if _clean(rows, c)]
     # Restriction leaves each variable at most two descendants, so the
     # pairs are disjoint and a sum of them is their union.
@@ -279,7 +283,7 @@ def _solve_acyclic(leaf: _Leaf) -> Optional[int]:
         return leaf.forced
     if k > leaf.alive.bit_count():
         return None
-    rows = _nand_rows(leaf)
+    rows = _read(leaf)[3]
     groups = _groups(leaf)
 
     def pool_solution(chosen: Sequence[_Group]) -> Optional[int]:
@@ -420,7 +424,9 @@ def _solve_leaf(leaf: _Leaf) -> Optional[int]:
         return None
     if leaf.k == 0:
         return leaf.forced
-    leaf = _tighten(leaf)
+    leaf = _prune(leaf)
+    if leaf is not None:
+        leaf = _propagate(leaf)
     if leaf is None:
         return None
     for f, _ in leaf.constraints:

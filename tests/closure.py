@@ -1,15 +1,29 @@
 """Definitional reference for the implication closure.
 
 `sparsekis.csp.build_impl_structure` returns descendant and ancestor
-masks built by frontier expansion.  This is the same closure as
-frozensets, by depth-first search from each variable, kept here so tests
-can pin the masks without sharing their code.
+masks built in one pass over strongly connected components.  This is
+the same closure as frozensets, by depth-first search from each
+variable over the implication pairs read off the constraint tables,
+kept here so tests can pin the masks without sharing their code.
 """
 
 from __future__ import annotations
 
 from sparsekis import CspInstance
-from sparsekis.csp import impl_edges
+from sparsekis.csp import EQ2, IMPL, permute_arguments
+
+
+def impl_edges(phi: CspInstance) -> set[tuple[int, int]]:
+    """Directed implication pairs (u, v) meaning u true forces v true;
+    EQ reads as two."""
+    backward = permute_arguments(IMPL, (1, 0)).table
+    out: set[tuple[int, int]] = set()
+    for f, vs in phi.constraints:
+        if f.table in (IMPL.table, EQ2.table):
+            out.add((vs[0], vs[1]))
+        if f.table in (backward, EQ2.table):
+            out.add((vs[1], vs[0]))
+    return out
 
 
 def closure_sets(

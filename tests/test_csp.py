@@ -46,6 +46,7 @@ from sparsekis.csp import (
 from sparsekis.hypergraph import _mask
 from sparsekis.errors import ResourceLimit, VerificationError
 
+import binary_leaf
 import branching
 from closure import closure_sets
 from conftest import random_csp
@@ -316,8 +317,11 @@ def test_branching_core_matches_reference(arities):
 
 
 def test_branching_builds_no_instance_per_node(monkeypatch):
-    # k + 1 disjoint OR2 pairs need k + 1 true variables, so the answer
-    # is NO only after branch-and-bound has walked its whole tree.
+    # k + 1 disjoint OR2 pairs need k + 1 true variables, so the packing
+    # bound settles the NO at the root.  Disjoint OR2 triangles need two
+    # true variables each, while a packing holds one OR2 per triangle:
+    # with k = 2t - 1 that fits the budget, and the NO comes only after
+    # branch-and-bound has walked its tree.
     from sparsekis import csp
 
     rng = random.Random(71)
@@ -326,7 +330,17 @@ def test_branching_builds_no_instance_per_node(monkeypatch):
     cons = [(OR2, (vs[2 * i], vs[2 * i + 1])) for i in range(k + 1)]
     while len(cons) < 20:
         cons.append((NAND2, tuple(rng.sample(range(1, n + 1), 2))))
-    phi = CspInstance(n, tuple(cons))
+    pairs = CspInstance(n, tuple(cons))
+    t = 5
+    vs = rng.sample(range(1, n + 1), 3 * t)
+    cons = [
+        (OR2, pair)
+        for i in range(t)
+        for pair in itertools.combinations(vs[3 * i:3 * i + 3], 2)
+    ]
+    while len(cons) < 20:
+        cons.append((NAND2, tuple(rng.sample(range(1, n + 1), 2))))
+    triangles = CspInstance(n, tuple(cons))
     built = []
     real_init = CspInstance.__post_init__
 
@@ -341,14 +355,20 @@ def test_branching_builds_no_instance_per_node(monkeypatch):
         specialized.append(position)
         return real_specialize(f, position, value)
 
-    monkeypatch.setattr(CspInstance, "__post_init__", counted_init)
-    monkeypatch.setattr(csp, "specialize", counted_specialize)
-    res = solve_csp(phi, k)
-    monkeypatch.undo()
-    assert not res and res.assignment is None
-    assert brute_solve_csp(phi, k) is None
-    assert len(specialized) >= 200  # every branch node specializes
-    assert len(built) <= 2
+    for phi, k in ((pairs, 8), (triangles, 2 * t - 1)):
+        built.clear()
+        specialized.clear()
+        monkeypatch.setattr(CspInstance, "__post_init__", counted_init)
+        monkeypatch.setattr(csp, "specialize", counted_specialize)
+        res = solve_csp(phi, k)
+        monkeypatch.undo()
+        assert not res and res.assignment is None
+        assert brute_solve_csp(phi, k) is None
+        if phi is pairs:
+            assert specialized == [] and csp._branch(phi, k) == []
+        else:
+            assert len(specialized) >= 200  # every branch node specializes
+        assert len(built) <= 2
 
 
 def test_exhaustive_fallback_matches_oracle(monkeypatch):
@@ -936,9 +956,9 @@ def test_nand_impl_leaf_search_matches_oracle(monkeypatch, cap):
     searched = []
     real_search = csp._closed_set_search
 
-    def spied(inst, k, state_cap=csp.SEARCH_STATE_CAP):
+    def spied(desc, rows, alive, k, state_cap=csp.SEARCH_STATE_CAP):
         searched.append(state_cap)
-        return real_search(inst, k, state_cap)
+        return real_search(desc, rows, alive, k, state_cap)
 
     monkeypatch.setattr(csp, "_closed_set_search", spied)
     rng = random.Random(63)
@@ -1001,3 +1021,124 @@ def test_nand_impl_pipeline_builds_no_instance(monkeypatch):
     assert len(res.assignment) == k and phi.satisfied_by(res.assignment)
     assert len(pipeline) == 1
     assert built == []
+
+
+# Every binary table but the constant-true one, and every unary table.
+EVERY_TABLE = [
+    ConstraintFunction(f"t{arity}_{j}", arity, tuple(j >> i & 1 for i in range(1 << arity)))
+    for arity in (1, 2)
+    for j in range((1 << (1 << arity)) - 1)
+]
+
+
+@pytest.mark.parametrize("cap", ["default", "zero"])
+def test_binary_leaves_match_reference(monkeypatch, cap):
+    # The mask-form leaf solver and the bounded branching must give the
+    # answer, witness and route of the constraint-list reference, on
+    # every table mix and every budget, with and without the nand_impl
+    # pipeline behind the closed-set search.
+    from sparsekis import csp
+
+    if cap == "zero":
+        monkeypatch.setattr(csp, "NAND_IMPL_STATE_CAP", 0)
+    rng = random.Random(81)
+    routes = set()
+    for _ in range(150):
+        n = rng.randint(2, 8)
+        fam = rng.sample(EVERY_TABLE, rng.randint(1, 4))
+        phi = random_csp(rng, n, fam, rng.randint(0, 2 * n))
+        for k in range(n + 2):
+            got = solve_csp(phi, k)
+            with monkeypatch.context() as m:
+                m.setattr(csp, "_branch", binary_leaf.branch)
+                m.setattr(csp, "_solve_leaf_binary", binary_leaf.solve_leaf_binary)
+                want = solve_csp(phi, k)
+            assert (got.satisfiable, got.assignment, got.route) == (
+                want.satisfiable, want.assignment, want.route
+            ), (format_csp(phi), k)
+            routes.add((got.route, got.satisfiable))
+    assert {(f"regime {r}", yes) for r in ("Linear", "Subexponential", "KIS", "Clique(0)")
+            for yes in (True, False)} <= routes
+
+
+def test_branching_bound_cuts_only_empty_nodes(monkeypatch):
+    # A cut node packs more disjoint all-false-violated constraints than
+    # its budget; the oracle must find no residual solution there, and
+    # the leaves are still the reference's.
+    from sparsekis import csp
+
+    cuts = []
+    real = csp._first_violated
+
+    def spied(leaf):
+        got = real(leaf)
+        if got == ():
+            cuts.append(leaf)
+        return got
+
+    monkeypatch.setattr(csp, "_first_violated", spied)
+    rng = random.Random(82)
+    cut_with_budget = 0
+    for arities in [range(1, 3), range(3, 7)] * 60:
+        phi = random_family_instance(rng, arities)
+        k = rng.randint(0, 4)
+        cuts.clear()
+        assert csp._branch(phi, k) == binary_leaf.branch(phi, k)
+        for leaf in cuts:
+            inst = _checked(phi, leaf)
+            assert leaf.k > inst.n or brute_solve_csp(inst, leaf.k) is None
+            cut_with_budget += leaf.k > 0
+    assert cut_with_budget
+
+
+def planted_instance(rng, family, n, m, k):
+    """m distinct random constraints over `family` that a planted k-set
+    satisfies, with that set."""
+    planted = set(rng.sample(range(1, n + 1), k))
+    cons: dict = {}
+    while len(cons) < m:
+        f = rng.choice(family)
+        vs = tuple(rng.sample(range(1, n + 1), f.arity))
+        if f([int(v in planted) for v in vs]):
+            cons[f.name, vs] = (f, vs)
+    return CspInstance(n, tuple(cons.values()))
+
+
+@pytest.mark.parametrize(
+    "family, n, m, k, route",
+    [
+        ((NAND2,), 400, 400, 5, "regime KIS"),
+        ((NAND2,), 40, 300, 5, "regime KIS"),
+        ((IMPL, NOR2), 600, 900, 25, "regime Subexponential"),
+        ((EQ2,), 300, 200, 40, "regime Linear"),
+        ((NAND2, IMPL), 80, 200, 6, "regime Clique(0)"),
+    ],
+    ids=["kis-turan", "kis-decide", "subexponential", "linear", "clique"],
+)
+def test_binary_route_never_specializes(monkeypatch, family, n, m, k, route):
+    # The benchmark's binary kinds at the default state cap: no
+    # constraint is specialised or fixed anywhere, and a leaf with
+    # implication structure builds its closure once.
+    from sparsekis import csp
+
+    def refuse(*args):
+        raise AssertionError("specialised on the binary route")
+
+    closures = []
+    real_closure = csp._closure
+
+    def counted(*args):
+        closures.append(1)
+        return real_closure(*args)
+
+    monkeypatch.setattr(csp, "_fix", refuse)
+    monkeypatch.setattr(csp, "specialize", refuse)
+    monkeypatch.setattr(csp, "_closure", counted)
+    rng = random.Random(83)
+    for _ in range(3):
+        phi = planted_instance(rng, family, n, m, k)
+        closures.clear()
+        res = solve_csp(phi, k)
+        assert res and res.route == route
+        assert len(res.assignment) == k and phi.satisfied_by(res.assignment)
+        assert len(closures) == (route in ("regime Subexponential", "regime Clique(0)"))
