@@ -37,13 +37,13 @@ constraints, a residual budget, and masks of the alive (not yet fixed)
 and forced-true variables.  `_fix` specialises only the constraints
 that hold a fixed variable; nothing is renumbered and no `CspInstance`
 is built or validated per step.  It runs when branching sets a variable
-true, in the nand_impl pipeline, and in `_propagate` rounds on leaves
-that hold a table the clause reading does not cover (arity 3 or more,
-or not 0-valid).  Every leaf solver answers with the mask of a true set
-(forced variables included) or None, and `_verify` checks each YES
-against the caller's instance once, whether or not a witness is wanted.
-A checked instance is built only in the public `branch_and_bound`,
-`preprocess_easy` and `impl_prune`, which wrap the same core.
+true, and in `_propagate` and `_prune`, which serve the nand_impl
+pipeline past its state cap and the public wrappers.  Every leaf solver
+answers with the mask of a true set (forced variables included) or
+None, and `_verify` checks each YES against the caller's instance once,
+whether or not a witness is wanted.  A checked instance is built only
+in the public `branch_and_bound`, `preprocess_easy` and `impl_prune`,
+which wrap the same core.
 
 Descendant and ancestor sets are bitmasks laid out as the NAND rows, so
 the NAND neighbours of a set are one `_block` over its mask.  The table
@@ -610,25 +610,9 @@ def _unsatisfiable(inst: CspInstance) -> CspInstance:
     return CspInstance(1, ((NEVER1, (1,)),), labels=(0,))
 
 
-def _keep(leaf: _Leaf, alive: int) -> _Leaf:
-    """The leaf on the variables of `alive`: the constraints that lie
-    inside it, in their order."""
-    if alive == leaf.alive:
-        return leaf
-    gone = set(_vertices(leaf.alive & ~alive)).isdisjoint
-    return leaf._replace(constraints=[c for c in leaf.constraints if gone(c[1])], alive=alive)
-
-
 def _propagate(leaf: _Leaf) -> Optional[_Leaf]:
     """Fix every variable some constraint pins false, to a fixed point;
-    None when that contradicts a constraint.
-
-    On a 0-valid binary leaf that fixes the pins and all their ancestors,
-    and every constraint that holds one of them ends constant-true; other
-    leaves take `_fix` rounds."""
-    pinned, _, pred, _, exact = _read(leaf)
-    if exact:
-        return _keep(leaf, leaf.alive & ~_reach(pred, pinned))
+    None when that contradicts a constraint."""
     # Pinned positions per function object: a few functions carry many
     # constraints, and the cached table facts are keyed by value.
     pins: dict[int, tuple[int, ...]] = {}
@@ -775,21 +759,20 @@ def eq_components_subset_sum(phi_eq: CspInstance, k: int) -> bool:
     return _subset_sum_pick([w for c in comps if (w := c.bit_count()) <= k], k) is not None
 
 
-def _read(phi: CspInstance | _Leaf) -> tuple[int, list[int], list[int], list[int], bool]:
+def _read(phi: CspInstance | _Leaf) -> tuple[int, list[int], list[int], list[int]]:
     """The constraints as masks: (pinned variables, successor rows,
-    predecessor rows, NAND rows, whether every constraint was read), the
-    rows laid out as index v - 1, bit u - 1.
+    predecessor rows, NAND rows), the rows laid out as index v - 1, bit
+    u - 1.
 
     A 0-valid binary table is exactly the clauses of its violated rows
     (`_clauses`), or its pins when it has a forced-false position, and
-    that is how it is read.  Any other table adds nothing and makes the
-    reading inexact.  Each function object is looked up by id, once.
+    that is how it is read.  Any other table adds nothing.  Each function
+    object is looked up by id, once.
     """
     succ = [0] * phi.n
     pred = [0] * phi.n
     nand = [0] * phi.n
     pinned = 0
-    exact = True
     facts: dict[int, tuple[tuple[int, ...], int]] = {}
     for f, vs in phi.constraints:
         fact = facts.get(id(f))
@@ -797,7 +780,6 @@ def _read(phi: CspInstance | _Leaf) -> tuple[int, list[int], list[int], list[int
             fact = facts[id(f)] = _clauses(f)
         pins, rel = fact
         if rel <= 0:
-            exact = exact and rel == 0
             for p in pins:
                 pinned |= 1 << (vs[p - 1] - 1)
             continue
@@ -811,7 +793,7 @@ def _read(phi: CspInstance | _Leaf) -> tuple[int, list[int], list[int], list[int
         if rel & 4:
             nand[u - 1] |= 1 << (v - 1)
             nand[v - 1] |= 1 << (u - 1)
-    return pinned, succ, pred, nand, exact
+    return pinned, succ, pred, nand
 
 
 def _reach(rows: Sequence[int], mask: int) -> int:
@@ -895,7 +877,7 @@ def build_impl_structure(phi: CspInstance) -> tuple[list[int], list[int]]:
     the descendants along the reversed edges.  EQ reads as two
     implications.
     """
-    _, succ, pred, _, _ = _read(phi)
+    _, succ, pred, _ = _read(phi)
     every = (1 << phi.n) - 1
     return _closure(succ, every), _closure(pred, every)
 
@@ -914,12 +896,8 @@ def _pruned(desc: Sequence[int], rows: Sequence[int], alive: int, k: int) -> int
 
 def _prune(leaf: _Leaf) -> Optional[_Leaf]:
     """`impl_prune` on a leaf, against its budget; None on contradiction."""
-    pinned, succ, _, nand, exact = _read(leaf)
-    alive = _pruned(_closure(succ, leaf.alive), nand, leaf.alive, leaf.k)
-    if exact and not pinned:
-        # Every constraint that holds a removed variable ends constant-true.
-        return _keep(leaf, alive)
-    bad = leaf.alive & ~alive
+    _, succ, _, nand = _read(leaf)
+    bad = leaf.alive & ~_pruned(_closure(succ, leaf.alive), nand, leaf.alive, leaf.k)
     return _drop(leaf, bad) if bad else leaf
 
 
@@ -1242,14 +1220,16 @@ def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[int]:
     """Solve one 0-valid binary leaf: the mask of its true set (forced
     variables included), or None.
 
-    The leaf is read once into masks and nothing is specialised:
-    propagation, pruning, the components, the closed-set search and the
-    k-IS hand-off all run on them, and the closure is built once.
+    The leaf is read once into masks: propagation, pruning, the
+    components, the closed-set search and the k-IS hand-off all run on
+    them, and the closure is built once.  Nothing is specialised unless
+    a NAND + implication leaf goes past the closed-set search's state
+    cap to the nand_impl pipeline.
     """
     from . import kis as _kis
     from . import nand_impl as _nand_impl
 
-    pinned, succ, pred, nand, _ = _read(leaf)
+    pinned, succ, pred, nand = _read(leaf)
     alive = leaf.alive & ~_reach(pred, pinned)
     k = leaf.k
     if k == 0:
@@ -1282,7 +1262,8 @@ def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[int]:
             try:
                 got = _closed_set_search(desc, nand, alive, k, NAND_IMPL_STATE_CAP)
             except ResourceLimit:
-                return _nand_impl._solve_leaf(_keep(leaf, alive))
+                # Fixing variables false never contradicts a 0-valid leaf.
+                return _nand_impl._solve_leaf(_drop(leaf, leaf.alive & ~alive))
             return None if got is None else leaf.forced | got
     ok, found = _kis._decide(nand, alive, (), k, True)
     return leaf.forced | found if ok else None
