@@ -37,13 +37,13 @@ constraints, a residual budget, and masks of the alive (not yet fixed)
 and forced-true variables.  `_fix` specialises only the constraints
 that hold a fixed variable; nothing is renumbered and no `CspInstance`
 is built or validated per step.  It runs when branching sets a variable
-true, and in `_propagate` and `_prune`, which serve the nand_impl
-pipeline past its state cap and the public wrappers.  Every leaf solver
-answers with the mask of a true set (forced variables included) or
-None, and `_verify` checks each YES against the caller's instance once,
-whether or not a witness is wanted.  A checked instance is built only
-in the public `branch_and_bound`, `preprocess_easy` and `impl_prune`,
-which wrap the same core.
+true, and in the public `preprocess_easy` and `impl_prune`; the leaf
+solvers, the nand_impl pipeline included, fix variables on the masks
+`_read` gives.  Every leaf solver answers with the mask of a true set
+(forced variables included) or None, and `_verify` checks each YES
+against the caller's instance once, whether or not a witness is wanted.
+A checked instance is built only in the public `branch_and_bound`,
+`preprocess_easy` and `impl_prune`, which wrap the same core.
 
 Descendant and ancestor sets are bitmasks laid out as the NAND rows, so
 the NAND neighbours of a set are one `_block` over its mask.  The table
@@ -535,9 +535,8 @@ class _Leaf(NamedTuple):
     `constraints` mention only variables in `alive` (bit v - 1 for
     variable v), the ones not fixed yet; `forced` holds the variables
     the branch set true and `k` the residual weight budget.  `n` is the
-    caller's variable count, so `_read` and `build_impl_structure` read
-    a leaf as they read an instance: a fixed variable just has no
-    constraints left.
+    caller's variable count, so `_read` reads a leaf as it reads an
+    instance: a fixed variable just has no constraints left.
     """
 
     n: int
@@ -580,14 +579,6 @@ def _fix(
     return out
 
 
-def _drop(leaf: _Leaf, dead: int) -> Optional[_Leaf]:
-    """Fix the variables of mask `dead` false; None on contradiction."""
-    cons = _fix(leaf.constraints, dict.fromkeys(_vertices(dead), 0))
-    if cons is None:
-        return None
-    return leaf._replace(constraints=cons, alive=leaf.alive & ~dead)
-
-
 def _checked(phi: CspInstance, leaf: _Leaf) -> CspInstance:
     """The checked instance of a leaf of `phi`: phi itself when the leaf
     fixed nothing, else its alive variables renumbered 1.. in id order,
@@ -610,27 +601,6 @@ def _unsatisfiable(inst: CspInstance) -> CspInstance:
     return CspInstance(1, ((NEVER1, (1,)),), labels=(0,))
 
 
-def _propagate(leaf: _Leaf) -> Optional[_Leaf]:
-    """Fix every variable some constraint pins false, to a fixed point;
-    None when that contradicts a constraint."""
-    # Pinned positions per function object: a few functions carry many
-    # constraints, and the cached table facts are keyed by value.
-    pins: dict[int, tuple[int, ...]] = {}
-    while True:
-        pinned = 0
-        for f, vs in leaf.constraints:
-            ps = pins.get(id(f))
-            if ps is None:
-                ps = pins[id(f)] = forced_false_positions(f)
-            for p in ps:
-                pinned |= 1 << (vs[p - 1] - 1)
-        if not pinned:
-            return leaf
-        leaf = _drop(leaf, pinned)
-        if leaf is None:
-            return None
-
-
 def preprocess_easy(phi: CspInstance, k: int) -> CspInstance:
     """Propagate away every variable some constraint pins false.
 
@@ -640,8 +610,15 @@ def preprocess_easy(phi: CspInstance, k: int) -> CspInstance:
     for every k.  A contradiction (some variable pinned false and forced
     true) leaves one never-satisfiable unary constraint behind.
     """
-    got = _propagate(_root(phi, k))
-    return _unsatisfiable(phi) if got is None else _checked(phi, got)
+    leaf = _root(phi, k)
+    while pinned := _mask(
+        vs[p - 1] for f, vs in leaf.constraints for p in forced_false_positions(f)
+    ):
+        cons = _fix(leaf.constraints, dict.fromkeys(_vertices(pinned), 0))
+        if cons is None:
+            return _unsatisfiable(phi)
+        leaf = leaf._replace(constraints=cons, alive=leaf.alive & ~pinned)
+    return _checked(phi, leaf)
 
 
 @dataclass(frozen=True)
@@ -665,17 +642,19 @@ def _first_violated(leaf: _Leaf) -> Optional[tuple[int, ...]]:
     Variable-disjoint violated constraints each need a true variable of
     their own, so a greedy packing of more than k of them cuts the node:
     no leaf lies below it."""
-    viol = [vs for f, vs in leaf.constraints if not f.table[0]]
-    if len(viol) > leaf.k:
-        held = packed = 0
-        for vs in viol:
+    first = None
+    held = packed = 0
+    for f, vs in leaf.constraints:
+        if not f.table[0]:
+            if first is None:
+                first = vs
             m = _mask(vs)
             if not m & held:
                 held |= m
                 packed += 1
                 if packed > leaf.k:
                     return ()
-    return viol[0] if viol else None
+    return first
 
 
 def _branch(phi: CspInstance, k: int) -> list[_Leaf]:
@@ -759,20 +738,26 @@ def eq_components_subset_sum(phi_eq: CspInstance, k: int) -> bool:
     return _subset_sum_pick([w for c in comps if (w := c.bit_count()) <= k], k) is not None
 
 
-def _read(phi: CspInstance | _Leaf) -> tuple[int, list[int], list[int], list[int]]:
+def _read(
+    phi: CspInstance | _Leaf,
+) -> tuple[int, list[int], list[int], list[int], Optional[ConstraintFunction]]:
     """The constraints as masks: (pinned variables, successor rows,
-    predecessor rows, NAND rows), the rows laid out as index v - 1, bit
-    u - 1.
+    predecessor rows, NAND rows, the first function not read or None),
+    the rows laid out as index v - 1, bit u - 1.
 
     A 0-valid binary table is exactly the clauses of its violated rows
     (`_clauses`), or its pins when it has a forced-false position, and
     that is how it is read.  Any other table adds nothing.  Each function
-    object is looked up by id, once.
+    object is looked up by id, once.  Equalities are kept apart and
+    joined to both row lists at the end; with no one-way implication the
+    successor and predecessor rows are one list.
     """
     succ = [0] * phi.n
     pred = [0] * phi.n
+    both = [0] * phi.n
     nand = [0] * phi.n
     pinned = 0
+    unread = None
     facts: dict[int, tuple[tuple[int, ...], int]] = {}
     for f, vs in phi.constraints:
         fact = facts.get(id(f))
@@ -780,20 +765,29 @@ def _read(phi: CspInstance | _Leaf) -> tuple[int, list[int], list[int], list[int
             fact = facts[id(f)] = _clauses(f)
         pins, rel = fact
         if rel <= 0:
+            if rel and unread is None:
+                unread = f
             for p in pins:
                 pinned |= 1 << (vs[p - 1] - 1)
             continue
         u, v = vs
-        if rel & 1:
-            succ[u - 1] |= 1 << (v - 1)
-            pred[v - 1] |= 1 << (u - 1)
-        if rel & 2:
-            succ[v - 1] |= 1 << (u - 1)
-            pred[u - 1] |= 1 << (v - 1)
-        if rel & 4:
+        if rel == 4:
             nand[u - 1] |= 1 << (v - 1)
             nand[v - 1] |= 1 << (u - 1)
-    return pinned, succ, pred, nand
+        elif rel == 3:
+            both[u - 1] |= 1 << (v - 1)
+            both[v - 1] |= 1 << (u - 1)
+        else:
+            if rel == 2:
+                u, v = v, u
+            succ[u - 1] |= 1 << (v - 1)
+            pred[v - 1] |= 1 << (u - 1)
+    if any(both):
+        if not any(succ):
+            return pinned, both, both, nand, unread
+        succ = [a | b for a, b in zip(succ, both)]
+        pred = [a | b for a, b in zip(pred, both)]
+    return pinned, succ, pred, nand, unread
 
 
 def _reach(rows: Sequence[int], mask: int) -> int:
@@ -868,37 +862,31 @@ def _closure(succ: Sequence[int], verts: int) -> list[int]:
     return desc
 
 
-def build_impl_structure(phi: CspInstance) -> tuple[list[int], list[int]]:
-    """Descendant and ancestor masks of the implication digraph.
-
-    Returns `(desc, anc)`, laid out as the NAND rows: index v-1, bit
-    u-1.  `desc[v - 1]` holds every variable that v true forces true, v
-    itself included; `anc[v - 1]` holds every variable that forces v,
-    the descendants along the reversed edges.  EQ reads as two
-    implications.
-    """
-    _, succ, pred, _ = _read(phi)
-    every = (1 << phi.n) - 1
-    return _closure(succ, every), _closure(pred, every)
+def _unpinned(
+    leaf: _Leaf,
+) -> tuple[int, list[int], list[int], list[int], Optional[ConstraintFunction]]:
+    """A 0-valid leaf read once into masks (`_read`): its alive variables
+    without the pinned ones and all their ancestors, then the successor,
+    predecessor and NAND rows and the first function not read."""
+    pinned, succ, pred, nand, unread = _read(leaf)
+    return leaf.alive & ~_reach(pred, pinned), succ, pred, nand, unread
 
 
-def _pruned(desc: Sequence[int], rows: Sequence[int], alive: int, k: int) -> int:
-    """`alive` without the variables no weight-k solution sets true: a
-    descendant set larger than k or holding a NAND pair rules a variable
-    out.  Both tests pass to every ancestor, so the set removed is
-    closed under ancestors and the survivors' descendant sets stay."""
+def _pruned(
+    succ: Sequence[int], rows: Sequence[int], alive: int, k: int
+) -> tuple[list[int], int]:
+    """The descendant masks of `alive` (`_closure`; it must hold every
+    successor of its members), and `alive` without the variables no
+    weight-k solution sets true: a descendant set larger than k or
+    holding a NAND pair of `rows` rules a variable out.  Both tests pass
+    to every ancestor, so the set removed is closed under ancestors and
+    the survivors' descendant sets stay."""
+    desc = _closure(succ, alive)
     for v in _vertices(alive):
         d = desc[v - 1]
         if d.bit_count() > k or _block(rows, d) & d:
             alive &= ~(1 << (v - 1))
-    return alive
-
-
-def _prune(leaf: _Leaf) -> Optional[_Leaf]:
-    """`impl_prune` on a leaf, against its budget; None on contradiction."""
-    _, succ, _, nand = _read(leaf)
-    bad = leaf.alive & ~_pruned(_closure(succ, leaf.alive), nand, leaf.alive, leaf.k)
-    return _drop(leaf, bad) if bad else leaf
+    return desc, alive
 
 
 def impl_prune(phi: CspInstance, k: int) -> CspInstance:
@@ -911,8 +899,13 @@ def impl_prune(phi: CspInstance, k: int) -> CspInstance:
     the set.  Removal fixes the variable to false and specializes its
     constraints, preserving weight-k satisfiability.
     """
-    got = _prune(_root(phi, k))
-    return _unsatisfiable(phi) if got is None else _checked(phi, got)
+    _, succ, _, nand, _ = _read(phi)
+    every = (1 << phi.n) - 1
+    _, alive = _pruned(succ, nand, every, k)
+    cons = _fix(phi.constraints, dict.fromkeys(_vertices(every & ~alive), 0))
+    if cons is None:
+        return _unsatisfiable(phi)
+    return _checked(phi, _Leaf(phi.n, cons, alive, k))
 
 
 @dataclass(frozen=True)
@@ -1222,15 +1215,14 @@ def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[int]:
 
     The leaf is read once into masks: propagation, pruning, the
     components, the closed-set search and the k-IS hand-off all run on
-    them, and the closure is built once.  Nothing is specialised unless
-    a NAND + implication leaf goes past the closed-set search's state
-    cap to the nand_impl pipeline.
+    them, and the closure is built once.  Nothing is specialised; a NAND
+    + implication leaf past the closed-set search's state cap goes to
+    the nand_impl pipeline, which reads it the same way.
     """
     from . import kis as _kis
     from . import nand_impl as _nand_impl
 
-    pinned, succ, pred, nand = _read(leaf)
-    alive = leaf.alive & ~_reach(pred, pinned)
+    alive, succ, _, nand, _ = _unpinned(leaf)
     k = leaf.k
     if k == 0:
         return leaf.forced
@@ -1248,8 +1240,7 @@ def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[int]:
     # sets and searched; what KIS and Clique leaves keep without it is a
     # graph of NAND edges.
     if regime.kind == "Subexponential" or (any(succ) and _block(succ, alive)):
-        desc = _closure(succ, alive)
-        alive = _pruned(desc, nand, alive, k)
+        desc, alive = _pruned(succ, nand, alive, k)
         if regime.kind == "Subexponential":
             if k > alive.bit_count():
                 return None
@@ -1262,8 +1253,7 @@ def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[int]:
             try:
                 got = _closed_set_search(desc, nand, alive, k, NAND_IMPL_STATE_CAP)
             except ResourceLimit:
-                # Fixing variables false never contradicts a 0-valid leaf.
-                return _nand_impl._solve_leaf(_drop(leaf, leaf.alive & ~alive))
+                return _nand_impl._solve_leaf(leaf)
             return None if got is None else leaf.forced | got
     ok, found = _kis._decide(nand, alive, (), k, True)
     return leaf.forced | found if ok else None

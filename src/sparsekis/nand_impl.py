@@ -2,20 +2,19 @@
 
 Variables under implication edges drag their descendant cones into any
 solution, and exclusion (NAND) edges forbid co-selection.  The pipeline
-peels structure until a triangle can finish the job.  It runs on
-`csp._Leaf`s in the caller's own variable ids: a stage fixes variables
-with `csp._fix` and `csp._propagate`, so each branch is a leaf with
-fewer alive and more forced-true variables, and a stage answers with
-the mask of a solution's true set (forced variables included) or None.
-The NAND rows, descendant and ancestor masks of a leaf come from
-`csp._read` and `csp.build_impl_structure`, the masks the binary leaf
-solver reads too.
+peels structure until a triangle can finish the job.  It reads a
+`csp._Leaf` once, in the caller's own variable ids, into the successor,
+predecessor and NAND rows of `csp._read`, and a branch is then a
+`_Branch`: those rows, masks of the alive and forced-true variables and
+the residual budget.  A stage fixes variables with `_take`, mask
+arithmetic on the rows, and answers with the mask of a solution's true
+set (forced variables included) or None.  Descendant and ancestor sets
+are `csp._closure` on the rows ANDed with the branch's alive mask.
 
   1. `_restrict` guesses which high-fanout cones enter the solution,
      leaving every alive variable with at most two descendants; cones
-     are ORs of the descendant masks `csp.build_impl_structure`
-     returns, and a cone is clean when its NAND neighbours (`_block`
-     over the NAND rows) miss it;
+     are ORs of descendant sets, and a cone is clean when its NAND
+     neighbours (`_block` over the NAND rows) miss it;
   2. `_two_cycle_branches` guesses which mutually-implying pairs (a
      variable's descendants that are also its ancestors) enter;
   3. the leftover order sorts into stars (a sink plus its sources),
@@ -30,8 +29,8 @@ solver reads too.
      `cliques._compat` on the masks' vertex columns and the blocks'
      complements, as the clique count's come from its cliques' columns
      and commons.  A group's chunk list depends only on (group, take,
-     whole), so each is built once per acyclic leaf and shared by
-     every branch.  The first triangle
+     whole), so each is built once per acyclic branch and shared by
+     every triangle branch.  The first triangle
      `cliques.find_triangle_tripartite` finds names one part-set per
      bin, and their masks are the solution.
 
@@ -39,31 +38,19 @@ Equality constraints read as two implications in every step, so a leaf
 is taken with its EQs as they are.
 
 `csp` first searches a leaf for a NAND-free union of descendant sets;
-only when that search hits its state cap does it call `_solve_leaf`,
-on the leaf as propagated and pruned, and `solve_csp` checks the mask
-it gets back against the caller's instance, as it checks every YES.
+only when that search hits its state cap does it call `_solve_leaf` on
+the same leaf, and `solve_csp` checks the mask it gets back against the
+caller's instance, as it checks every YES.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import cliques
-from .csp import (
-    CspInstance,
-    _branch,
-    _fix,
-    _Leaf,
-    _propagate,
-    _prune,
-    _read,
-    build_impl_structure,
-    is_eq_fn,
-    is_impl_fn,
-    is_nand_fn,
-)
+from .csp import CspInstance, _branch, _closure, _Leaf, _pruned, _reach, _unpinned
 from .errors import ResourceLimit, VerificationError
 from .hypergraph import _block, _mask, _vertices
 from .kis import _decide
@@ -74,26 +61,45 @@ NODE_CAP = 200_000
 _Group = tuple[Optional[int], int]
 
 
+class _Branch(NamedTuple):
+    """A leaf's successor, predecessor and NAND rows, as `csp._read`
+    gives them and every branch of the leaf shares; then the variables
+    not fixed yet, those set true, and the residual budget."""
+
+    succ: list[int]
+    pred: list[int]
+    nand: list[int]
+    alive: int
+    forced: int
+    k: int
+
+
 def _clean(rows: Sequence[int], m: int) -> bool:
     """True iff no NAND pair lies inside the set of mask `m`."""
     return _block(rows, m) & m == 0
 
 
-def _take(leaf: _Leaf, true: int, false: int) -> Optional[_Leaf]:
-    """Fix the variables of mask `true` true and of `false` false, then
-    propagate; None on contradiction."""
-    fixed = dict.fromkeys(_vertices(true), 1)
-    fixed.update(dict.fromkeys(_vertices(false), 0))
-    cons = _fix(leaf.constraints, fixed)
-    if cons is None:
+def _cones(rows: Sequence[int], alive: int) -> list[int]:
+    """`_closure` on `rows` ANDed with `alive`: over the successor rows
+    the descendant sets inside a branch, over the predecessor rows the
+    ancestor sets."""
+    return _closure([r & alive for r in rows], alive)
+
+
+def _take(b: _Branch, true: int, false: int) -> Optional[_Branch]:
+    """Set the variables of mask `true` and their descendants true; set
+    those of `false`, the true set's NAND neighbours and all their
+    ancestors false; None when a variable must be both."""
+    true = _reach(b.succ, true) & b.alive
+    false = _reach(b.pred, false | _block(b.nand, true)) & b.alive
+    if true & false:
         return None
-    return _propagate(_Leaf(
-        leaf.n, cons, leaf.alive & ~(true | false),
-        leaf.k - true.bit_count(), leaf.forced | true,
-    ))
+    return b._replace(
+        alive=b.alive & ~(true | false), forced=b.forced | true, k=b.k - true.bit_count()
+    )
 
 
-def _restrict(leaf: _Leaf) -> Iterator[_Leaf]:
+def _restrict(b: _Branch) -> Iterator[_Branch]:
     """Branch on which heavy descendant cones the solution contains.
 
     A variable is heavy when its descendant set has three or more
@@ -103,73 +109,70 @@ def _restrict(leaf: _Leaf) -> Iterator[_Leaf]:
     ancestors, then deletes whatever is still heavy.  Some branch
     preserves each weight-k solution, with residual budget k - |D(S)|.
     """
-    desc, anc = build_impl_structure(leaf)
-    rows = _read(leaf)[3]
-    heavy = [d for d in desc if d.bit_count() >= 3]
-    for size in range(0, leaf.k // 3 + 1):
+    desc = _cones(b.succ, b.alive)
+    heavy = [d for v in _vertices(b.alive) if (d := desc[v - 1]).bit_count() >= 3]
+    for size in range(0, b.k // 3 + 1):
         for S in itertools.combinations(heavy, size):
             cone = 0
             for d in S:
                 cone |= d
             weight = cone.bit_count()
-            if weight > leaf.k or (size and weight < 3 * size):
+            if weight > b.k or (size and weight < 3 * size):
                 continue
-            blocked = _block(rows, cone)
-            if blocked & cone:
-                continue
-            branch = _take(leaf, cone, _block(anc, blocked))
+            branch = _take(b, cone, 0)
             if branch is None:
                 continue
-            desc2, _ = build_impl_structure(branch)
-            still_heavy = _mask(v for v, d in enumerate(desc2, 1) if d.bit_count() >= 3)
+            left = _cones(b.succ, branch.alive)
+            still_heavy = _mask(v for v, d in enumerate(left, 1) if d.bit_count() >= 3)
             if still_heavy:
                 branch = _take(branch, 0, still_heavy)
                 if branch is None:
                     continue
-            desc3, _ = build_impl_structure(branch)
-            if any(d.bit_count() > 2 for d in desc3):
+                left = _cones(b.succ, branch.alive)
+            if any(d.bit_count() > 2 for d in left):
                 raise VerificationError("restriction left a heavy variable")
             yield branch
 
 
-def _two_cycle_branches(leaf: _Leaf) -> Iterator[_Leaf]:
+def _two_cycle_branches(b: _Branch) -> Iterator[_Branch]:
     """Branch on which mutually-implying pairs the solution contains.
 
-    In a restricted leaf such pairs touch no other implication edge, so
-    each is taken or dropped whole: a guessed subset of at most
+    In a restricted branch such pairs touch no other implication edge,
+    so each is taken or dropped whole: a guessed subset of at most
     floor(k/2) NAND-free pairs is fixed true, every other cycle vertex
     false.  Residual budget drops by two per taken pair.
     """
-    desc, anc = build_impl_structure(leaf)
+    desc = _cones(b.succ, b.alive)
+    anc = _cones(b.pred, b.alive)
     cycles = sorted({
-        c for v in _vertices(leaf.alive) if (c := desc[v - 1] & anc[v - 1]) != 1 << (v - 1)
+        c for v in _vertices(b.alive) if (c := desc[v - 1] & anc[v - 1]) != 1 << (v - 1)
     })
     if not cycles:
-        yield leaf
+        yield b
         return
-    rows = _read(leaf)[3]
-    takeable = [c for c in cycles if _clean(rows, c)]
+    takeable = [c for c in cycles if _clean(b.nand, c)]
     # Restriction leaves each variable at most two descendants, so the
     # pairs are disjoint and a sum of them is their union.
     on_cycles = sum(cycles)
-    for r in range(0, min(len(takeable), leaf.k // 2) + 1):
+    for r in range(0, min(len(takeable), b.k // 2) + 1):
         for C in itertools.combinations(takeable, r):
             taken = sum(C)
-            branch = _take(leaf, taken, on_cycles & ~taken)
+            branch = _take(b, taken, on_cycles & ~taken)
             if branch is not None:
                 yield branch
 
 
-def _groups(leaf: _Leaf) -> list[_Group]:
+def _groups(b: _Branch) -> list[_Group]:
     """Star decomposition of the alive variables of an acyclic restricted
-    leaf, as (sink, members mask) pairs.
+    branch, as (sink, members mask) pairs.
 
     Sinks (two or more ancestors) with their sources form one group
     each; implication-free variables pool into a final sinkless group.
     A solution lying wholly inside one group, or two, needs no triangle
     branch; `_solve_acyclic` checks those pools first.
     """
-    desc, anc = build_impl_structure(leaf)
+    desc = _cones(b.succ, b.alive)
+    anc = _cones(b.pred, b.alive)
     for v, d in enumerate(desc, 1):
         if d.bit_count() > 2:
             raise ValueError(f"variable {v} is heavy; restrict first")
@@ -177,9 +180,9 @@ def _groups(leaf: _Leaf) -> list[_Group]:
         if other and desc[other - 1] >> (v - 1) & 1:
             raise ValueError(f"two-cycle {{{v},{other}}}; remove cycles first")
     groups: list[_Group] = [
-        (s, anc[s - 1]) for s in _vertices(leaf.alive) if anc[s - 1].bit_count() >= 2
+        (s, anc[s - 1]) for s in _vertices(b.alive) if anc[s - 1].bit_count() >= 2
     ]
-    rest = leaf.alive & ~sum(members for _, members in groups)
+    rest = b.alive & ~sum(members for _, members in groups)
     if rest:
         groups.append((None, rest))
     return groups
@@ -275,27 +278,27 @@ def _distributions(total: int, has_sink: bool) -> Iterator[tuple[tuple[int, int,
                         yield c, t
 
 
-def _solve_acyclic(leaf: _Leaf) -> Optional[int]:
-    """A solution of an acyclic restricted leaf, as the mask of its true
-    set (forced variables included), or None."""
-    k = leaf.k
+def _solve_acyclic(b: _Branch) -> Optional[int]:
+    """A solution of an acyclic restricted branch, as the mask of its
+    true set (forced variables included), or None."""
+    k = b.k
     if k == 0:
-        return leaf.forced
-    if k > leaf.alive.bit_count():
+        return b.forced
+    if k > b.alive.bit_count():
         return None
-    rows = _read(leaf)[3]
-    groups = _groups(leaf)
+    groups = _groups(b)
+    nand = b.nand
 
     def pool_solution(chosen: Sequence[_Group]) -> Optional[int]:
         sinks = _mask(s for s, _ in chosen if s is not None)
-        if not _clean(rows, sinks):
+        if not _clean(nand, sinks):
             return None
         k_rest = k - sinks.bit_count()
         if k_rest < 0:
             return None
-        pool = sum(members for _, members in chosen) & ~(sinks | _block(rows, sinks))
-        ok, found = _decide(rows, pool, (), k_rest, True)
-        return leaf.forced | sinks | found if ok else None
+        pool = sum(members for _, members in chosen) & ~(sinks | _block(nand, sinks))
+        ok, found = _decide(nand, pool, (), k_rest, True)
+        return b.forced | sinks | found if ok else None
 
     for chosen in itertools.chain(
         itertools.combinations(groups, 1), itertools.combinations(groups, 2)
@@ -309,7 +312,7 @@ def _solve_acyclic(leaf: _Leaf) -> Optional[int]:
     @functools.cache
     def chunks_of(gi: int, take: int, whole: bool) -> list[tuple[int, int]]:
         sink, members = groups[gi]
-        return _chunks_for_split(rows, sink, members, take, whole)
+        return _chunks_for_split(nand, sink, members, take, whole)
 
     lo = k // 3
     hi = -(-k // 3)
@@ -333,7 +336,7 @@ def _solve_acyclic(leaf: _Leaf) -> Optional[int]:
                 g2s = groups[combo[split2]][0]
                 q1 = quotas[split1]
                 q2 = quotas[split2]
-                if not _clean(rows, _mask(s for s in (g1s, g2s) if s is not None)):
+                if not _clean(nand, _mask(s for s in (g1s, g2s) if s is not None)):
                     continue
                 for c1, t1 in _distributions(q1, g1s is not None):
                     for c2, t2 in _distributions(q2, g2s is not None):
@@ -341,11 +344,11 @@ def _solve_acyclic(leaf: _Leaf) -> Optional[int]:
                         if not all(lo <= x <= hi for x in loads):
                             continue
                         got = _branch_triangle(
-                            leaf.n, chunks_of, groups, combo, order, quotas, bins,
+                            len(nand), chunks_of, groups, combo, order, quotas, bins,
                             (split1, c1, t1), (split2, c2, t2),
                         )
                         if got is not None:
-                            return leaf.forced | got
+                            return b.forced | got
     return None
 
 
@@ -416,23 +419,21 @@ def _solve_leaf(leaf: _Leaf) -> Optional[int]:
     """A weight-k solution of a 0-valid leaf over NAND, IMPL and EQ, as
     the mask of its true set (forced variables included), or None.
 
-    Pinning constraints are propagated and the implication order pruned
-    first; any other constraint left is a ValueError.
+    The leaf is read once: its pinned variables and their ancestors go,
+    the implication order is pruned as the binary leaf solver prunes it,
+    and every branch below is a `_Branch` over the same rows.  A table
+    `csp._read` cannot read (arity above two) is a ValueError.
     """
-    leaf = _propagate(leaf)
-    if leaf is None or leaf.k > leaf.alive.bit_count():
+    alive, succ, pred, nand, unread = _unpinned(leaf)
+    k = leaf.k
+    if k > alive.bit_count():
         return None
-    if leaf.k == 0:
+    if k == 0:
         return leaf.forced
-    leaf = _prune(leaf)
-    if leaf is not None:
-        leaf = _propagate(leaf)
-    if leaf is None:
-        return None
-    for f, _ in leaf.constraints:
-        if not (is_nand_fn(f) or is_impl_fn(f) or is_eq_fn(f)):
-            raise ValueError(f"unsupported constraint {f.name!r}")
-    for restricted in _restrict(leaf):
+    if unread is not None:
+        raise ValueError(f"unsupported constraint {unread.name!r}")
+    _, alive = _pruned(succ, nand, alive, k)
+    for restricted in _restrict(_Branch(succ, pred, nand, alive, leaf.forced, k)):
         for acyclic in _two_cycle_branches(restricted):
             got = _solve_acyclic(acyclic)
             if got is not None:
@@ -446,7 +447,9 @@ def solve_nand_impl(phi: CspInstance, k: int) -> bool:
     Accepts any binary instance whose meaningful constraints are NAND,
     implication, or equality shaped (equality reads as two implications
     throughout); pinning constraints are propagated and violated
-    all-false constraints branched away first.  Labels are ignored.
+    all-false constraints branched away first.  A table of higher arity
+    is a ValueError wherever a leaf is left to solve, even when a pin
+    would satisfy it.  Labels are ignored.
     """
     if k < 0 or k > phi.n:
         return False

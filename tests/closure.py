@@ -1,7 +1,8 @@
 """Definitional reference for the implication closure.
 
-`sparsekis.csp.build_impl_structure` returns descendant and ancestor
-masks built in one pass over strongly connected components.  This is
+`sparsekis.csp._closure` over the successor and predecessor rows of
+`sparsekis.csp._read` gives descendant and ancestor masks, built in one
+pass over strongly connected components.  This is
 the same closure as frozensets, by depth-first search from each
 variable over the implication pairs read off the constraint tables,
 kept here so tests can pin the masks without sharing their code.

@@ -37,9 +37,10 @@ from sparsekis.csp import (
     BadFunctionDecl,
     MalformedCspHeader,
     _checked,
+    _closure,
     _fix,
     _Leaf,
-    build_impl_structure,
+    _read,
     forced_false_positions,
     min_violations,
 )
@@ -481,7 +482,9 @@ def test_closure_masks_match_reference():
     for _ in range(300):
         n = rng.randint(1, 14)
         phi = random_csp(rng, n, (IMPL, IMPL, EQ2, NAND2), rng.randint(0, 2 * n))
-        desc, anc = build_impl_structure(phi)
+        _, succ, pred, _, _ = _read(phi)
+        every = (1 << n) - 1
+        desc, anc = _closure(succ, every), _closure(pred, every)
         want_desc, want_anc = closure_sets(phi)
         assert len(desc) == len(anc) == n
         for v in range(1, n + 1):
@@ -980,15 +983,12 @@ def test_nand_impl_leaf_search_matches_oracle(monkeypatch, cap):
     assert bool(pipeline) == (cap == "zero")
 
 
-def test_nand_impl_pipeline_builds_no_instance(monkeypatch):
-    # The shape of the benchmark's Clique-regime instances: 200 NAND and
-    # IMPL constraints on 80 variables, all satisfied by a planted
-    # 6-set.  One OR2 over two planted variables makes branching force
-    # one of them, so the first leaf carries a forced variable and has
-    # a solution.  Past the state cap one pipeline run solves that leaf,
-    # and nothing after entry builds a checked instance.
-    from sparsekis import csp, nand_impl
-
+def clique_instance() -> tuple[CspInstance, int]:
+    """The shape of the benchmark's Clique-regime instances: 200 NAND and
+    IMPL constraints on 80 variables, all satisfied by a planted 6-set.
+    One OR2 over two planted variables makes branching force one of
+    them, so the first leaf carries a forced variable and has a
+    solution."""
     rng = random.Random(101)
     n, k = 80, 6
     planted = set(rng.sample(range(1, n + 1), k))
@@ -997,7 +997,15 @@ def test_nand_impl_pipeline_builds_no_instance(monkeypatch):
         c = (rng.choice((NAND2, IMPL)), tuple(rng.sample(range(1, n + 1), 2)))
         if c not in cons and c[0]([int(v in planted) for v in c[1]]):
             cons.append(c)
-    phi = CspInstance(n, tuple(cons))
+    return CspInstance(n, tuple(cons)), k
+
+
+def test_nand_impl_pipeline_builds_no_instance(monkeypatch):
+    # Past the state cap one pipeline run solves the first leaf of
+    # clique_instance, and nothing after entry builds a checked instance.
+    from sparsekis import csp, nand_impl
+
+    phi, k = clique_instance()
     monkeypatch.setattr(csp, "NAND_IMPL_STATE_CAP", 0)
     pipeline = []
     real_pipeline = nand_impl._solve_leaf
@@ -1021,6 +1029,41 @@ def test_nand_impl_pipeline_builds_no_instance(monkeypatch):
     assert len(res.assignment) == k and phi.satisfied_by(res.assignment)
     assert len(pipeline) == 1
     assert built == []
+
+
+def test_nand_impl_pipeline_reads_its_leaf_once(monkeypatch):
+    # Branching fixes the OR2 of clique_instance with _fix before the
+    # pipeline starts, so only what runs inside the one _solve_leaf call
+    # counts: one read of the leaf, and no constraint specialised.
+    from sparsekis import csp, nand_impl
+
+    phi, k = clique_instance()
+    monkeypatch.setattr(csp, "NAND_IMPL_STATE_CAP", 0)
+    inside = []
+    seen = {"_read": 0, "_fix": 0, "specialize": 0}
+
+    def spy(name, real):
+        def counted(*args):
+            if inside:
+                seen[name] += 1
+            return real(*args)
+        return counted
+
+    for name in seen:
+        monkeypatch.setattr(csp, name, spy(name, getattr(csp, name)))
+    real_pipeline = nand_impl._solve_leaf
+
+    def pipeline(leaf):
+        inside.append(leaf)
+        try:
+            return real_pipeline(leaf)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(nand_impl, "_solve_leaf", pipeline)
+    res = solve_csp(phi, k)
+    assert res.satisfiable and res.route == "regime Clique(0)"
+    assert seen == {"_read": 1, "_fix": 0, "specialize": 0}
 
 
 # Every binary table but the constant-true one, and every unary table.

@@ -6,28 +6,51 @@ import random
 import pytest
 
 from sparsekis import (
+    ConstraintFunction,
     CspInstance,
     EQ2,
     IMPL,
     NAND2,
+    NOR2,
+    NOT1,
     balance_partition,
     brute_solve_csp,
+    permute_arguments,
+    solve_csp,
     solve_nand_impl,
 )
-from sparsekis import cliques, kis, nand_impl
-from sparsekis.csp import _checked, _root, build_impl_structure
+from sparsekis import cliques, csp, kis, nand_impl
+from sparsekis.csp import _closure, _read, _root
 from sparsekis.hypergraph import _mask, _vertices
+
+from conftest import random_csp
 
 
 def yes(phi: CspInstance, k: int) -> bool:
     return brute_solve_csp(phi, k) is not None
 
 
-def leaf_yes(phi: CspInstance, leaf) -> bool:
-    """Whether a branch of phi keeps a solution, by the oracle on its
-    checked instance."""
-    inst = _checked(phi, leaf)
-    return 0 <= leaf.k <= inst.n and yes(inst, leaf.k)
+def masks(phi: CspInstance, k: int):
+    """phi as the pipeline reads a leaf: the branch over its rows with
+    every variable alive, none forced and budget k."""
+    _, succ, pred, nand, _ = _read(phi)
+    return nand_impl._Branch(succ, pred, nand, (1 << phi.n) - 1, 0, k)
+
+
+def descendants(branch) -> list[int]:
+    """Descendant masks inside the branch, by `_closure` on its rows."""
+    return _closure([r & branch.alive for r in branch.succ], branch.alive)
+
+
+def leaf_yes(phi: CspInstance, branch) -> bool:
+    """Whether a branch of phi keeps a solution, by brute force: some
+    `branch.k` alive variables that satisfy phi with the forced ones
+    true and every other variable false."""
+    forced = _vertices(branch.forced)
+    return branch.k >= 0 and any(
+        phi.satisfied_by(forced + list(c))
+        for c in itertools.combinations(_vertices(branch.alive), branch.k)
+    )
 
 
 def assert_solution(phi: CspInstance, k: int, got) -> None:
@@ -91,7 +114,7 @@ def star_instance(rng, n, nand_draws):
 
 def test_restrict_no_heavy_single_emission():
     phi = CspInstance(5, ((NAND2, (1, 2)), (IMPL, (3, 4))))
-    out = list(nand_impl._restrict(_root(phi, 3)))
+    out = list(nand_impl._restrict(masks(phi, 3)))
     assert len(out) == 1
     branch = out[0]
     assert branch.k == 3 and branch.alive.bit_count() == 5
@@ -100,7 +123,7 @@ def test_restrict_no_heavy_single_emission():
 def test_restrict_cone_consumes_budget():
     # v's cone is {v, a, b}; guessing it in leaves nothing to spend.
     phi = CspInstance(3, ((IMPL, (1, 2)), (IMPL, (1, 3))))
-    budgets = sorted(branch.k for branch in nand_impl._restrict(_root(phi, 3)))
+    budgets = sorted(branch.k for branch in nand_impl._restrict(masks(phi, 3)))
     assert 0 in budgets
 
 
@@ -109,8 +132,8 @@ def test_restrict_output_is_light():
     for _ in range(20):
         n = rng.randint(4, 9)
         phi = random_nand_impl(rng, n, rng.randint(0, 4), rng.randint(0, 6))
-        for branch in nand_impl._restrict(_root(phi, rng.randint(0, 4))):
-            desc, _ = build_impl_structure(branch)
+        for branch in nand_impl._restrict(masks(phi, rng.randint(0, 4))):
+            desc = descendants(branch)
             assert all(d.bit_count() <= 2 for d in desc)
             assert branch.k >= 0
 
@@ -123,7 +146,7 @@ def test_restrict_decision_preserving():
         for k in (2, 3):
             want = yes(phi, k)
             got = any(
-                leaf_yes(phi, branch) for branch in nand_impl._restrict(_root(phi, k))
+                leaf_yes(phi, branch) for branch in nand_impl._restrict(masks(phi, k))
             )
             assert got == want
 
@@ -133,7 +156,7 @@ def test_two_cycle_with_nand_drops_pair():
     phi = CspInstance(4, (
         (IMPL, (1, 2)), (IMPL, (2, 1)), (NAND2, (1, 2)),
     ))
-    out = list(nand_impl._two_cycle_branches(_root(phi, 2)))
+    out = list(nand_impl._two_cycle_branches(masks(phi, 2)))
     assert len(out) == 1
     branch = out[0]
     assert branch.k == 2 and branch.alive == _mask((3, 4))
@@ -143,7 +166,7 @@ def test_two_cycles_taken_whole():
     phi = CspInstance(5, ((IMPL, (1, 2)), (IMPL, (2, 1))))
     got = {
         (branch.k, branch.alive.bit_count())
-        for branch in nand_impl._two_cycle_branches(_root(phi, 2))
+        for branch in nand_impl._two_cycle_branches(masks(phi, 2))
     }
     # Either the pair is dropped (both deleted, full budget) or taken
     # (both deleted into the solution, budget falls by two).
@@ -169,19 +192,19 @@ def test_two_cycle_decision_preserving():
             want = yes(phi, k)
             got = any(
                 leaf_yes(phi, branch)
-                for branch in nand_impl._two_cycle_branches(_root(phi, k))
+                for branch in nand_impl._two_cycle_branches(masks(phi, k))
             )
             assert got == want
 
 
 def test_groups_pure_nand_single_pool():
     phi = CspInstance(4, ((NAND2, (1, 2)), (NAND2, (3, 4))))
-    assert nand_impl._groups(_root(phi, 0)) == [(None, _mask((1, 2, 3, 4)))]
+    assert nand_impl._groups(masks(phi, 0)) == [(None, _mask((1, 2, 3, 4)))]
 
 
 def test_groups_star():
     phi = CspInstance(4, ((IMPL, (1, 3)), (IMPL, (2, 3))))
-    groups = nand_impl._groups(_root(phi, 0))
+    groups = nand_impl._groups(masks(phi, 0))
     assert (None, _mask((4,))) in groups
     assert (3, _mask((1, 2, 3))) in groups
 
@@ -191,7 +214,7 @@ def test_groups_partition_variables():
     for _ in range(25):
         n = rng.randint(5, 10)
         phi = random_nand_impl(rng, n, rng.randint(0, 4), rng.randint(0, 5))
-        for branch in nand_impl._restrict(_root(phi, 3)):
+        for branch in nand_impl._restrict(masks(phi, 3)):
             for b2 in nand_impl._two_cycle_branches(branch):
                 seen = 0
                 for _, members in nand_impl._groups(b2):
@@ -209,7 +232,7 @@ def test_single_group_solution_found_without_counting(monkeypatch):
         raise AssertionError("counted a pool the search settles")
 
     monkeypatch.setattr(cliques, "count_k_is_masks", boom)
-    got = nand_impl._solve_acyclic(_root(phi, 3))
+    got = nand_impl._solve_acyclic(masks(phi, 3))
     assert got is not None
     assert_solution(phi, 3, got)
 
@@ -217,10 +240,10 @@ def test_single_group_solution_found_without_counting(monkeypatch):
 def test_groups_reject_heavy_and_cycles():
     heavy = CspInstance(3, ((IMPL, (1, 2)), (IMPL, (1, 3))))
     with pytest.raises(ValueError):
-        nand_impl._groups(_root(heavy, 0))
+        nand_impl._groups(masks(heavy, 0))
     cyc = CspInstance(2, ((IMPL, (1, 2)), (IMPL, (2, 1))))
     with pytest.raises(ValueError):
-        nand_impl._groups(_root(cyc, 0))
+        nand_impl._groups(masks(cyc, 0))
 
 
 def test_balance_five_singletons():
@@ -272,7 +295,7 @@ def test_solve_restricted_matches_oracle(monkeypatch, budget):
     for _ in range(30):
         n = rng.randint(4, 9)
         phi = random_nand_impl(rng, n, rng.randint(0, 5), rng.randint(0, 3))
-        desc, _ = build_impl_structure(phi)
+        desc = descendants(masks(phi, 0))
         if any(d.bit_count() > 2 for d in desc):
             continue
         if any(
@@ -281,7 +304,7 @@ def test_solve_restricted_matches_oracle(monkeypatch, budget):
         ):
             continue
         for k in range(0, 5):
-            got = nand_impl._solve_acyclic(_root(phi, k))
+            got = nand_impl._solve_acyclic(masks(phi, k))
             assert (got is not None) == yes(phi, k)
             assert_solution(phi, k, got)
 
@@ -303,6 +326,46 @@ def test_solver_matches_oracle(monkeypatch, budget):
             got = nand_impl._solve_leaf(_root(phi, k))
             assert (got is not None) == want, (phi, k)
             assert_solution(phi, k, got)
+
+
+def test_unsupported_arity_raises_after_the_early_answers():
+    # A table of arity three is rejected, but only once the budget and a
+    # zero weight have had their say.
+    nand3 = ConstraintFunction("nand3", 3, (1,) * 7 + (0,))
+    phi = CspInstance(5, ((nand3, (1, 2, 3)), (NAND2, (4, 5))))
+    assert solve_nand_impl(phi, 0)
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match="unsupported constraint 'nand3'"):
+            solve_nand_impl(phi, k)
+    assert not solve_nand_impl(phi, 6)
+
+
+def test_pipeline_reads_pins_and_both_implication_directions(monkeypatch):
+    # The pipeline reads a leaf as branching left it, so pin tables and
+    # backward implications reach it unpropagated; at a zero state cap
+    # solve_csp sends every such Clique leaf through it too.
+    monkeypatch.setattr(csp, "NAND_IMPL_STATE_CAP", 0)
+    runs = []
+    real = nand_impl._solve_leaf
+
+    def counted(leaf):
+        runs.append(1)
+        return real(leaf)
+
+    monkeypatch.setattr(nand_impl, "_solve_leaf", counted)
+    backward = permute_arguments(IMPL, (1, 0))
+    family = [NAND2, IMPL, backward, EQ2, NOR2, NOT1]
+    rng = random.Random(65)
+    for _ in range(60):
+        n = rng.randint(3, 9)
+        phi = random_csp(rng, n, family, rng.randint(2, 2 * n))
+        for k in range(0, n + 1):
+            want = yes(phi, k)
+            got = real(_root(phi, k))
+            assert (got is not None) == want, (phi, k)
+            assert_solution(phi, k, got)
+            assert solve_csp(phi, k).satisfiable == want, (phi, k)
+    assert runs
 
 
 def test_labels_do_not_change_answers():
@@ -351,9 +414,9 @@ def test_chunk_lists_built_once_per_call(monkeypatch):
         calls[-1].append((sink, members, take, with_sink))
         return real_chunks(rows, sink, members, take, with_sink)
 
-    def spied_solve(leaf):
+    def spied_solve(branch):
         calls.append([])
-        return real_solve(leaf)
+        return real_solve(branch)
 
     monkeypatch.setattr(nand_impl, "_chunks_for_split", spied_chunks)
     monkeypatch.setattr(nand_impl, "_solve_acyclic", spied_solve)

@@ -41,3 +41,18 @@ def test_no_solver_module_imports_the_oracle():
             if any("oracle" in m.split(".") for m in modules):
                 found.append(f"{name}.py:{node.lineno}")
     assert found == []
+
+
+def test_nand_impl_fixes_variables_on_masks():
+    # The pipeline reads its leaf once into rows and fixes variables by
+    # mask arithmetic, so it imports none of the constraint-list steps.
+    src = Path(sparsekis.__file__).parent
+    banned = {"_fix", "_propagate", "_prune", "_drop", "build_impl_structure"}
+    found = [
+        a.name
+        for node in ast.walk(ast.parse((src / "nand_impl.py").read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+        if a.name in banned
+    ]
+    assert found == []
