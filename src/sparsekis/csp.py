@@ -14,22 +14,29 @@ cuts a node when more variable-disjoint violated constraints remain than
 its budget, since each needs a true variable of its own.  Its leaves are
 0-valid: the all-false row satisfies every constraint left.
 
-A 0-valid binary table is exactly the clauses of its violated rows: row
-1 (u true, v false) means u -> v, row 2 means v -> u, row 3 means
-NAND(u, v); a table with a forced-false position is exactly its pins.
-`_solve_leaf_binary` reads each leaf once that way into masks (`_read`):
-propagation is the pins and all their ancestors, equality components
-feed a subset-sum, descendant sets from one pass over strongly
-connected components prune the implication order and drive the
-closed-set search, and NAND rows go to the independent-set machinery.
+One reader, `_read`, takes every 0-valid leaf into masks, from one
+cached reading per table (`_reading`).  A table closed downward (NAND_r,
+at-most-t-of-r, NOR, NOT: a row above a violating row violates too) is
+its minimal violating supports: one-variable supports are pins,
+two-variable ones NAND rows, larger ones large edges.  IMPL and EQ, the
+only other 0-valid binary tables, are the clauses of their violated
+rows: row 1 (u true, v false) means u -> v, row 2 means v -> u.  Any
+other table is left unread.  `classify_binary_family` sorts a family by
+the same reading.
+
+`_solve_leaf_binary` reads each binary leaf once: propagation is the
+pins and all their ancestors, equality components feed a subset-sum,
+descendant sets from one pass over strongly connected components prune
+the implication order and drive the closed-set search, and NAND rows go
+to the independent-set machinery.  Past the search's state cap the
+nand_impl pipeline gets the branch already read and pruned.
 
 Higher-arity instances are branched to 0-valid leaves, and the sparse
-greedy `_greedy` tries each leaf first.  A leaf whose constraints are all
-downward closed (NAND_r, at-most-t-of-r: a row above a violating row
-violates too) is k-IS in the hypergraph of the constraints' minimal
-violating supports, so `kis._decide` answers it, under the route name
-"regime KIS"; the capped exhaustive scan `_exhaustive` answers only the
-leaves that hold another table, or where k-IS meets a resource limit.
+greedy `_greedy` tries each leaf first.  A leaf with no implication and
+no unread table is k-IS on its NAND rows and large edges, so
+`kis._decide` answers it, under the route name "regime KIS"; the capped
+exhaustive scan `_exhaustive` answers only the leaves that hold another
+table, or where k-IS meets a resource limit.
 
 `solve_csp` keeps the caller's variable ids from entry to verdict.  A
 branch or leaf is a `_Leaf`: a plain list of (function, variables)
@@ -48,7 +55,7 @@ A checked instance is built only in the public `branch_and_bound`,
 Descendant and ancestor sets are bitmasks laid out as the NAND rows, so
 the NAND neighbours of a set are one `_block` over its mask.  The table
 facts `specialize`, `forced_false_positions`, `u_min`, `min_violations`
-and `_clauses` are cached per function; the loops over a leaf's
+and `_reading` are cached per function; the loops over a leaf's
 constraints look each function object up by id, since a cache lookup
 calls the function's Python-level hash and equality on every hit.
 """
@@ -181,6 +188,8 @@ def _permute_row(j: int, perm: Sequence[int]) -> int:
 
 def permute_arguments(f: ConstraintFunction, perm: Sequence[int]) -> ConstraintFunction:
     """Table of f with arguments reordered; perm maps new position -> old."""
+    if sorted(perm) != list(range(f.arity)):
+        raise ValueError(f"{tuple(perm)} is not a permutation of 0..{f.arity - 1}")
     table = tuple(f.table[_permute_row(j, perm)] for j in range(len(f.table)))
     return ConstraintFunction(f.name, f.arity, table)
 
@@ -228,22 +237,6 @@ NOR2 = ConstraintFunction("nor2", 2, (1, 0, 0, 0))
 NOT1 = ConstraintFunction("not1", 1, (1, 0))
 NEVER1 = ConstraintFunction("never1", 1, (0, 0))
 
-_IMPL_FWD = (1, 0, 1, 1)
-_IMPL_BWD = (1, 1, 0, 1)
-
-
-def is_nand_fn(f: ConstraintFunction) -> bool:
-    return f.arity == 2 and f.table == NAND2.table
-
-
-def is_impl_fn(f: ConstraintFunction) -> bool:
-    return f.arity == 2 and f.table in (_IMPL_FWD, _IMPL_BWD)
-
-
-def is_eq_fn(f: ConstraintFunction) -> bool:
-    return f.arity == 2 and f.table == EQ2.table
-
-
 @cache
 def forced_false_positions(f: ConstraintFunction) -> tuple[int, ...]:
     """1-based positions that are 0 in every satisfying row (none if f is
@@ -258,17 +251,30 @@ def forced_false_positions(f: ConstraintFunction) -> tuple[int, ...]:
 
 
 @cache
-def _clauses(f: ConstraintFunction) -> tuple[tuple[int, ...], int]:
-    """How `_read` takes f: its forced-false positions when it has any,
-    else the bits of its violated rows (1: u -> v, 2: v -> u, 4: NAND);
-    bits -1 when f is not 0-valid of arity <= 2.  Worked out once per
-    function."""
-    if f.arity > 2 or not f.table[0]:
-        return (), -1
-    pins = forced_false_positions(f)
-    if pins or f.arity < 2:
-        return pins, 0
-    return (), (not f.table[1]) | (not f.table[2]) << 1 | (not f.table[3]) << 2
+def _reading(f: ConstraintFunction) -> tuple[int, tuple]:
+    """How `_read` takes f, as (kind, parts); worked out once per function.
+
+    A 0-valid table closed downward (`min_violations`) is its violating
+    supports: kind 4 for NAND2, kind 0 with the positions of the
+    one-variable supports (pins) when there are no others, else kind -2
+    with each support's size and a getter of its variables.  IMPL and
+    EQ, the other 0-valid binary tables, are the bits of their violated
+    rows (1: u -> v, 2: v -> u, 3: both).  Any other table is kind -1,
+    not read.  Positions are 0-based.
+    """
+    if not f.table[0]:
+        return -1, ()
+    bad = min_violations(f)
+    if bad is None:
+        if f.arity == 2:
+            return (not f.table[1]) | (not f.table[2]) << 1, ()
+        return -1, ()
+    sups = [tuple(p for p in range(f.arity) if j >> p & 1) for j in bad]
+    if all(len(s) == 1 for s in sups):
+        return 0, tuple(s[0] for s in sups)
+    if f.arity == 2:
+        return 4, ()
+    return -2, tuple((len(s), itemgetter(*s)) for s in sups)
 
 
 Constraint = tuple[ConstraintFunction, tuple[int, ...]]
@@ -491,13 +497,6 @@ class Regime:
         return f"Clique({self.offset})" if self.kind == "Clique" else self.kind
 
 
-def _is_easy_fn(f: ConstraintFunction) -> bool:
-    # A function whose whole effect is pinning some arguments false:
-    # every row with its forced-false positions at 0 satisfies it.
-    forced = _mask(forced_false_positions(f))
-    return bool(forced) and all(b for j, b in enumerate(f.table) if not j & forced)
-
-
 def classify_binary_family(funcs: Iterable[ConstraintFunction]) -> Regime:
     """Sort a family of arity <= 2 functions into its hardness regime.
 
@@ -506,25 +505,21 @@ def classify_binary_family(funcs: Iterable[ConstraintFunction]) -> Regime:
     present, any other surviving function tips the family into the
     Clique regime with offset min s_min over those survivors; NAND alone
     is the KIS regime; an implication without NAND is Subexponential;
-    anything else is Linear.
+    anything else is Linear.  Each table is taken as `_read` takes it
+    (`_reading`).
     """
     family = list(funcs)
     for f in family:
         if f.arity > 2:
             raise ValueError(f"non-binary function {f.name!r} (arity {f.arity})")
-    work = [
-        f
-        for f in family
-        if not f.is_constant_true and not f.is_constant_false and not _is_easy_fn(f)
-    ]
-    has_nand = any(is_nand_fn(f) for f in work)
-    has_impl = any(is_impl_fn(f) for f in work)
-    if has_nand:
-        rest = [f for f in work if not is_nand_fn(f)]
+    # Kind 0 only pins (or reads nothing), 4 is NAND2, 1 and 2 are IMPL.
+    kinds = {f: _reading(f)[0] for f in family if not f.is_constant_false}
+    rest = [f for f, kind in kinds.items() if kind not in (0, 4)]
+    if 4 in kinds.values():
         if not rest:
             return Regime("KIS")
         return Regime("Clique", offset=min(s_min(f) for f in rest))
-    if has_impl:
+    if 1 in kinds.values() or 2 in kinds.values():
         return Regime("Subexponential")
     return Regime("Linear")
 
@@ -731,8 +726,10 @@ def eq_components_subset_sum(phi_eq: CspInstance, k: int) -> bool:
     question is whether component sizes (each usable once, sizes above k
     discarded) can sum to exactly k.
     """
+    if k < 0:
+        raise ValueError(f"negative weight budget {k}")
     for f, _ in phi_eq.constraints:
-        if not is_eq_fn(f):
+        if _reading(f)[0] != 3:
             raise ValueError(f"non-EQ constraint {f.name!r} in EQ-only instance")
     comps = _components(_read(phi_eq)[1], (1 << phi_eq.n) - 1)
     return _subset_sum_pick([w for c in comps if (w := c.bit_count()) <= k], k) is not None
@@ -740,54 +737,68 @@ def eq_components_subset_sum(phi_eq: CspInstance, k: int) -> bool:
 
 def _read(
     phi: CspInstance | _Leaf,
-) -> tuple[int, list[int], list[int], list[int], Optional[ConstraintFunction]]:
+) -> tuple[int, list[int], list[int], list[int], list[int], Optional[ConstraintFunction]]:
     """The constraints as masks: (pinned variables, successor rows,
-    predecessor rows, NAND rows, the first function not read or None),
-    the rows laid out as index v - 1, bit u - 1.
+    predecessor rows, NAND rows, large edges, the first function not
+    read or None), the rows laid out as index v - 1, bit u - 1.
 
-    A 0-valid binary table is exactly the clauses of its violated rows
-    (`_clauses`), or its pins when it has a forced-false position, and
-    that is how it is read.  Any other table adds nothing.  Each function
-    object is looked up by id, once.  Equalities are kept apart and
-    joined to both row lists at the end; with no one-way implication the
-    successor and predecessor rows are one list.
+    Each table is read as `_reading` gives it, one lookup by function
+    object id: one-variable violating supports are pins, two-variable
+    ones NAND rows, and the distinct larger ones the large edges, as
+    masks in first-seen order; implications join the successor and
+    predecessor rows.  Equalities are kept apart and joined to both row
+    lists at the end; with no one-way implication the successor and
+    predecessor rows are one list.
     """
     succ = [0] * phi.n
     pred = [0] * phi.n
     both = [0] * phi.n
     nand = [0] * phi.n
+    big: dict[int, None] = {}
     pinned = 0
     unread = None
-    facts: dict[int, tuple[tuple[int, ...], int]] = {}
+    facts: dict[int, tuple[int, tuple]] = {}
     for f, vs in phi.constraints:
         fact = facts.get(id(f))
         if fact is None:
-            fact = facts[id(f)] = _clauses(f)
-        pins, rel = fact
-        if rel <= 0:
-            if rel and unread is None:
-                unread = f
-            for p in pins:
-                pinned |= 1 << (vs[p - 1] - 1)
+            fact = facts[id(f)] = _reading(f)
+        kind, parts = fact
+        if kind <= 0:
+            if kind == 0:
+                for p in parts:
+                    pinned |= 1 << (vs[p] - 1)
+            elif kind == -1:
+                if unread is None:
+                    unread = f
+            else:
+                for size, get in parts:
+                    if size == 1:
+                        pinned |= 1 << (get(vs) - 1)
+                    elif size == 2:
+                        u, v = get(vs)
+                        nand[u - 1] |= 1 << (v - 1)
+                        nand[v - 1] |= 1 << (u - 1)
+                    else:
+                        big[_mask(get(vs))] = None
             continue
         u, v = vs
-        if rel == 4:
+        if kind == 4:
             nand[u - 1] |= 1 << (v - 1)
             nand[v - 1] |= 1 << (u - 1)
-        elif rel == 3:
+        elif kind == 3:
             both[u - 1] |= 1 << (v - 1)
             both[v - 1] |= 1 << (u - 1)
         else:
-            if rel == 2:
+            if kind == 2:
                 u, v = v, u
             succ[u - 1] |= 1 << (v - 1)
             pred[v - 1] |= 1 << (u - 1)
     if any(both):
         if not any(succ):
-            return pinned, both, both, nand, unread
+            return pinned, both, both, nand, list(big), unread
         succ = [a | b for a, b in zip(succ, both)]
         pred = [a | b for a, b in zip(pred, both)]
-    return pinned, succ, pred, nand, unread
+    return pinned, succ, pred, nand, list(big), unread
 
 
 def _reach(rows: Sequence[int], mask: int) -> int:
@@ -864,12 +875,13 @@ def _closure(succ: Sequence[int], verts: int) -> list[int]:
 
 def _unpinned(
     leaf: _Leaf,
-) -> tuple[int, list[int], list[int], list[int], Optional[ConstraintFunction]]:
+) -> tuple[int, list[int], list[int], list[int], list[int], Optional[ConstraintFunction]]:
     """A 0-valid leaf read once into masks (`_read`): its alive variables
     without the pinned ones and all their ancestors, then the successor,
-    predecessor and NAND rows and the first function not read."""
-    pinned, succ, pred, nand, unread = _read(leaf)
-    return leaf.alive & ~_reach(pred, pinned), succ, pred, nand, unread
+    predecessor and NAND rows, the large edges and the first function
+    not read."""
+    pinned, succ, pred, nand, big, unread = _read(leaf)
+    return leaf.alive & ~_reach(pred, pinned), succ, pred, nand, big, unread
 
 
 def _pruned(
@@ -899,7 +911,7 @@ def impl_prune(phi: CspInstance, k: int) -> CspInstance:
     the set.  Removal fixes the variable to false and specializes its
     constraints, preserving weight-k satisfiability.
     """
-    _, succ, _, nand, _ = _read(phi)
+    _, succ, _, nand, _, _ = _read(phi)
     every = (1 << phi.n) - 1
     _, alive = _pruned(succ, nand, every, k)
     cons = _fix(phi.constraints, dict.fromkeys(_vertices(every & ~alive), 0))
@@ -1117,49 +1129,6 @@ def _greedy(leaf: _Leaf) -> Optional[int]:
     return leaf.forced | chosen
 
 
-def _support_form(leaf: _Leaf) -> Optional[tuple[list[int], int, list[int]]]:
-    """A 0-valid leaf whose constraints are all downward closed as k-IS:
-    the pair rows, alive mask and large-edge masks of the hypergraph of
-    the constraints' minimal violating supports, in `kis._decide`'s
-    form; None when some constraint is not downward closed.
-
-    One-vertex supports leave `alive`; two-vertex supports join the pair
-    rows; distinct supports of 3..k vertices inside `alive` are the
-    large edges.  Larger ones fit in no k-set.
-    """
-    # Each support as its size and a getter of its variables, per
-    # function object: a few functions carry many constraints, and the
-    # cached table facts are keyed by value.
-    shapes: dict[int, Optional[list[tuple[int, itemgetter]]]] = {}
-    dead = 0
-    pairs: list[tuple[int, int]] = []
-    big: dict[int, None] = {}
-    k = leaf.k
-    for f, vs in leaf.constraints:
-        if id(f) not in shapes:
-            bad = min_violations(f)
-            shapes[id(f)] = None if bad is None else [
-                (j.bit_count(), itemgetter(*(p for p in range(f.arity) if j >> p & 1)))
-                for j in bad
-            ]
-        sups = shapes[id(f)]
-        if sups is None:
-            return None
-        for size, get in sups:
-            if size == 1:
-                dead |= 1 << (get(vs) - 1)
-            elif size == 2:
-                pairs.append(get(vs))
-            elif size <= k:
-                big[_mask(get(vs))] = None
-    rows = [0] * leaf.n
-    for u, v in pairs:
-        if not (dead >> (u - 1) & 1 or dead >> (v - 1) & 1):
-            rows[u - 1] |= 1 << (v - 1)
-            rows[v - 1] |= 1 << (u - 1)
-    return rows, leaf.alive & ~dead, [m for m in big if not m & dead]
-
-
 def _exhaustive(leaf: _Leaf) -> Optional[int]:
     """First weight-k solution of a leaf, scanning k-sets of its alive
     variables in lexicographic order, as the mask of its true set
@@ -1217,12 +1186,12 @@ def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[int]:
     components, the closed-set search and the k-IS hand-off all run on
     them, and the closure is built once.  Nothing is specialised; a NAND
     + implication leaf past the closed-set search's state cap goes to
-    the nand_impl pipeline, which reads it the same way.
+    the nand_impl pipeline as the branch read and pruned here.
     """
     from . import kis as _kis
     from . import nand_impl as _nand_impl
 
-    alive, succ, _, nand, _ = _unpinned(leaf)
+    alive, succ, pred, nand, _, _ = _unpinned(leaf)
     k = leaf.k
     if k == 0:
         return leaf.forced
@@ -1253,7 +1222,9 @@ def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[int]:
             try:
                 got = _closed_set_search(desc, nand, alive, k, NAND_IMPL_STATE_CAP)
             except ResourceLimit:
-                return _nand_impl._solve_leaf(leaf)
+                return _nand_impl._solve_branch(
+                    _nand_impl._Branch(succ, pred, nand, alive, leaf.forced, k)
+                )
             return None if got is None else leaf.forced | got
     ok, found = _kis._decide(nand, alive, (), k, True)
     return leaf.forced | found if ok else None
@@ -1309,10 +1280,13 @@ def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
             return CspResult(True, _verify(phi, got, k, want_witness), "sparse greedy")
     scanned = False
     for leaf in leaves:
-        form = _support_form(leaf)
-        if form is not None:
+        alive, succ, _, nand, big, unread = _unpinned(leaf)
+        if unread is None and not any(succ):
+            # The large edges inside alive that fit in a k-set.
+            dead = ~alive
+            big = [m for m in big if not m & dead and m.bit_count() <= leaf.k]
             try:
-                ok, found = _kis._decide(*form, leaf.k, True)
+                ok, found = _kis._decide(nand, alive, big, leaf.k, True)
             except ResourceLimit:
                 pass
             else:

@@ -169,7 +169,11 @@ class Graph:
 
     def is_independent(self, vertices: Iterable[int]) -> bool:
         """True iff no graph edge has both endpoints in `vertices`."""
-        m = _mask(vertices)
+        m = 0
+        for v in vertices:
+            if not 1 <= v <= self.n:
+                raise ValueError(f"vertex {v} out of range 1..{self.n}")
+            m |= 1 << (v - 1)
         rest = m
         while rest:
             low = rest & -rest

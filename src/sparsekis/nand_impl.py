@@ -2,14 +2,15 @@
 
 Variables under implication edges drag their descendant cones into any
 solution, and exclusion (NAND) edges forbid co-selection.  The pipeline
-peels structure until a triangle can finish the job.  It reads a
-`csp._Leaf` once, in the caller's own variable ids, into the successor,
-predecessor and NAND rows of `csp._read`, and a branch is then a
-`_Branch`: those rows, masks of the alive and forced-true variables and
-the residual budget.  A stage fixes variables with `_take`, mask
-arithmetic on the rows, and answers with the mask of a solution's true
-set (forced variables included) or None.  Descendant and ancestor sets
-are `csp._closure` on the rows ANDed with the branch's alive mask.
+peels structure until a triangle can finish the job.  A `csp._Leaf` is
+read once, by `csp._read` (the one reader of every 0-valid leaf), in
+the caller's own variable ids, into successor, predecessor and NAND
+rows, and a branch is then a `_Branch`: those rows, masks of the alive
+and forced-true variables and the residual budget.  A stage fixes
+variables with `_take`, mask arithmetic on the rows, and answers with
+the mask of a solution's true set (forced variables included) or None.
+Descendant and ancestor sets are `csp._closure` on the rows ANDed with
+the branch's alive mask.
 
   1. `_restrict` guesses which high-fanout cones enter the solution,
      leaving every alive variable with at most two descendants; cones
@@ -38,9 +39,11 @@ Equality constraints read as two implications in every step, so a leaf
 is taken with its EQs as they are.
 
 `csp` first searches a leaf for a NAND-free union of descendant sets;
-only when that search hits its state cap does it call `_solve_leaf` on
-the same leaf, and `solve_csp` checks the mask it gets back against the
-caller's instance, as it checks every YES.
+only when that search hits its state cap does it call `_solve_branch`
+on the branch it has already read and pruned, so the leaf is read once,
+and `solve_csp` checks the mask it gets back against the caller's
+instance, as it checks every YES.  `_solve_leaf`, behind the public
+`solve_nand_impl`, reads and prunes a leaf itself the same way.
 """
 
 from __future__ import annotations
@@ -415,30 +418,37 @@ def _branch_triangle(
     return _find_triangle(n, nodes)
 
 
-def _solve_leaf(leaf: _Leaf) -> Optional[int]:
-    """A weight-k solution of a 0-valid leaf over NAND, IMPL and EQ, as
-    the mask of its true set (forced variables included), or None.
-
-    The leaf is read once: its pinned variables and their ancestors go,
-    the implication order is pruned as the binary leaf solver prunes it,
-    and every branch below is a `_Branch` over the same rows.  A table
-    `csp._read` cannot read (arity above two) is a ValueError.
-    """
-    alive, succ, pred, nand, unread = _unpinned(leaf)
-    k = leaf.k
-    if k > alive.bit_count():
-        return None
-    if k == 0:
-        return leaf.forced
-    if unread is not None:
-        raise ValueError(f"unsupported constraint {unread.name!r}")
-    _, alive = _pruned(succ, nand, alive, k)
-    for restricted in _restrict(_Branch(succ, pred, nand, alive, leaf.forced, k)):
+def _solve_branch(b: _Branch) -> Optional[int]:
+    """A solution of a pruned branch, as the mask of its true set
+    (forced variables included), or None: restrict, take or drop the
+    two-cycles, then solve each acyclic branch."""
+    for restricted in _restrict(b):
         for acyclic in _two_cycle_branches(restricted):
             got = _solve_acyclic(acyclic)
             if got is not None:
                 return got
     return None
+
+
+def _solve_leaf(leaf: _Leaf) -> Optional[int]:
+    """A weight-k solution of a 0-valid leaf over NAND, IMPL and EQ, as
+    the mask of its true set (forced variables included), or None.
+
+    The leaf is read once: its pinned variables and their ancestors go,
+    and the implication order is pruned as the binary leaf solver prunes
+    it.  A table of arity above two is a ValueError.
+    """
+    alive, succ, pred, nand, _, _ = _unpinned(leaf)
+    k = leaf.k
+    if k > alive.bit_count():
+        return None
+    if k == 0:
+        return leaf.forced
+    wide = next((f for f, _ in leaf.constraints if f.arity > 2), None)
+    if wide is not None:
+        raise ValueError(f"unsupported constraint {wide.name!r}")
+    _, alive = _pruned(succ, nand, alive, k)
+    return _solve_branch(_Branch(succ, pred, nand, alive, leaf.forced, k))
 
 
 def solve_nand_impl(phi: CspInstance, k: int) -> bool:

@@ -7,6 +7,12 @@ variables with `_fix` rounds, and the implication edges, NAND rows and
 closure are rebuilt from the list at each step.  It also keeps
 branching without the packing bound, so tests can pin solve_csp's
 answers, witnesses and routes without sharing its code.
+
+The table predicates and `classify` sort a binary family by exact truth
+tables, where `csp` takes each table through one cached reading: a
+table is NAND, an implication or an equality when its table is exactly
+that one, and a table whose whole effect is pinning arguments false is
+ignored.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from closure import impl_edges
 from sparsekis import csp, kis, nand_impl
 from sparsekis.csp import (
     SEARCH_STATE_CAP,
+    ConstraintFunction,
     CspInstance,
     Regime,
     _fix,
@@ -24,11 +31,50 @@ from sparsekis.csp import (
     _root,
     _subset_sum_pick,
     forced_false_positions,
-    is_eq_fn,
-    is_nand_fn,
+    s_min,
 )
 from sparsekis.errors import ResourceLimit
 from sparsekis.hypergraph import _block, _mask, _vertices
+
+_NAND = (1, 1, 1, 0)
+_IMPL_FWD = (1, 0, 1, 1)
+_IMPL_BWD = (1, 1, 0, 1)
+_EQ = (1, 0, 0, 1)
+
+
+def is_nand_fn(f: ConstraintFunction) -> bool:
+    return f.arity == 2 and f.table == _NAND
+
+
+def is_impl_fn(f: ConstraintFunction) -> bool:
+    return f.arity == 2 and f.table in (_IMPL_FWD, _IMPL_BWD)
+
+
+def is_eq_fn(f: ConstraintFunction) -> bool:
+    return f.arity == 2 and f.table == _EQ
+
+
+def is_easy_fn(f: ConstraintFunction) -> bool:
+    """Whether f only pins some arguments false: every row with its
+    forced-false positions at 0 satisfies it."""
+    forced = _mask(forced_false_positions(f))
+    return bool(forced) and all(b for j, b in enumerate(f.table) if not j & forced)
+
+
+def classify(funcs: list[ConstraintFunction]) -> Regime:
+    """The regime of a family of arity <= 2 tables, by the predicates."""
+    work = [
+        f for f in funcs
+        if not f.is_constant_true and not f.is_constant_false and not is_easy_fn(f)
+    ]
+    if any(is_nand_fn(f) for f in work):
+        rest = [f for f in work if not is_nand_fn(f)]
+        if not rest:
+            return Regime("KIS")
+        return Regime("Clique", offset=min(s_min(f) for f in rest))
+    if any(is_impl_fn(f) for f in work):
+        return Regime("Subexponential")
+    return Regime("Linear")
 
 
 def branch(phi: CspInstance, k: int) -> list[_Leaf]:

@@ -44,12 +44,13 @@ from sparsekis.csp import (
     forced_false_positions,
     min_violations,
 )
-from sparsekis.hypergraph import _mask
+from sparsekis.hypergraph import _mask, _vertices
 from sparsekis.errors import ResourceLimit, VerificationError
 
 import binary_leaf
 import branching
 from closure import closure_sets
+from support_form import support_form
 from conftest import random_csp
 
 MUST1 = ConstraintFunction("must1", 1, (0, 1))
@@ -95,6 +96,14 @@ def test_weights_match_definition():
 
 def test_symmetrize_impl_is_eq():
     assert symmetrize(IMPL).table == EQ2.table
+
+
+def test_permute_arguments_rejects_a_non_permutation():
+    assert permute_arguments(IMPL, (1, 0)).table == (1, 1, 0, 1)
+    assert permute_arguments(IMPL, [0, 1]).table == IMPL.table
+    for perm in ((0, 0), (0,), (1, 2), (0, 1, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            permute_arguments(IMPL, perm)
 
 
 def test_symmetrize_fixed_point_and_permutation_invariance():
@@ -449,6 +458,13 @@ def test_eq_subset_sum_rejects_other_functions():
         eq_components_subset_sum(CspInstance(2, ((NAND2, (1, 2)),)), 1)
 
 
+def test_eq_subset_sum_rejects_a_negative_budget():
+    phi = CspInstance(2, ((EQ2, (1, 2)),))
+    for k in (-1, -3):
+        with pytest.raises(ValueError, match="negative weight budget"):
+            eq_components_subset_sum(phi, k)
+
+
 def test_eq_subset_sum_matches_brute():
     rng = random.Random(46)
     for _ in range(25):
@@ -482,7 +498,7 @@ def test_closure_masks_match_reference():
     for _ in range(300):
         n = rng.randint(1, 14)
         phi = random_csp(rng, n, (IMPL, IMPL, EQ2, NAND2), rng.randint(0, 2 * n))
-        _, succ, pred, _, _ = _read(phi)
+        _, succ, pred, _, _, _ = _read(phi)
         every = (1 << n) - 1
         desc, anc = _closure(succ, every), _closure(pred, every)
         want_desc, want_anc = closure_sets(phi)
@@ -633,6 +649,25 @@ def test_min_violations_by_definition():
     assert closed >= 150
 
 
+def kis_forms(phi: CspInstance, k: int) -> list:
+    """What solve_csp hands `kis._decide` with the sparse greedy
+    abstaining: (rows, alive, big) per leaf it reaches, in leaf order."""
+    from sparsekis import csp, kis
+
+    handed = []
+    real = kis._decide
+
+    def spied(rows, alive, big, k, want_witness=False):
+        handed.append((rows, alive, big))
+        return real(rows, alive, big, k, want_witness)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kis, "_decide", spied)
+        m.setattr(csp, "_greedy", lambda leaf: None)
+        solve_csp(phi, k)
+    return handed
+
+
 @pytest.mark.parametrize("mixed", [False, True], ids=["downward", "mixed"])
 def test_downward_closed_route_matches_oracle(mixed):
     # NAND_r, at-most-t-of-r and their padded and specialised forms, with
@@ -661,7 +696,7 @@ def test_downward_closed_route_matches_oracle(mixed):
             assert res.assignment == want
         seen.add((res.satisfiable, res.route))
         leaf = csp._root(phi, k)
-        form = csp._support_form(leaf)
+        form = next(iter(kis_forms(phi, k)), None)
         assert (form is None) == (not closed)
         if form is not None and kis._search_k_is(*form, k)[0]:
             ok, found = kis._decide(*form, k, True)
@@ -675,11 +710,10 @@ PIN_OR_PAIR = ConstraintFunction("pin_or_pair", 3, tuple(int(not (j & 1 or j & 6
 
 
 def test_support_form_splits_supports_by_size():
-    # One-vertex supports leave alive, two-vertex supports are pair rows,
+    # One-vertex supports leave alive, two-vertex supports are pair rows
+    # (a row may keep a bit of a dead variable, which k-IS never reads),
     # and larger ones are edges unless they hold a dead variable or more
     # than k variables.
-    from sparsekis import csp
-
     assert min_violations(PIN_OR_PAIR) == (1, 6)
     phi = CspInstance(9, (
         (PIN_OR_PAIR, (1, 2, 3)),
@@ -689,9 +723,11 @@ def test_support_form_splits_supports_by_size():
         (NAND3, (7, 5, 2)),  # the same support again
         (at_most(3, 4), (6, 7, 8, 9)),  # four vertices, more than k = 3
     ))
-    rows, alive, big = csp._support_form(csp._root(phi, 3))
+    [(rows, alive, big)] = kis_forms(phi, 3)
     assert alive == _mask([2, 3, 5, 6, 7, 8, 9])
-    assert rows == [0, 0b100, 0b10, 0, 0, 0, 0, 0, 0]
+    assert [r & alive if alive >> i & 1 else 0 for i, r in enumerate(rows)] == [
+        0, 0b100, 0b10, 0, 0, 0, 0, 0, 0
+    ]
     assert big == [_mask([2, 5, 7])]
     for k in range(phi.n + 1):
         res = solve_csp(phi, k)
@@ -700,6 +736,60 @@ def test_support_form_splits_supports_by_size():
             assert res.route == "regime KIS"
             if res:
                 assert res.assignment == brute_solve_csp(phi, k)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["downward", "mixed"])
+def test_read_matches_the_support_form_reference(mixed):
+    # On the leaves of random instances (OR2 makes branching set
+    # variables true) solve_csp hands k-IS the reference support form's
+    # alive mask and large edges, and its NAND rows inside alive; a leaf
+    # with a table that is not downward closed has no form in either.
+    from sparsekis import csp
+
+    rng = random.Random(87 + mixed)
+    tables = DOWNWARD + [PIN_OR_PAIR]
+    compared = forced = 0
+    for _ in range(250):
+        fam = rng.sample(tables, rng.randint(1, 3)) + [NOT_TWO] * (mixed and rng.random() < 0.5)
+        n = rng.randint(4, 10)
+        phi = random_csp(rng, n, fam + [OR2] * (rng.random() < 0.5), rng.randint(1, 14))
+        if phi.max_arity < 3:
+            continue
+        k = rng.randint(1, min(n, 5))
+        want = [
+            (leaf, form) for leaf in csp._branch(phi, k)
+            if (form := support_form(leaf)) is not None
+        ]
+        got = kis_forms(phi, k)
+        # A YES stops at its leaf; a NO reaches every leaf.
+        assert len(got) <= len(want), (format_csp(phi), k)
+        if brute_solve_csp(phi, k) is None:
+            assert len(got) == len(want), (format_csp(phi), k)
+        for (rows, alive, big), (leaf, (want_rows, want_alive, want_big)) in zip(got, want):
+            assert (alive, big) == (want_alive, want_big), (format_csp(phi), k)
+            for v in _vertices(alive):
+                assert rows[v - 1] & alive == want_rows[v - 1] & alive, (format_csp(phi), k)
+            compared += 1
+            forced += leaf.forced != 0
+    assert compared > 100 and forced > 20
+
+
+# Every table of arity at most two, the constant ones included.
+EVERY_SMALL_TABLE = [
+    ConstraintFunction(f"t{arity}_{j}", arity, tuple(j >> i & 1 for i in range(1 << arity)))
+    for arity in (0, 1, 2)
+    for j in range(1 << (1 << arity))
+]
+
+
+def test_classification_matches_the_table_predicates():
+    # The classifier reads each table as _read does; on every family of
+    # one to three tables it must agree with the one built from exact
+    # truth-table tests.
+    assert len(EVERY_SMALL_TABLE) == 22
+    for size in (1, 2, 3):
+        for fam in itertools.combinations(EVERY_SMALL_TABLE, size):
+            assert classify_binary_family(fam) == binary_leaf.classify(list(fam)), fam
 
 
 def test_downward_closed_no_past_the_scan_cap():
@@ -949,13 +1039,13 @@ def test_nand_impl_leaf_search_matches_oracle(monkeypatch, cap):
     if cap == "zero":
         monkeypatch.setattr(csp, "NAND_IMPL_STATE_CAP", 0)
     pipeline = []
-    real_pipeline = nand_impl._solve_leaf
+    real_pipeline = nand_impl._solve_branch
 
-    def counted(leaf):
-        pipeline.append(leaf.k)
-        return real_pipeline(leaf)
+    def counted(branch):
+        pipeline.append(branch.k)
+        return real_pipeline(branch)
 
-    monkeypatch.setattr(nand_impl, "_solve_leaf", counted)
+    monkeypatch.setattr(nand_impl, "_solve_branch", counted)
     searched = []
     real_search = csp._closed_set_search
 
@@ -1008,11 +1098,11 @@ def test_nand_impl_pipeline_builds_no_instance(monkeypatch):
     phi, k = clique_instance()
     monkeypatch.setattr(csp, "NAND_IMPL_STATE_CAP", 0)
     pipeline = []
-    real_pipeline = nand_impl._solve_leaf
+    real_pipeline = nand_impl._solve_branch
 
-    def counted(leaf):
-        pipeline.append(leaf.k)
-        return real_pipeline(leaf)
+    def counted(branch):
+        pipeline.append(branch.k)
+        return real_pipeline(branch)
 
     built = []
     real_init = CspInstance.__post_init__
@@ -1021,7 +1111,7 @@ def test_nand_impl_pipeline_builds_no_instance(monkeypatch):
         built.append(self.n)
         real_init(self)
 
-    monkeypatch.setattr(nand_impl, "_solve_leaf", counted)
+    monkeypatch.setattr(nand_impl, "_solve_branch", counted)
     monkeypatch.setattr(CspInstance, "__post_init__", counted_init)
     res = solve_csp(phi, k)
     monkeypatch.undo()
@@ -1032,18 +1122,23 @@ def test_nand_impl_pipeline_builds_no_instance(monkeypatch):
 
 
 def test_nand_impl_pipeline_reads_its_leaf_once(monkeypatch):
-    # Branching fixes the OR2 of clique_instance with _fix before the
-    # pipeline starts, so only what runs inside the one _solve_leaf call
-    # counts: one read of the leaf, and no constraint specialised.
+    # Over the whole solve_csp call each leaf is read once, by the binary
+    # leaf solver: past the state cap the pipeline takes the branch that
+    # solver already read and pruned.  Branching fixes the OR2 of
+    # clique_instance with _fix before any leaf is solved, so inside the
+    # pipeline nothing is read, fixed or specialised.
     from sparsekis import csp, nand_impl
 
     phi, k = clique_instance()
     monkeypatch.setattr(csp, "NAND_IMPL_STATE_CAP", 0)
     inside = []
+    reads = []
     seen = {"_read": 0, "_fix": 0, "specialize": 0}
 
     def spy(name, real):
         def counted(*args):
+            if name == "_read":
+                reads.append(1)
             if inside:
                 seen[name] += 1
             return real(*args)
@@ -1051,27 +1146,32 @@ def test_nand_impl_pipeline_reads_its_leaf_once(monkeypatch):
 
     for name in seen:
         monkeypatch.setattr(csp, name, spy(name, getattr(csp, name)))
-    real_pipeline = nand_impl._solve_leaf
+    leaves = []
+    real_leaf = csp._solve_leaf_binary
 
-    def pipeline(leaf):
-        inside.append(leaf)
+    def leaf_solver(leaf, regime):
+        leaves.append(leaf)
+        return real_leaf(leaf, regime)
+
+    real_pipeline = nand_impl._solve_branch
+
+    def pipeline(branch):
+        inside.append(branch)
         try:
-            return real_pipeline(leaf)
+            return real_pipeline(branch)
         finally:
             inside.clear()
 
-    monkeypatch.setattr(nand_impl, "_solve_leaf", pipeline)
+    monkeypatch.setattr(csp, "_solve_leaf_binary", leaf_solver)
+    monkeypatch.setattr(nand_impl, "_solve_branch", pipeline)
     res = solve_csp(phi, k)
     assert res.satisfiable and res.route == "regime Clique(0)"
-    assert seen == {"_read": 1, "_fix": 0, "specialize": 0}
+    assert len(reads) == len(leaves) == 1
+    assert seen == {"_read": 0, "_fix": 0, "specialize": 0}
 
 
 # Every binary table but the constant-true one, and every unary table.
-EVERY_TABLE = [
-    ConstraintFunction(f"t{arity}_{j}", arity, tuple(j >> i & 1 for i in range(1 << arity)))
-    for arity in (1, 2)
-    for j in range((1 << (1 << arity)) - 1)
-]
+EVERY_TABLE = [f for f in EVERY_SMALL_TABLE if f.arity and not f.is_constant_true]
 
 
 @pytest.mark.parametrize("cap", ["default", "zero"])

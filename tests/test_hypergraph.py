@@ -61,6 +61,14 @@ def test_underlying_graph_filters_arity_two():
     }
 
 
+def test_is_independent_rejects_vertices_out_of_range():
+    G = Graph(3, (frozenset({1, 2}),))
+    assert G.is_independent([1, 3]) and not G.is_independent([1, 2])
+    for vs in ([4], [0], [-1], [1, 2, 9]):
+        with pytest.raises(ValueError, match="out of range 1..3"):
+            G.is_independent(vs)
+
+
 def test_complement_k4_and_involution():
     k4 = Graph(4, tuple(
         frozenset((u, v)) for u in range(1, 5) for v in range(u + 1, 5)

@@ -33,7 +33,7 @@ def yes(phi: CspInstance, k: int) -> bool:
 def masks(phi: CspInstance, k: int):
     """phi as the pipeline reads a leaf: the branch over its rows with
     every variable alive, none forced and budget k."""
-    _, succ, pred, nand, _ = _read(phi)
+    _, succ, pred, nand, _, _ = _read(phi)
     return nand_impl._Branch(succ, pred, nand, (1 << phi.n) - 1, 0, k)
 
 
@@ -334,7 +334,7 @@ def test_unsupported_arity_raises_after_the_early_answers():
     nand3 = ConstraintFunction("nand3", 3, (1,) * 7 + (0,))
     phi = CspInstance(5, ((nand3, (1, 2, 3)), (NAND2, (4, 5))))
     assert solve_nand_impl(phi, 0)
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4, 5):
         with pytest.raises(ValueError, match="unsupported constraint 'nand3'"):
             solve_nand_impl(phi, k)
     assert not solve_nand_impl(phi, 6)
@@ -343,16 +343,19 @@ def test_unsupported_arity_raises_after_the_early_answers():
 def test_pipeline_reads_pins_and_both_implication_directions(monkeypatch):
     # The pipeline reads a leaf as branching left it, so pin tables and
     # backward implications reach it unpropagated; at a zero state cap
-    # solve_csp sends every such Clique leaf through it too.
+    # solve_csp sends every such Clique leaf through it too, as the
+    # branch its binary leaf solver read.
     monkeypatch.setattr(csp, "NAND_IMPL_STATE_CAP", 0)
     runs = []
+    from_csp = 0
     real = nand_impl._solve_leaf
+    real_branch = nand_impl._solve_branch
 
-    def counted(leaf):
+    def counted(branch):
         runs.append(1)
-        return real(leaf)
+        return real_branch(branch)
 
-    monkeypatch.setattr(nand_impl, "_solve_leaf", counted)
+    monkeypatch.setattr(nand_impl, "_solve_branch", counted)
     backward = permute_arguments(IMPL, (1, 0))
     family = [NAND2, IMPL, backward, EQ2, NOR2, NOT1]
     rng = random.Random(65)
@@ -364,8 +367,10 @@ def test_pipeline_reads_pins_and_both_implication_directions(monkeypatch):
             got = real(_root(phi, k))
             assert (got is not None) == want, (phi, k)
             assert_solution(phi, k, got)
+            before = len(runs)
             assert solve_csp(phi, k).satisfiable == want, (phi, k)
-    assert runs
+            from_csp += len(runs) - before
+    assert from_csp
 
 
 def test_labels_do_not_change_answers():
