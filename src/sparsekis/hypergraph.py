@@ -273,6 +273,9 @@ def induced(H: Hypergraph, X: Iterable[int]) -> tuple[Hypergraph, tuple[int, ...
     Returns (sub, old_ids) where old_ids[new - 1] is the original label.
     """
     old_ids = tuple(sorted(set(X)))
+    for v in old_ids[:1] + old_ids[-1:]:  # sorted: the ends bound the rest
+        if not 1 <= v <= H.n:
+            raise ValueError(f"vertex {v} out of range 1..{H.n}")
     new_of_old = {old: new for new, old in enumerate(old_ids, start=1)}
     keep = set(old_ids)
     edges = [

@@ -618,6 +618,8 @@ def _masks(H: Hypergraph, k: int) -> tuple[tuple[int, ...], int, list[int]]:
 
 def count_invalid(H: Hypergraph, k: int) -> int:
     """Independent k-sets of the underlying graph that contain a large edge."""
+    if k < 0:
+        raise ValueError(f"negative k {k}")
     if k < 3 or not any(len(e) >= 3 for e in H.edges):
         return 0
     return _InvalidCounter(*_masks(H, k), k).run()

@@ -461,6 +461,8 @@ def solve_nand_impl(phi: CspInstance, k: int) -> bool:
     is a ValueError wherever a leaf is left to solve, even when a pin
     would satisfy it.  Labels are ignored.
     """
-    if k < 0 or k > phi.n:
+    if k < 0:
+        raise ValueError(f"negative weight budget {k}")
+    if k > phi.n:
         return False
     return any(_solve_leaf(leaf) is not None for leaf in _branch(phi, k))

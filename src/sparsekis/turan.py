@@ -13,16 +13,19 @@ holds; `find_k_is_sparse` is the thin wrapper for a `Graph`.
 The constraint greedy lives in `csp` as `_greedy`, which `solve_csp`
 runs on its branch leaves in the caller's own variable ids;
 `sparse_csp_solve` is the thin public wrapper that checks its input,
-runs it on the whole instance and verifies the answer.
+runs it on the whole instance and verifies the answer; it loads `csp`
+when it is called, so the graph sweep that `kis` runs never does.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .csp import CspInstance, _greedy, _root
 from .errors import VerificationError
 from .hypergraph import Graph, _vertices
+
+if TYPE_CHECKING:
+    from .csp import CspInstance
 
 __all__ = [
     "find_k_is_sparse",
@@ -86,6 +89,8 @@ def sparse_csp_solve(phi: CspInstance, k: int) -> Optional[frozenset[int]]:
     specialize its constraints, adding the resulting tables as new
     classes.  Any returned assignment is verified against phi.
     """
+    from .csp import _greedy, _root
+
     for f, _ in phi.constraints:
         if f.table[0] != 1:
             raise ValueError(f"function {f.name!r} is not 0-valid")

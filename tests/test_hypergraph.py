@@ -133,6 +133,14 @@ def test_induced_drops_cut_edges():
     assert full.edges == H.edges and ids2 == (1, 2, 3)
 
 
+def test_induced_rejects_vertices_out_of_range():
+    H = Hypergraph(3, (frozenset({1, 2}),))
+    assert induced(H, [])[1] == ()
+    for X in ([0, 1, 2], [1, 2, 9], [4], [-1, 3]):
+        with pytest.raises(ValueError, match="out of range 1..3"):
+            induced(H, X)
+
+
 def test_arity_sort_is_permutation():
     rng = random.Random(13)
     H = random_hypergraph(rng, 10, {2: 4, 4: 3, 3: 5})

@@ -87,6 +87,13 @@ def test_resolve_single_leftover_deletes_vertex():
     assert set(out.edges) == {frozenset({1, 2, 3})}
 
 
+def test_negative_k_rejected_by_every_entry_point():
+    H = Hypergraph(4, (frozenset({1, 2}), frozenset({2, 3, 4})))
+    for entry in (count_invalid, count_k_is_hypergraph, count_k_is_mixed, decide_k_is):
+        with pytest.raises(ValueError, match="negative k -1"):
+            entry(H, -1)
+
+
 def test_resolve_empty_matching_is_identity():
     H = Hypergraph(5, (frozenset({1, 2, 3}), frozenset({3, 4, 5})))
     out, ids = resolve_intersections(H, Matching(()))

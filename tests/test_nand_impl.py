@@ -340,6 +340,14 @@ def test_unsupported_arity_raises_after_the_early_answers():
     assert not solve_nand_impl(phi, 6)
 
 
+def test_negative_budget_raises_and_an_oversized_one_answers_no():
+    # As solve_csp does: a sign error is the caller's, not a NO.
+    phi = CspInstance(2, ((NAND2, (1, 2)),))
+    with pytest.raises(ValueError, match="negative weight budget -1"):
+        solve_nand_impl(phi, -1)
+    assert solve_nand_impl(phi, 1) and not solve_nand_impl(phi, 3)
+
+
 def test_pipeline_reads_pins_and_both_implication_directions(monkeypatch):
     # The pipeline reads a leaf as branching left it, so pin tables and
     # backward implications reach it unpropagated; at a zero state cap

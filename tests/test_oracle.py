@@ -74,5 +74,6 @@ def test_cap_is_enforced(monkeypatch):
 
 
 def test_negative_k_rejected():
-    with pytest.raises(ValueError):
-        brute_count_k_is(Hypergraph(3, ()), -1)
+    for brute in (brute_count_k_is, brute_count_invalid):
+        with pytest.raises(ValueError):
+            brute(Hypergraph(3, ()), -1)
