@@ -1,9 +1,11 @@
-"""Count k-independent sets three ways and watch the answers agree.
+"""Count k-independent sets with both public counters and the oracle,
+and watch the answers agree.
 
 An independent set here is a vertex subset containing no edge of any
-arity.  The fast counters subtract an inclusion-exclusion correction
-over matchings of large edges from a pair-edge-only count; the oracle
-just scans every k-subset.
+arity.  `count_k_is_hypergraph` and `count_k_is_mixed` run the same
+count: an inclusion-exclusion correction over matchings of large edges
+subtracted from a pair-edge-only count.  The oracle just scans every
+k-subset.
 """
 
 import random
@@ -31,7 +33,7 @@ for k in (3, 4, 5, 6):
     b = count_k_is_mixed(H, k)
     c = brute_count_k_is(H, k)
     tag = "ok" if a == b == c else "MISMATCH"
-    print(f"  k={k}: truncated={a}  arity-split={b}  oracle={c}  [{tag}]")
+    print(f"  k={k}: hypergraph={a}  mixed={b}  oracle={c}  [{tag}]")
 
 # The correction term never depends on how the edge list is ordered.
 shuffled = list(H.edges)

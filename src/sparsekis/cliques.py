@@ -85,7 +85,7 @@ def _product(a: np.ndarray, b: np.ndarray, mask: Optional[np.ndarray] = None) ->
 def _product_blocks(
     ab: np.ndarray, bc: np.ndarray, ac: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Check the shapes of three 0/1 matrices, then yield (lo, block)
+    """Check the shapes of three boolean matrices, then yield (lo, block)
     per block of AB rows from lo, with block = AC * (AB @ BC) on those
     rows in float32, checked by `_product`."""
     if ab.ndim != 2 or bc.ndim != 2 or ac.ndim != 2:
@@ -104,30 +104,36 @@ def _product_blocks(
         yield lo, _product(ab[lo:hi].astype(np.float32), bc_f, ac[lo:hi])
 
 
+def _related(ab, bc, ac) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three relation matrices as booleans: any nonzero entry relates
+    its pair.  Boolean arrays pass through uncopied."""
+    return tuple(np.asarray(x, dtype=bool) for x in (ab, bc, ac))
+
+
 def count_triangles_tripartite(ab, bc, ac) -> int:
-    """Number of triples (a, b, c) related under all three 0/1 matrices.
+    """Number of triples (a, b, c) related under all three matrices, where
+    a nonzero entry relates its pair.
 
     Computes sum over (a, c) of AC[a, c] * (AB @ BC)[a, c] exactly.
     """
-    blocks = _product_blocks(np.asarray(ab), np.asarray(bc), np.asarray(ac))
+    blocks = _product_blocks(*_related(ab, bc, ac))
     return sum(int(prod.sum(dtype=np.float64)) for _, prod in blocks)
 
 
 def find_triangle_tripartite(ab, bc, ac) -> Optional[tuple[int, int, int]]:
-    """The first triple (a, b, c) related under all three 0/1 matrices,
-    or None when there is none.
+    """The first triple (a, b, c) related under all three matrices, where
+    a nonzero entry relates its pair, or None when there is none.
 
     Takes the first (a, c), in row-major order, with AC[a, c] *
     (AB @ BC)[a, c] > 0, then the first b with AB[a, b] and BC[b, c].
     """
-    ab = np.asarray(ab)
-    bc = np.asarray(bc)
-    for lo, prod in _product_blocks(ab, bc, np.asarray(ac)):
+    ab, bc, ac = _related(ab, bc, ac)
+    for lo, prod in _product_blocks(ab, bc, ac):
         hits = np.flatnonzero(prod)
         if hits.size:
             a, c = divmod(int(hits[0]), prod.shape[1])
             a += lo
-            bs = np.flatnonzero((ab[a] != 0) & (bc[:, c] != 0))
+            bs = np.flatnonzero(ab[a] & bc[:, c])
             if not bs.size:
                 raise VerificationError(f"no middle vertex for triangle pair ({a}, {c})")
             return a, int(bs[0]), c

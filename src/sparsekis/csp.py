@@ -70,6 +70,7 @@ from math import comb
 from operator import indexOf, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from . import kis, nand_impl
 from .errors import ResourceLimit, VerificationError
 from .hypergraph import _block, _mask, _vertices
 
@@ -1188,9 +1189,6 @@ def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[int]:
     + implication leaf past the closed-set search's state cap goes to
     the nand_impl pipeline as the branch read and pruned here.
     """
-    from . import kis as _kis
-    from . import nand_impl as _nand_impl
-
     alive, succ, pred, nand, _, _ = _unpinned(leaf)
     k = leaf.k
     if k == 0:
@@ -1222,11 +1220,11 @@ def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[int]:
             try:
                 got = _closed_set_search(desc, nand, alive, k, NAND_IMPL_STATE_CAP)
             except ResourceLimit:
-                return _nand_impl._solve_branch(
-                    _nand_impl._Branch(succ, pred, nand, alive, leaf.forced, k)
+                return nand_impl._solve_branch(
+                    nand_impl._Branch(succ, pred, nand, alive, leaf.forced, k)
                 )
             return None if got is None else leaf.forced | got
-    ok, found = _kis._decide(nand, alive, (), k, True)
+    ok, found = kis._decide(nand, alive, (), k, True)
     return leaf.forced | found if ok else None
 
 
@@ -1272,8 +1270,6 @@ def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
     # constraints are all downward closed is k-IS on their violating
     # supports; the capped exhaustive scan takes the other leaves, and
     # any leaf where k-IS meets a resource limit.
-    from . import kis as _kis
-
     for leaf in leaves:
         got = _greedy(leaf)
         if got is not None:
@@ -1286,7 +1282,7 @@ def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
             dead = ~alive
             big = [m for m in big if not m & dead and m.bit_count() <= leaf.k]
             try:
-                ok, found = _kis._decide(nand, alive, big, leaf.k, True)
+                ok, found = kis._decide(nand, alive, big, leaf.k, True)
             except ResourceLimit:
                 pass
             else:

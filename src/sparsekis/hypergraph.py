@@ -79,6 +79,20 @@ def _block(rows: Sequence[int], mask: int) -> int:
     return out
 
 
+def _frozen(edges: Iterable[Iterable[int]]) -> tuple[frozenset[int], ...]:
+    """The edges as frozensets; an edge that lists a vertex twice raises
+    ValueError.  An edge that is already a frozenset is kept, not copied."""
+    out = []
+    for e in edges:
+        if not isinstance(e, frozenset):
+            listed = tuple(e)
+            e = frozenset(listed)
+            if len(e) != len(listed):
+                raise ValueError(f"edge {list(listed)} lists a vertex twice")
+        out.append(e)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Immutable mixed-arity hypergraph with an ordered edge list."""
@@ -89,7 +103,7 @@ class Hypergraph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"negative vertex count {self.n}")
-        object.__setattr__(self, "edges", tuple(frozenset(e) for e in self.edges))
+        object.__setattr__(self, "edges", _frozen(self.edges))
         seen = set()
         for e in self.edges:
             if not 2 <= len(e) <= MAX_ARITY:
@@ -141,7 +155,7 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"negative vertex count {self.n}")
-        object.__setattr__(self, "edges", tuple(frozenset(e) for e in self.edges))
+        object.__setattr__(self, "edges", _frozen(self.edges))
         seen = set()
         for e in self.edges:
             if len(e) != 2:

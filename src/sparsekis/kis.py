@@ -63,8 +63,7 @@ counting self-reduction after it works on the masks.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from typing import Optional, Sequence
 
 import numpy as np
@@ -483,62 +482,17 @@ def _add_pair(rows: list[int], pair: int) -> None:
 
 def _count(rows: Sequence[int], alive: int, big: Sequence[int], k: int) -> int:
     """Independent k-sets inside `alive` containing none of the `big` masks:
-    the pair-graph count minus the inclusion-exclusion correction."""
+    the pair-graph count minus the inclusion-exclusion correction, which
+    takes the large edges smallest first (a stable sort)."""
     base = cliques.count_k_is_masks(rows, alive, k)
     if not big or base == 0 or k < 3:
         # Invalid sets are independent in the graph, so with a zero base
         # none exist either.
         return base
-    bad = _InvalidCounter(rows, alive, big, k).run()
+    bad = _InvalidCounter(rows, alive, sorted(big, key=int.bit_count), k).run()
     result = base - bad
     if result < 0:
         raise VerificationError(f"negative count {result} ({base} - {bad}) for k = {k}")
-    return result
-
-
-def _sparse_arities(big: Sequence[int], n: int, k: int) -> set[int]:
-    """Arity classes routed through inclusion-exclusion.
-
-    Class i is sparse when m_i^((k-i+3)/3) <= m_i * n^(k-i); compared
-    with both sides cubed, in exact integers, ties to sparse.
-    """
-    return {
-        arity
-        for arity, m_i in Counter(m.bit_count() for m in big).items()
-        if m_i ** (k - arity + 3) <= m_i**3 * n ** (3 * (k - arity))
-    }
-
-
-def _count_mixed(rows: Sequence[int], alive: int, big: Sequence[int], k: int) -> int:
-    """Same value as `_count` via the sparse/dense arity split.
-
-    Dense arity classes skip inclusion-exclusion: their edges are
-    enumerated directly with all extensions, deduplicated by charging
-    each false solution to its earliest dense edge.
-    """
-    big = sorted(big, key=int.bit_count)
-    sparse = _sparse_arities(big, alive.bit_count(), k)
-    backbone = [m for m in big if m.bit_count() in sparse]
-    dense = [m for m in big if m.bit_count() not in sparse]
-    base = _count(rows, alive, backbone, k)
-    if not dense or base == 0:
-        return base
-    bad = 0
-    for which, emask in enumerate(dense):
-        if any(rows[v - 1] & emask for v in _vertices(emask)):
-            continue
-        others = _vertices(alive & ~emask)
-        for ext in itertools.combinations(others, k - emask.bit_count()):
-            x = emask | _mask(ext)
-            if any(rows[v - 1] & x for v in ext):
-                continue
-            if any(sm & ~x == 0 for sm in backbone):
-                continue
-            if all(m2 & ~x for m2 in dense[:which]):
-                bad += 1
-    result = base - bad
-    if result < 0:
-        raise VerificationError(f"negative mixed count {result} ({base} - {bad})")
     return result
 
 
@@ -557,7 +511,7 @@ def _witness_by_counting(
         bit = alive & -alive
         alive ^= bit
         kept = [m for m in big if m & bit == 0]
-        if _count_mixed(rows, alive, kept, k) > 0:
+        if _count(rows, alive, kept, k) > 0:
             big = kept
             continue
         chosen |= bit
@@ -592,7 +546,7 @@ def _decide(
     settled, found = _find_k_is(rows, alive, big, k)
     if settled:
         return found is not None, found
-    if _count_mixed(rows, alive, big, k) == 0:
+    if _count(rows, alive, big, k) == 0:
         return False, None
     if not want_witness:
         return True, None
@@ -625,21 +579,24 @@ def count_invalid(H: Hypergraph, k: int) -> int:
     return _InvalidCounter(*_masks(H, k), k).run()
 
 
-def count_k_is_hypergraph(H: Hypergraph, k: int) -> int:
-    """Exact number of k-sets containing no edge of any arity."""
-    rows, alive, big = _masks(H, k)
-    # A search that runs out of branches proves 0 without the clique engine.
+def _count_searched(rows: Sequence[int], alive: int, big: Sequence[int], k: int) -> int:
+    """`_count`, after a bounded search that may prove the count 0
+    without the clique engine."""
     if _search_k_is(rows, alive, big, k) == (True, None):
         return 0
     return _count(rows, alive, big, k)
 
 
+def count_k_is_hypergraph(H: Hypergraph, k: int) -> int:
+    """Exact number of k-sets containing no edge of any arity: the
+    pair-graph count minus the inclusion-exclusion correction."""
+    return _count_searched(*_masks(H, k), k)
+
+
 def count_k_is_mixed(H: Hypergraph, k: int) -> int:
-    """Same value as count_k_is_hypergraph via the sparse/dense arity split."""
-    rows, alive, big = _masks(H, k)
-    if _search_k_is(rows, alive, big, k) == (True, None):
-        return 0
-    return _count_mixed(rows, alive, big, k)
+    """Same value, by the same computation, as count_k_is_hypergraph:
+    the pair-graph count minus the inclusion-exclusion correction."""
+    return _count_searched(*_masks(H, k), k)
 
 
 def _checked(H: Hypergraph, k: int, found: int) -> frozenset[int]:

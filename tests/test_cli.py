@@ -479,12 +479,6 @@ COUNT_CHECKS = {
         "for k = 3",
     ),
     "hypergraph_count": (ONE_EDGE, "3", OVERCOUNT_IE, "negative count"),
-    "mixed_count": (
-        "p hgr 5 2\ne 1 2 3\ne 3 4 5\n", "3",
-        "sparsekis.kis._sparse_arities = lambda big, n, k: set()\n"
-        "sparsekis.kis._count = lambda rows, alive, big, k: 1",
-        "negative mixed count",
-    ),
     "clique_division": (
         ONE_EDGE, "3",
         "orig = sparsekis.cliques.count_triangles_tripartite\n"

@@ -78,18 +78,78 @@ def test_triangles_match_triple_loop():
     assert found and empty
 
 
+def test_any_nonzero_entry_relates_its_pair():
+    # Entries in {-1, 0, 1, 2} plus one fractional entry per draw: the
+    # count is the number of triples whose three entries are all
+    # nonzero, and the find returns such a triple exactly when the count
+    # is positive.
+    rng = random.Random(4)
+    found = empty = 0
+    for _ in range(60):
+        na, nb, nc = (rng.randint(1, 6) for _ in range(3))
+        weights = rng.choice(((6, 1, 1, 1), (2, 1, 1, 1)))
+
+        def rand(rows, cols):
+            m = np.array(
+                [rng.choices((0, -1, 1, 2), weights, k=cols) for _ in range(rows)],
+                dtype=np.float64,
+            )
+            m[rng.randrange(rows), rng.randrange(cols)] = rng.choice((0.5, -0.25))
+            return m
+
+        ab, bc, ac = rand(na, nb), rand(nb, nc), rand(na, nc)
+        triples = [
+            (a, b, c)
+            for a in range(na) for b in range(nb) for c in range(nc)
+            if ab[a, b] != 0 and bc[b, c] != 0 and ac[a, c] != 0
+        ]
+        count = count_triangles_tripartite(ab, bc, ac)
+        hit = find_triangle_tripartite(ab, bc, ac)
+        assert count == len(triples)
+        assert (count > 0) == (hit is not None)
+        if triples:
+            found += 1
+            assert hit in triples
+        else:
+            empty += 1
+    assert found and empty
+    # The two cases that read the raw values: a 2 counted twice, and a
+    # fractional entry that the find already took as related.
+    assert count_triangles_tripartite([[2, 0]], [[1], [1]], [[1]]) == 1
+    assert count_triangles_tripartite([[0.5]], [[1]], [[1]]) == 1
+    assert find_triangle_tripartite([[0.5]], [[1]], [[1]]) == (0, 0, 0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, 5.0], ids=["nan", "out_of_range"])
 def test_triangle_block_guard(bad):
-    # A product block holding a NaN, or an entry past the inner
-    # dimension, is a failed exactness check in the shared loop, for the
-    # count and the find alike.
-    one = np.ones((3, 3), dtype=np.uint8)
+    # The block loop that the count and the find share checks every
+    # product block: a mask holding a NaN, or an entry past the inner
+    # dimension, is a failed exactness check.  The public functions read
+    # their inputs as booleans, so only a caller of the loop can pass one.
+    one = np.ones((3, 3), dtype=bool)
     ac = np.ones((3, 3), dtype=np.float32)
     ac[1, 2] = bad
     with pytest.raises(VerificationError):
-        count_triangles_tripartite(one, one, ac)
-    with pytest.raises(VerificationError):
-        find_triangle_tripartite(one, one, ac)
+        list(cliques._product_blocks(one, one, ac))
+
+
+def test_boolean_inputs_are_not_copied(monkeypatch):
+    # The clique engine and the nand_impl triangle step pass boolean
+    # matrices, transposed views included; they reach the loop as they are.
+    seen = []
+    real = cliques._product_blocks
+
+    def spy(ab, bc, ac):
+        seen.extend((ab, bc, ac))
+        return real(ab, bc, ac)
+
+    monkeypatch.setattr(cliques, "_product_blocks", spy)
+    rng = np.random.default_rng(5)
+    mats = [rng.random((4, 4)) < 0.5 for _ in range(3)]
+    args = (mats[0], mats[1].T, mats[2])
+    count_triangles_tripartite(*args)
+    find_triangle_tripartite(*args)
+    assert all(a is b for a, b in zip(seen, args + args))
 
 
 def test_triangles_dimension_mismatch():

@@ -200,6 +200,45 @@ def test_parse_errors():
     assert err is not None and err.line_no == 3
 
 
+# Each error branch of the parser: input text, exception class, line_no.
+CSP_PARSE_ERRORS = {
+    "header_form": ("p cnf 2 0\n", MalformedCspHeader, 1),
+    "header_fields": ("p csp 2\n", MalformedCspHeader, 1),
+    "second_header": ("p csp 2 0\n\np csp 2 0\n", MalformedCspHeader, 3),
+    "non_integer_counts": ("p csp 2 x\n", MalformedCspHeader, 1),
+    "negative_counts": ("p csp -1 0\n", MalformedCspHeader, 1),
+    "function_fields": ("p csp 2 0\nf nand 2\n", BadFunctionDecl, 2),
+    "function_twice": ("p csp 2 0\nf a 1 10\nf a 1 10\n", BadFunctionDecl, 3),
+    "non_integer_arity": ("p csp 2 0\nf nand two 1110\n", BadFunctionDecl, 2),
+    "arity_zero": ("p csp 2 0\nf z 0 1\n", BadFunctionDecl, 2),
+    "arity_seven": ("p csp 2 0\nf big 7 0\n", BadFunctionDecl, 2),
+    "bits": ("p csp 2 0\nf nand 2 111\n", BadFunctionDecl, 2),
+    "constraint_before_header": ("c nand 1 2\n", MalformedCspHeader, 1),
+    "constraint_without_variable": (
+        "p csp 2 1\nf nand 2 1110\nc nand\n", BadConstraintLine, 3),
+    "unknown_function": ("p csp 2 1\nc mystery 1 2\n", BadConstraintLine, 2),
+    "constant_true": ("p csp 2 1\nf t 1 11\nc t 1\n", BadConstraintLine, 3),
+    "non_integer_variable": (
+        "p csp 2 1\nf nand 2 1110\nc nand 1 x\n", BadConstraintLine, 3),
+    "variable_count": ("p csp 2 1\nf nand 2 1110\nc nand 1\n", BadConstraintLine, 3),
+    "repeated_variable": ("p csp 2 1\nf nand 2 1110\nc nand 1 1\n", BadConstraintLine, 3),
+    "variable_range": ("p csp 2 1\nf nand 2 1110\nc nand 1 3\n", BadConstraintLine, 3),
+    "unrecognized": ("p csp 2 0\nq 1 2\n", BadConstraintLine, 2),
+    "missing_header": ("# nothing else\n", MalformedCspHeader, 0),
+    "constraint_count": (
+        "# counts\np csp 2 2\nf nand 2 1110\nc nand 1 2\n", MalformedCspHeader, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSP_PARSE_ERRORS))
+def test_parse_error_class_and_line(case):
+    text, cls, line_no = CSP_PARSE_ERRORS[case]
+    with pytest.raises(CspParseError) as exc:
+        parse_csp(text)
+    assert type(exc.value) is cls
+    assert exc.value.line_no == line_no
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         CspInstance(2, ((NAND2, (1, 1)),))

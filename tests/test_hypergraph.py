@@ -5,7 +5,17 @@ import random
 import pytest
 
 from sparsekis import Graph, HgrError, Hypergraph, format_hgr, parse_hypergraph
-from sparsekis.hypergraph import complement, induced, underlying_graph
+from sparsekis.hypergraph import (
+    BadArity,
+    DuplicateEdge,
+    DuplicateVertexInEdge,
+    MalformedEdgeLine,
+    MalformedHeader,
+    VertexOutOfRange,
+    complement,
+    induced,
+    underlying_graph,
+)
 
 from conftest import random_hypergraph
 from matchings import enumerate_matchings
@@ -37,6 +47,33 @@ def test_parse_rejects_out_of_range_and_arity():
         parse_hypergraph("p xyz 3 0\n")
 
 
+# Each error branch of the parser: input text, exception class, line_no.
+HGR_PARSE_ERRORS = {
+    "header_form": ("p xyz 3 0\n", MalformedHeader, 1),
+    "second_header": ("p hgr 3 0\n# again\np hgr 3 0\n", MalformedHeader, 3),
+    "non_integer_counts": ("p hgr 3 x\n", MalformedHeader, 1),
+    "negative_counts": ("p hgr -3 0\n", MalformedHeader, 1),
+    "edge_before_header": ("# first\ne 1 2\np hgr 3 1\n", MalformedHeader, 2),
+    "non_integer_vertex": ("p hgr 3 1\ne 1 x\n", MalformedEdgeLine, 2),
+    "arity": ("p hgr 3 1\ne 1\n", BadArity, 2),
+    "vertex_range": ("p hgr 3 1\ne 1 4 2\n", VertexOutOfRange, 2),
+    "repeated_vertex": ("p hgr 3 1\ne 1 1 2\n", DuplicateVertexInEdge, 2),
+    "duplicate_edge": ("p hgr 3 2\ne 1 2\ne 2 1\n", DuplicateEdge, 3),
+    "unrecognized": ("p hgr 3 0\nx 1 2\n", MalformedEdgeLine, 2),
+    "missing_header": ("# nothing else\n", MalformedHeader, 0),
+    "edge_count": ("\np hgr 3 2\ne 1 2\n", MalformedHeader, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HGR_PARSE_ERRORS))
+def test_parse_error_class_and_line(case):
+    text, cls, line_no = HGR_PARSE_ERRORS[case]
+    with pytest.raises(HgrError) as exc:
+        parse_hypergraph(text)
+    assert type(exc.value) is cls
+    assert exc.value.line_no == line_no
+
+
 def test_format_round_trip():
     rng = random.Random(2)
     H = random_hypergraph(rng, 9, {2: 4, 3: 5, 4: 2})
@@ -48,6 +85,23 @@ def test_format_round_trip():
 def test_duplicate_edge_rejected():
     with pytest.raises(ValueError):
         Hypergraph(4, (frozenset({1, 2, 3}), frozenset({3, 2, 1})))
+
+
+@pytest.mark.parametrize("edge", [(1, 1, 2), [2, 1, 2], (3, 3)])
+def test_edge_listing_a_vertex_twice_rejected(edge):
+    # Frozen as given, (1, 1, 2) would become the pair {1, 2}.
+    with pytest.raises(ValueError, match="lists a vertex twice"):
+        Hypergraph(3, (edge,))
+    with pytest.raises(ValueError, match="lists a vertex twice"):
+        Graph(3, (edge,))
+
+
+def test_frozenset_edges_are_kept_not_copied():
+    edges = (frozenset({1, 2}), frozenset({1, 2, 3}))
+    H = Hypergraph(3, edges)
+    assert all(a is b for a, b in zip(H.edges, edges))
+    assert Graph(3, edges[:1]).edges[0] is edges[0]
+    assert Hypergraph(3, ((1, 2), [2, 3, 1])).edges == (frozenset({1, 2}), frozenset({1, 2, 3}))
 
 
 def test_underlying_graph_filters_arity_two():

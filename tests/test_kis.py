@@ -165,6 +165,34 @@ def test_mixed_equals_hypergraph_with_high_arity():
             assert count_k_is_hypergraph(H, k) == want
 
 
+@pytest.mark.parametrize("n, m5, m2, m3, seed, want", [
+    (18, 5900, 0, 0, 0, 24),
+    (18, 5900, 3, 8, 1, 10),
+    (17, 4950, 2, 4, 2, 1),
+])
+def test_counts_with_more_than_n_cubed_edges_of_one_arity(n, m5, m2, m3, seed, want):
+    # More 5-edges than n^3: both counts still take the pair-graph count
+    # minus inclusion-exclusion.  The reference looks every subset of
+    # each k-set up in the edge set, since a scan over the ~5900 edges
+    # per k-set would take minutes.
+    rng = random.Random(seed)
+    edges = []
+    for size, m in ((5, m5), (2, m2), (3, m3)):
+        edges += rng.sample(list(itertools.combinations(range(1, n + 1), size)), m)
+    H = Hypergraph(n, tuple(map(frozenset, edges)))
+    assert m5 > n**3
+    k = 6
+    edge_set = set(H.edges)
+    brute = sum(
+        not any(frozenset(s) in edge_set
+                for r in (2, 3, 5) for s in itertools.combinations(c, r))
+        for c in itertools.combinations(range(1, n + 1), k)
+    )
+    assert brute == want
+    assert count_k_is_mixed(H, k) == want
+    assert count_k_is_hypergraph(H, k) == want
+
+
 def test_pure_pair_edges_short_circuit():
     rng = random.Random(23)
     H = random_hypergraph(rng, 10, {2: 12})
@@ -720,7 +748,7 @@ def test_decide_matches_oracle_on_mixed_arities(monkeypatch, budget):
         def boom_count(*args):
             raise AssertionError("counted an instance the search should settle")
 
-        monkeypatch.setattr(kis, "_count_mixed", boom_count)
+        monkeypatch.setattr(kis, "_count", boom_count)
     rng = random.Random(61)
     for _ in range(40):
         n = rng.randint(2, 9)

@@ -59,27 +59,54 @@ def test_kis_entry_points_leave_the_csp_side_unexecuted():
         "count = sparsekis.count_k_is_mixed(H, 3)\n"
         "yes, witness = sparsekis.decide_k_is(H, 3, want_witness=True)\n"
         "after_kis = executed()\n"
-        "sparsekis.solve_csp(sparsekis.CspInstance(2, ()), 1)\n"
-        "print(json.dumps([count, yes, sorted(witness), after_kis, executed()]))\n"
+        "phi = sparsekis.CspInstance(4, tuple((sparsekis.NAND2, e) for e in ((1, 2), (2, 3), (3, 4))))\n"
+        "result = sparsekis.solve_csp(phi, 2)\n"
+        "print(json.dumps([count, yes, sorted(witness), after_kis, result.route, executed()]))\n"
     )
+    done = _run_fresh(script)
+    count, yes, witness, after_kis, route, after_csp = json.loads(done.stdout)
+    assert count == sparsekis.brute_count_k_is(H, 3) > 0
+    assert yes and len(witness) == 3 and not any(e <= set(witness) for e in H.edges)
+    assert {"errors", "hypergraph", "cliques", "kis"} <= set(after_kis)
+    assert set(after_kis) <= {"errors", "hypergraph", "cliques", "kis", "turan"}
+    assert not set(CSP_SIDE) & set(after_kis)
+    # csp binds nand_impl at its top level, which loads nothing: a
+    # NAND-only instance never runs the nand_impl pipeline.
+    assert route == "regime KIS"
+    assert "csp" in after_csp and "nand_impl" not in after_csp
+
+
+def test_nand_impl_read_first_still_solves():
+    # nand_impl loads csp, which binds the half-loaded nand_impl.
+    script = (
+        "import json\n"
+        "import sparsekis as s\n"
+        "solve = s.solve_nand_impl\n"
+        "phi = s.CspInstance(4, ((s.NAND2, (1, 2)), (s.IMPL, (3, 1)), (s.NAND2, (3, 4))))\n"
+        "print(json.dumps([solve(phi, k) for k in range(5)]))\n"
+    )
+    got = json.loads(_run_fresh(script).stdout)
+    s = sparsekis
+    phi = s.CspInstance(4, ((s.NAND2, (1, 2)), (s.IMPL, (3, 1)), (s.NAND2, (3, 4))))
+    assert got == [s.brute_solve_csp(phi, k) is not None for k in range(5)]
+    assert True in got and False in got
+
+
+def _run_fresh(script: str) -> subprocess.CompletedProcess:
+    """`script` in a fresh `python -O` interpreter, so no other test has
+    loaded a module yet; it must exit 0."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     done = subprocess.run(
         [sys.executable, "-O", "-c", script],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    count, yes, witness, after_kis, after_csp = json.loads(done.stdout)
-    assert count == sparsekis.brute_count_k_is(H, 3) > 0
-    assert yes and len(witness) == 3 and not any(e <= set(witness) for e in H.edges)
-    assert {"errors", "hypergraph", "cliques", "kis"} <= set(after_kis)
-    assert set(after_kis) <= {"errors", "hypergraph", "cliques", "kis", "turan"}
-    assert not set(CSP_SIDE) & set(after_kis)
-    assert "csp" in after_csp
+    return done
 
 
 def test_kis_side_modules_import_no_csp_side_module_at_top_level():
-    # Imports inside functions (turan's sparse_csp_solve, csp's own
-    # kis hand-off) run only when called; the top level runs on load.
+    # Imports inside functions (turan's sparse_csp_solve) run only when
+    # called; the top level runs on load.
     found = []
     for name in ("hypergraph", "cliques", "kis", "turan"):
         for node in ast.parse((SRC / f"{name}.py").read_text()).body:
