@@ -36,7 +36,6 @@ _EXPORTS = {
         "Regime",
         "branch_and_bound",
         "classify_binary_family",
-        "eq_components_subset_sum",
         "format_csp",
         "impl_prune",
         "parse_csp",

@@ -106,8 +106,15 @@ def _product_blocks(
 
 def _related(ab, bc, ac) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three relation matrices as booleans: any nonzero entry relates
-    its pair.  Boolean arrays pass through uncopied."""
-    return tuple(np.asarray(x, dtype=bool) for x in (ab, bc, ac))
+    its pair.  Boolean arrays pass through uncopied; a NaN or infinite
+    entry raises ValueError before the cast could read it as related."""
+    out = []
+    for x in (ab, bc, ac):
+        x = np.asarray(x)
+        if x.dtype.kind in "fc" and not np.isfinite(x).all():
+            raise ValueError("relation matrix holds a non-finite entry")
+        out.append(x.astype(bool, copy=False))
+    return tuple(out)
 
 
 def count_triangles_tripartite(ab, bc, ac) -> int:

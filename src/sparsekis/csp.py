@@ -720,22 +720,6 @@ def _subset_sum_pick(weights: list[int], k: int) -> Optional[list[int]]:
     return out
 
 
-def eq_components_subset_sum(phi_eq: CspInstance, k: int) -> bool:
-    """Decide weight-k satisfiability of an EQ-only instance.
-
-    Components of the equality graph must be taken whole, so the
-    question is whether component sizes (each usable once, sizes above k
-    discarded) can sum to exactly k.
-    """
-    if k < 0:
-        raise ValueError(f"negative weight budget {k}")
-    for f, _ in phi_eq.constraints:
-        if _reading(f)[0] != 3:
-            raise ValueError(f"non-EQ constraint {f.name!r} in EQ-only instance")
-    comps = _components(_read(phi_eq)[1], (1 << phi_eq.n) - 1)
-    return _subset_sum_pick([w for c in comps if (w := c.bit_count()) <= k], k) is not None
-
-
 def _read(
     phi: CspInstance | _Leaf,
 ) -> tuple[int, list[int], list[int], list[int], list[int], Optional[ConstraintFunction]]:

@@ -3,9 +3,10 @@
 A hypergraph here is a vertex count n (vertices 1..n) plus an ordered list
 of hyperedges, each a set of 2..6 distinct vertices.  The list order is
 load-bearing: several solvers break symmetry between edges by "comes
-earlier in the list", so edges carry a stable 1-based order index.
+earlier in the list", so an edge's list position is its rank.
 
-The arity-2 edges alone form the underlying graph; arity-3-and-up edges
+A graph is the hypergraph whose edges are all pairs.  The arity-2 edges
+of a hypergraph alone form its underlying graph; arity-3-and-up edges
 are the ones whose containment makes an otherwise independent set a false
 positive, and matchings (pairwise-disjoint sets) of those drive the
 inclusion-exclusion counter in the solver module.
@@ -132,44 +133,17 @@ class Hypergraph:
         """Bitmask per edge (bit v-1 set for vertex v), in edge-list order."""
         return tuple(_mask(e) for e in self.edges)
 
-    @cached_property
-    def _index_of(self) -> dict[frozenset[int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
-    def order_index(self, edge: frozenset[int]) -> int:
-        """1-based position of an edge in the list (the edge order)."""
-        return self._index_of[frozenset(edge)] + 1
-
-    def sorted_by_arity(self) -> "Hypergraph":
-        """Copy with edges stably re-sorted by arity (smaller arity first)."""
-        return Hypergraph(self.n, tuple(sorted(self.edges, key=len)))
-
 
 @dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph on vertices 1..n, no self-loops."""
-
-    n: int
-    edges: tuple[frozenset[int], ...]
+class Graph(Hypergraph):
+    """Simple undirected graph on vertices 1..n: a hypergraph whose edges
+    are all pairs."""
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"negative vertex count {self.n}")
-        object.__setattr__(self, "edges", _frozen(self.edges))
-        seen = set()
+        super().__post_init__()
         for e in self.edges:
             if len(e) != 2:
                 raise ValueError(f"graph edge {sorted(e)} must have exactly 2 endpoints")
-            for v in e:
-                if not 1 <= v <= self.n:
-                    raise ValueError(f"vertex {v} out of range 1..{self.n}")
-            if e in seen:
-                raise ValueError(f"duplicate edge {sorted(e)}")
-            seen.add(e)
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
 
     @cached_property
     def adjacency(self) -> tuple[int, ...]:

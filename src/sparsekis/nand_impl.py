@@ -410,7 +410,7 @@ def _branch_triangle(
                 # A chunk joins when its mask misses the base's block.
                 nxt.extend((bm | cm, bb | cb) for cm, cb in chunks if cm & bb == 0)
                 if len(nxt) > NODE_CAP:
-                    raise ResourceLimit("triangle part-sets", f"> {NODE_CAP}", NODE_CAP)
+                    raise ResourceLimit("triangle part-sets", len(nxt), NODE_CAP)
             part = nxt
         if not part:
             return None

@@ -27,12 +27,6 @@ from .hypergraph import Graph, _vertices
 if TYPE_CHECKING:
     from .csp import CspInstance
 
-__all__ = [
-    "find_k_is_sparse",
-    "sparse_csp_solve",
-    "NO_GUARANTEE",
-]
-
 #: Returned by sparse_csp_solve when its density premise fails; callers
 #: fall through to the general solvers.
 NO_GUARANTEE = None

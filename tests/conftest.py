@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from math import comb
 
 from sparsekis import ConstraintFunction, CspInstance, Graph, Hypergraph
 
@@ -16,6 +17,9 @@ def random_hypergraph(
     seen: set[frozenset[int]] = set()
     for arity in sorted(counts):
         want = counts[arity]
+        if want > comb(n, arity):
+            # Drawing until `want` distinct edges turn up would never stop.
+            raise ValueError(f"{want} distinct {arity}-edges asked of {n} vertices")
         while want > 0:
             e = frozenset(rng.sample(range(1, n + 1), arity))
             if e not in seen:
@@ -26,6 +30,8 @@ def random_hypergraph(
 
 
 def random_graph(rng: random.Random, n: int, m: int) -> Graph:
+    if m > comb(n, 2):
+        raise ValueError(f"{m} distinct edges asked of {n} vertices")
     seen: set[frozenset[int]] = set()
     while len(seen) < m:
         seen.add(frozenset(rng.sample(range(1, n + 1), 2)))

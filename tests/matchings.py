@@ -73,8 +73,8 @@ def resolve_intersections(
     for e in S.edges:
         if len(e) == 2:
             raise ValueError("matching contains an arity-2 edge")
-    s_index = {e: H.order_index(e) for e in S.edges}
-    big = [(H.order_index(e), e) for e in H.edges if len(e) >= 3]
+    s_index = {e: H.edges.index(e) + 1 for e in S.edges}
+    big = [(H.edges.index(e) + 1, e) for e in H.edges if len(e) >= 3]
     deleted: set[int] = set()
     replaced: set[int] = set()
     added: list[tuple[tuple[int, int], frozenset[int]]] = []

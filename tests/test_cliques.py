@@ -120,6 +120,18 @@ def test_any_nonzero_entry_relates_its_pair():
     assert find_triangle_tripartite([[0.5]], [[1]], [[1]]) == (0, 0, 0)
 
 
+@pytest.mark.parametrize("position", range(3))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_entries_rejected(bad, position):
+    # Cast to booleans, a NaN or an infinity would read as related.
+    mats = [[[1.0]], [[1.0]], [[1.0]]]
+    mats[position] = [[bad]]
+    with pytest.raises(ValueError, match="non-finite"):
+        count_triangles_tripartite(*mats)
+    with pytest.raises(ValueError, match="non-finite"):
+        find_triangle_tripartite(*mats)
+
+
 @pytest.mark.parametrize("bad", [np.nan, 5.0], ids=["nan", "out_of_range"])
 def test_triangle_block_guard(bad):
     # The block loop that the count and the find share checks every

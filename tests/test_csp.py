@@ -20,7 +20,6 @@ from sparsekis import (
     branch_and_bound,
     brute_solve_csp,
     classify_binary_family,
-    eq_components_subset_sum,
     format_csp,
     impl_prune,
     parse_csp,
@@ -476,32 +475,27 @@ def test_branch_and_bound_prunes_to_unsat():
     assert branch_and_bound(phi, 2) == []
 
 
+def linear_leaf_decides(phi, k):
+    """The Linear leaf of `solve_csp` on the whole of an EQ-only instance."""
+    from sparsekis import csp
+
+    return csp._solve_leaf_binary(csp._root(phi, k), Regime("Linear")) is not None
+
+
 def test_eq_subset_sum_examples():
     comp332 = CspInstance(8, (
         (EQ2, (1, 2)), (EQ2, (2, 3)),
         (EQ2, (4, 5)), (EQ2, (5, 6)),
         (EQ2, (7, 8)),
     ))
-    assert eq_components_subset_sum(comp332, 5)
-    assert not eq_components_subset_sum(comp332, 4)
+    assert linear_leaf_decides(comp332, 5)
+    assert not linear_leaf_decides(comp332, 4)
     comp33 = CspInstance(6, (
         (EQ2, (1, 2)), (EQ2, (2, 3)),
         (EQ2, (4, 5)), (EQ2, (5, 6)),
     ))
-    assert not eq_components_subset_sum(comp33, 5)
-    assert eq_components_subset_sum(comp33, 0)
-
-
-def test_eq_subset_sum_rejects_other_functions():
-    with pytest.raises(ValueError):
-        eq_components_subset_sum(CspInstance(2, ((NAND2, (1, 2)),)), 1)
-
-
-def test_eq_subset_sum_rejects_a_negative_budget():
-    phi = CspInstance(2, ((EQ2, (1, 2)),))
-    for k in (-1, -3):
-        with pytest.raises(ValueError, match="negative weight budget"):
-            eq_components_subset_sum(phi, k)
+    assert not linear_leaf_decides(comp33, 5)
+    assert linear_leaf_decides(comp33, 0)
 
 
 def test_eq_subset_sum_matches_brute():
@@ -510,7 +504,7 @@ def test_eq_subset_sum_matches_brute():
         n = rng.randint(2, 9)
         phi = random_csp(rng, n, (EQ2,), rng.randint(0, 6))
         for k in range(n + 1):
-            assert eq_components_subset_sum(phi, k) == bool(
+            assert linear_leaf_decides(phi, k) == bool(
                 weight_k_solutions(phi, k)
             )
 
@@ -744,6 +738,27 @@ def test_downward_closed_route_matches_oracle(mixed):
     assert {(True, route), (False, route)} <= seen
 
 
+@pytest.mark.parametrize(
+    "n, triples, want",
+    [(5, [(1, 2, 3)], (1, 2, 4)), (4, list(itertools.combinations(range(1, 5), 3)), None)],
+    ids=["yes", "no"],
+)
+def test_kis_resource_limit_falls_back_to_the_scan(monkeypatch, n, triples, want):
+    # With the greedy abstaining and no search or clique budget, k-IS
+    # meets a resource limit on a downward-closed leaf, and the
+    # exhaustive scan answers it instead.
+    from sparsekis import cliques, csp, kis
+
+    monkeypatch.setattr(csp, "_greedy", lambda leaf: None)
+    monkeypatch.setattr(kis, "SEARCH_NODE_BUDGET", 0)
+    monkeypatch.setattr(cliques, "NODE_CAP", 0)
+    phi = CspInstance(n, tuple((NAND3, t) for t in triples))
+    res = solve_csp(phi, 3)
+    assert res.route == "exhaustive fallback"
+    assert res.assignment == want == brute_solve_csp(phi, 3)
+    assert res.satisfiable == (want is not None)
+
+
 # Rejects its first variable, and its other two together.
 PIN_OR_PAIR = ConstraintFunction("pin_or_pair", 3, tuple(int(not (j & 1 or j & 6 == 6)) for j in range(8)))
 
@@ -924,6 +939,10 @@ def test_solve_decision_only():
 def test_solve_negative_k():
     with pytest.raises(ValueError):
         solve_csp(CspInstance(3, ()), -1)
+    phi = CspInstance(2, ((EQ2, (1, 2)),))
+    for k in (-1, -3):
+        with pytest.raises(ValueError, match="negative weight budget"):
+            solve_csp(phi, k)
 
 
 OR3 = ConstraintFunction("or3", 3, (0,) + (1,) * 7)

@@ -17,7 +17,7 @@ from sparsekis.hypergraph import (
     underlying_graph,
 )
 
-from conftest import random_hypergraph
+from conftest import random_graph, random_hypergraph
 from matchings import enumerate_matchings
 
 
@@ -94,6 +94,19 @@ def test_edge_listing_a_vertex_twice_rejected(edge):
         Hypergraph(3, (edge,))
     with pytest.raises(ValueError, match="lists a vertex twice"):
         Graph(3, (edge,))
+
+
+def test_graph_takes_the_hypergraph_checks_and_rejects_larger_edges():
+    G = Graph(3, ((1, 2),))
+    assert isinstance(G, Hypergraph) and G.m == 1 and G.edge_masks == (0b11,)
+    with pytest.raises(ValueError, match="exactly 2 endpoints"):
+        Graph(3, ((1, 2), (1, 2, 3)))
+    with pytest.raises(ValueError, match="negative vertex count"):
+        Graph(-1, ())
+    with pytest.raises(ValueError, match="out of range 1..3"):
+        Graph(3, ((1, 4),))
+    with pytest.raises(ValueError, match="duplicate edge"):
+        Graph(3, ((1, 2), (2, 1)))
 
 
 def test_frozenset_edges_are_kept_not_copied():
@@ -195,10 +208,11 @@ def test_induced_rejects_vertices_out_of_range():
             induced(H, X)
 
 
-def test_arity_sort_is_permutation():
-    rng = random.Random(13)
-    H = random_hypergraph(rng, 10, {2: 4, 4: 3, 3: 5})
-    S = H.sorted_by_arity()
-    assert sorted(map(sorted, S.edges)) == sorted(map(sorted, H.edges))
-    arities = [len(e) for e in S.edges]
-    assert arities == sorted(arities)
+def test_random_builders_refuse_more_edges_than_exist():
+    # Asked for more distinct edges than the vertices allow, the draw
+    # loop would never end.
+    with pytest.raises(ValueError, match="4 distinct 2-edges asked of 3 vertices"):
+        random_hypergraph(random.Random(0), 3, {2: 4})
+    with pytest.raises(ValueError, match="4 distinct edges asked of 3 vertices"):
+        random_graph(random.Random(0), 3, 4)
+    assert random_hypergraph(random.Random(0), 3, {2: 3, 3: 1}).m == 4

@@ -29,7 +29,7 @@ from sparsekis import (
 from sparsekis.cli import main
 from sparsekis.hypergraph import _mask, _vertices, format_hgr, underlying_graph
 
-from conftest import random_hypergraph
+from conftest import gnp_graph, random_hypergraph
 from greedy import greedy_k_is
 from matchings import (
     Matching,
@@ -44,9 +44,9 @@ def term_by_definition(H: Hypergraph, S: Matching, k: int) -> int:
     underlying graph, containing the span, containing no earlier large
     edge that intersects a member of S."""
     es = set(underlying_graph(H).edges)
-    big = [(H.order_index(e), e) for e in H.edges if len(e) >= 3]
+    big = [(H.edges.index(e) + 1, e) for e in H.edges if len(e) >= 3]
     span = set().union(*S.edges) if S.edges else set()
-    member_pos = {H.order_index(e) for e in S.edges}
+    member_pos = {H.edges.index(e) + 1 for e in S.edges}
     count = 0
     for c in itertools.combinations(range(1, H.n + 1), k):
         cs = set(c)
@@ -59,7 +59,7 @@ def term_by_definition(H: Hypergraph, S: Matching, k: int) -> int:
             if pos in member_pos or not e <= cs:
                 continue
             later = max(
-                (H.order_index(m) for m in S.edges if e & m), default=0
+                (H.edges.index(m) + 1 for m in S.edges if e & m), default=0
             )
             if pos < later:
                 ok = False
@@ -147,6 +147,40 @@ def test_counts_match_oracle_random():
             assert count_k_is_hypergraph(H, k) == want
             assert count_k_is_mixed(H, k) == want
             assert count_invalid(H, k) == brute_count_invalid(H, k)
+
+
+def test_invalid_is_zero_below_three_or_without_large_edges(monkeypatch):
+    # No k-set with k < 3 holds a large edge, and a pair-only hypergraph
+    # has none: count_invalid answers 0 without building its counter.
+    def refused(*args):
+        raise AssertionError("counter built")
+
+    monkeypatch.setattr(kis, "_InvalidCounter", refused)
+    rng = random.Random(64)
+    for _ in range(20):
+        n = rng.randint(5, 9)
+        with_big = random_hypergraph(rng, n, {2: rng.randint(0, 4), 3: rng.randint(1, 3)})
+        pairs_only = random_hypergraph(rng, n, {2: rng.randint(0, 6)})
+        for H, ks in ((with_big, range(3)), (pairs_only, range(n + 1))):
+            for k in ks:
+                assert count_invalid(H, k) == brute_count_invalid(H, k) == 0
+
+
+def test_a_graph_is_a_hypergraph():
+    # A Graph goes wherever a Hypergraph goes: the mixed count on it is
+    # the clique engine's count, and the decision agrees with the oracle.
+    rng = random.Random(65)
+    for _ in range(25):
+        G = gnp_graph(rng, rng.randint(4, 11), rng.choice((0.2, 0.5, 0.8)))
+        assert isinstance(G, Hypergraph)
+        for k in range(G.n + 1):
+            want = brute_count_k_is(G, k)
+            assert count_k_is_mixed(G, k) == count_k_is(G, k) == want
+            ok, wit = decide_k_is(G, k, want_witness=True)
+            assert ok == (want > 0)
+            assert (wit is None) == (not ok)
+            if ok:
+                assert len(wit) == k and G.is_independent(wit)
 
 
 def test_mixed_equals_hypergraph_with_high_arity():
@@ -425,7 +459,7 @@ def test_terms_match_definition():
             for size in (1, 2):
                 for S in enumerate_matchings(H, size):
                     want = term_by_definition(H, S, k)
-                    members = sorted(H.order_index(e) for e in S.edges)
+                    members = sorted(H.edges.index(e) + 1 for e in S.edges)
                     if len(S.span) > k or not all(i in cands for i in members):
                         assert want == 0
                         continue
@@ -559,13 +593,13 @@ def test_bulk_levels_on_named_instances(build):
             want = brute_count_invalid(H, k)
         assert counter.run() == want == count_invalid(H, k)
         if build is triple_inside_a_four_edge:
-            nested = H.order_index(frozenset({1, 2, 3, 4}))
+            nested = H.edges.index(frozenset({1, 2, 3, 4})) + 1
             assert nested not in counter.cands
             assert counter.term([nested], 0b1111, 4) == 0
         if build is shared_leftover_pair and k == 5:
             # The universe is {4, ..., 10}, and two of its 2-sets are the
             # leftover pairs {5, 6} and {7, 8}.
-            late = H.order_index(frozenset({1, 2, 3}))
+            late = H.edges.index(frozenset({1, 2, 3})) + 1
             assert counter.term([late], 0b111, 3) == math.comb(7, 2) - 2
     assert seen
 
@@ -654,14 +688,15 @@ def test_arity_strictly_decreases():
     rng = random.Random(27)
     checked = 0
     for _ in range(14):
-        H = random_hypergraph(rng, 10, {4: 4, 3: 2, 2: 2}).sorted_by_arity()
+        H = random_hypergraph(rng, 10, {4: 4, 3: 2, 2: 2})
+        H = Hypergraph(H.n, tuple(sorted(H.edges, key=len)))
         top = max(len(e) for e in H.edges)
         for S in enumerate_matchings(H, 1):
             e = S.edges[0]
             if len(e) < top:
                 continue
             nested = any(
-                p < e and H.order_index(p) < H.order_index(e)
+                p < e and H.edges.index(p) < H.edges.index(e)
                 for p in H.edges
                 if len(p) >= 3
             )

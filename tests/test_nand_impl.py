@@ -13,6 +13,7 @@ from sparsekis import (
     NAND2,
     NOR2,
     NOT1,
+    ResourceLimit,
     balance_partition,
     brute_solve_csp,
     permute_arguments,
@@ -414,6 +415,29 @@ def test_star_instances_reach_the_triangle_step(monkeypatch):
             assert (got is not None) == yes(phi, k), (phi, k)
             assert_solution(phi, k, got)
     assert True in answers and False in answers
+
+
+def test_part_set_cap_raises_through_solve_csp(monkeypatch):
+    # At a zero state cap every Clique leaf goes to the pipeline, and at
+    # a zero part-set cap each one that reaches a join raises; the count
+    # of joined part-sets is what the limit reports as needed.
+    monkeypatch.setattr(csp, "NAND_IMPL_STATE_CAP", 0)
+    monkeypatch.setattr(nand_impl, "NODE_CAP", 0)
+    rng = random.Random(63)
+    raised = 0
+    for _ in range(12):
+        n = rng.randint(10, 16)
+        phi = star_instance(rng, n, rng.randint(0, 12))
+        for k in range(3, 8):
+            try:
+                res = solve_csp(phi, k)
+            except ResourceLimit as exc:
+                assert str(exc).startswith("triangle part-sets: needed ")
+                assert exc.needed > 0 and exc.cap == 0
+                raised += 1
+            else:
+                assert res.satisfiable == yes(phi, k), (phi, k)
+    assert raised == 27
 
 
 def test_chunk_lists_built_once_per_call(monkeypatch):
