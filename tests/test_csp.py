@@ -498,6 +498,13 @@ def test_eq_subset_sum_examples():
     assert linear_leaf_decides(comp33, 0)
 
 
+def test_eq_subset_sum_rejects_a_negative_budget():
+    phi = CspInstance(2, ((EQ2, (1, 2)),))
+    for k in (-1, -3):
+        with pytest.raises(ValueError, match="negative weight budget"):
+            solve_csp(phi, k)
+
+
 def test_eq_subset_sum_matches_brute():
     rng = random.Random(46)
     for _ in range(25):
@@ -939,10 +946,6 @@ def test_solve_decision_only():
 def test_solve_negative_k():
     with pytest.raises(ValueError):
         solve_csp(CspInstance(3, ()), -1)
-    phi = CspInstance(2, ((EQ2, (1, 2)),))
-    for k in (-1, -3):
-        with pytest.raises(ValueError, match="negative weight budget"):
-            solve_csp(phi, k)
 
 
 OR3 = ConstraintFunction("or3", 3, (0,) + (1,) * 7)
