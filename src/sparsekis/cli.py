@@ -203,7 +203,7 @@ def _cmd_solve_kis(args: argparse.Namespace) -> int:
             decision, wit = kis.decide_k_is(H, args.k, want_witness=args.witness)
             return decision, None, wit
         count = kis.count_k_is_mixed(H, args.k)
-        wit = kis.witness_k_is(H, args.k) if args.witness and count > 0 else None
+        wit = kis.decide_k_is(H, args.k, want_witness=True)[1] if args.witness and count > 0 else None
         return count > 0, count, wit
 
     return _answer(args, H, solve, _check_kis_witness)

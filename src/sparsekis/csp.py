@@ -12,7 +12,9 @@ regimes (Linear, Subexponential, KIS, Clique).  The solver entry point
 sets a variable of the first all-false-violated constraint true, and
 cuts a node when more variable-disjoint violated constraints remain than
 its budget, since each needs a true variable of its own.  Its leaves are
-0-valid: the all-false row satisfies every constraint left.
+0-valid: the all-false row satisfies every constraint left.  It walks
+the tree on a stack of its own, as the closed-set search below does, so
+a path thousands of variables deep needs no Python recursion.
 
 One reader, `_read`, takes every 0-valid leaf into masks, from one
 cached reading per table (`_reading`).  A table closed downward (NAND_r,
@@ -22,14 +24,17 @@ two-variable ones NAND rows, larger ones large edges.  IMPL and EQ, the
 only other 0-valid binary tables, are the clauses of their violated
 rows: row 1 (u true, v false) means u -> v, row 2 means v -> u.  Any
 other table is left unread.  `classify_binary_family` sorts a family by
-the same reading.
+the same reading.  A leaf's reading (`_Masks`) is its successor,
+predecessor and NAND rows, its large edges and first unread table, and
+its alive mask, already without the pins and all their ancestors, with
+its forced variables and budget.
 
-`_solve_leaf_binary` reads each binary leaf once: propagation is the
-pins and all their ancestors, equality components feed a subset-sum,
-descendant sets from one pass over strongly connected components prune
-the implication order and drive the closed-set search, and NAND rows go
-to the independent-set machinery.  Past the search's state cap the
-nand_impl pipeline gets the branch already read and pruned.
+`_solve_leaf_binary` reads each binary leaf once: equality components
+feed a subset-sum, descendant sets from one pass over strongly
+connected components prune the implication order and drive the
+closed-set search, and NAND rows go to the independent-set machinery.
+Past the search's state cap the nand_impl pipeline takes the reading
+itself as its branch, with the alive mask pruned.
 
 Higher-arity instances are branched to 0-valid leaves, and the sparse
 greedy `_greedy` tries each leaf first.  A leaf with no implication and
@@ -531,8 +536,8 @@ class _Leaf(NamedTuple):
     `constraints` mention only variables in `alive` (bit v - 1 for
     variable v), the ones not fixed yet; `forced` holds the variables
     the branch set true and `k` the residual weight budget.  `n` is the
-    caller's variable count, so `_read` reads a leaf as it reads an
-    instance: a fixed variable just has no constraints left.
+    caller's variable count, over which `_read` lays out its rows: a
+    fixed variable just has no constraints left.
     """
 
     n: int
@@ -591,10 +596,9 @@ def _checked(phi: CspInstance, leaf: _Leaf) -> CspInstance:
 
 
 def _unsatisfiable(inst: CspInstance) -> CspInstance:
-    """An explicitly never-satisfiable remnant of `inst`, keeping its labels."""
-    if inst.n >= 1:
-        return CspInstance(inst.n, ((NEVER1, (1,)),), labels=inst.labels)
-    return CspInstance(1, ((NEVER1, (1,)),), labels=(0,))
+    """An explicitly never-satisfiable remnant of `inst`, keeping its
+    labels; `inst` has a constraint, so it has a variable."""
+    return CspInstance(inst.n, ((NEVER1, (1,)),), labels=inst.labels)
 
 
 def preprocess_easy(phi: CspInstance, k: int) -> CspInstance:
@@ -659,19 +663,24 @@ def _branch(phi: CspInstance, k: int) -> list[_Leaf]:
     if all(f.table[0] for f in phi.functions):
         return [root]
     leaves: list[_Leaf] = []
-
-    def rec(leaf: _Leaf) -> None:
+    # Depth first on an explicit stack: a node's children go on it in
+    # reverse, so they come off in the order of its violated variables.
+    stack = [root]
+    while stack:
+        leaf = stack.pop()
         viol = _first_violated(leaf)
         if viol is None:
             leaves.append(leaf)
-            return
+            continue
+        children = []
         for v in viol:
             cons = _fix(leaf.constraints, {v: 1})
             if cons is not None:
                 bit = 1 << (v - 1)
-                rec(_Leaf(leaf.n, cons, leaf.alive & ~bit, leaf.k - 1, leaf.forced | bit))
-
-    rec(root)
+                children.append(
+                    _Leaf(leaf.n, cons, leaf.alive & ~bit, leaf.k - 1, leaf.forced | bit)
+                )
+        stack.extend(reversed(children))
     return leaves
 
 
@@ -696,8 +705,6 @@ def branch_and_bound(phi: CspInstance, k: int) -> list[BranchLeaf]:
 
 def _subset_sum_pick(weights: list[int], k: int) -> Optional[list[int]]:
     """Indices of weights summing to exactly k, respecting multiplicity; None if impossible."""
-    if k == 0:
-        return []
     # parent[t] = (t_prev, index used), filled in increasing target order.
     parent: list[Optional[tuple[int, int]]] = [None] * (k + 1)
     reachable = [False] * (k + 1)
@@ -720,12 +727,26 @@ def _subset_sum_pick(weights: list[int], k: int) -> Optional[list[int]]:
     return out
 
 
-def _read(
-    phi: CspInstance | _Leaf,
-) -> tuple[int, list[int], list[int], list[int], list[int], Optional[ConstraintFunction]]:
-    """The constraints as masks: (pinned variables, successor rows,
-    predecessor rows, NAND rows, large edges, the first function not
-    read or None), the rows laid out as index v - 1, bit u - 1.
+class _Masks(NamedTuple):
+    """A 0-valid leaf read into masks by `_read`, in the caller's ids:
+    the successor, predecessor and NAND rows (index v - 1, bit u - 1),
+    the large edges and the first function not read (None when every
+    table was read); then the alive variables, without the pinned ones
+    and all their ancestors, the forced-true variables and the residual
+    budget.  The nand_impl stages take it as their branch."""
+
+    succ: list[int]
+    pred: list[int]
+    nand: list[int]
+    big: list[int]
+    unread: Optional[ConstraintFunction]
+    alive: int
+    forced: int
+    k: int
+
+
+def _read(leaf: _Leaf) -> _Masks:
+    """The leaf's constraints as masks, read once.
 
     Each table is read as `_reading` gives it, one lookup by function
     object id: one-variable violating supports are pins, two-variable
@@ -733,17 +754,19 @@ def _read(
     masks in first-seen order; implications join the successor and
     predecessor rows.  Equalities are kept apart and joined to both row
     lists at the end; with no one-way implication the successor and
-    predecessor rows are one list.
+    predecessor rows are one list.  The pins and all their ancestors
+    leave the leaf's alive mask: none of them is true in a solution.
     """
-    succ = [0] * phi.n
-    pred = [0] * phi.n
-    both = [0] * phi.n
-    nand = [0] * phi.n
+    n = leaf.n
+    succ = [0] * n
+    pred = [0] * n
+    both = [0] * n
+    nand = [0] * n
     big: dict[int, None] = {}
     pinned = 0
     unread = None
     facts: dict[int, tuple[int, tuple]] = {}
-    for f, vs in phi.constraints:
+    for f, vs in leaf.constraints:
         fact = facts.get(id(f))
         if fact is None:
             fact = facts[id(f)] = _reading(f)
@@ -780,10 +803,12 @@ def _read(
             pred[v - 1] |= 1 << (u - 1)
     if any(both):
         if not any(succ):
-            return pinned, both, both, nand, list(big), unread
-        succ = [a | b for a, b in zip(succ, both)]
-        pred = [a | b for a, b in zip(pred, both)]
-    return pinned, succ, pred, nand, list(big), unread
+            succ = pred = both
+        else:
+            succ = [a | b for a, b in zip(succ, both)]
+            pred = [a | b for a, b in zip(pred, both)]
+    alive = leaf.alive & ~_reach(pred, pinned)
+    return _Masks(succ, pred, nand, list(big), unread, alive, leaf.forced, leaf.k)
 
 
 def _reach(rows: Sequence[int], mask: int) -> int:
@@ -858,17 +883,6 @@ def _closure(succ: Sequence[int], verts: int) -> list[int]:
     return desc
 
 
-def _unpinned(
-    leaf: _Leaf,
-) -> tuple[int, list[int], list[int], list[int], list[int], Optional[ConstraintFunction]]:
-    """A 0-valid leaf read once into masks (`_read`): its alive variables
-    without the pinned ones and all their ancestors, then the successor,
-    predecessor and NAND rows, the large edges and the first function
-    not read."""
-    pinned, succ, pred, nand, big, unread = _read(leaf)
-    return leaf.alive & ~_reach(pred, pinned), succ, pred, nand, big, unread
-
-
 def _pruned(
     succ: Sequence[int], rows: Sequence[int], alive: int, k: int
 ) -> tuple[list[int], int]:
@@ -896,9 +910,9 @@ def impl_prune(phi: CspInstance, k: int) -> CspInstance:
     the set.  Removal fixes the variable to false and specializes its
     constraints, preserving weight-k satisfiability.
     """
-    _, succ, _, nand, _, _ = _read(phi)
+    r = _read(_root(phi, k))
     every = (1 << phi.n) - 1
-    _, alive = _pruned(succ, nand, every, k)
+    _, alive = _pruned(r.succ, r.nand, every, k)
     cons = _fix(phi.constraints, dict.fromkeys(_vertices(every & ~alive), 0))
     if cons is None:
         return _unsatisfiable(phi)
@@ -926,9 +940,15 @@ def _closed_set_search(
 
     `desc` are descendant masks (those of `alive` lie inside it) and
     `rows` the NAND rows.  Bounded DFS over unions of descendant sets,
-    on bitmasks, with a visited-state memo; a union holding a NAND pair
-    is cut.  Raises ResourceLimit past `state_cap` states.
+    on bitmasks and an explicit stack, with a visited-state memo; a
+    union holding a NAND pair is cut.  Raises ResourceLimit past
+    `state_cap` states.
     """
+    if k == 0:
+        return 0
+    if state_cap <= 0:
+        raise ResourceLimit("closed-set search states", state_cap + 1, state_cap)
+    budget = state_cap - 1  # the empty union is the first state
     # Each alive variable's descendant set as (mask, its NAND
     # neighbours); a set with a NAND pair inside is never part of a
     # solution.
@@ -939,31 +959,38 @@ def _closed_set_search(
     # from start s covers all continuations with later generators, so a
     # revisit is only needed when the new start is strictly smaller.
     explored: dict[int, int] = {}
-    budget = [state_cap]
-
-    def rec(current: int, blocked: int, start: int) -> Optional[int]:
-        if current.bit_count() == k:
-            return current
-        if budget[0] <= 0:
-            raise ResourceLimit("closed-set search states", state_cap + 1, state_cap)
-        budget[0] -= 1
-        for i in range(start, len(gens)):
+    # Depth first, on an explicit stack of frames [union, its blocked
+    # variables, next generator to try].
+    stack = [[0, 0, 0]]
+    end = len(gens)
+    while stack:
+        frame = stack[-1]
+        current, blocked, i = frame
+        while i < end:
             m, b = gens[i]
+            i += 1
             if m & ~current == 0 or m & blocked:
                 continue
             nxt = current | m
-            if nxt.bit_count() > k:
+            size = nxt.bit_count()
+            if size > k:
                 continue
             prev = explored.get(nxt)
-            if prev is not None and prev <= i + 1:
+            if prev is not None and prev <= i:
                 continue
-            explored[nxt] = i + 1
-            got = rec(nxt, blocked | b, i + 1)
-            if got is not None:
-                return got
-        return None
-
-    return rec(0, 0, 0)
+            explored[nxt] = i
+            break
+        else:
+            stack.pop()
+            continue
+        frame[2] = i
+        if size == k:
+            return nxt
+        if budget <= 0:
+            raise ResourceLimit("closed-set search states", state_cap + 1, state_cap)
+        budget -= 1
+        stack.append([nxt, blocked | b, i])
+    return None
 
 
 def _ascending(mask: int) -> Iterator[int]:
@@ -1171,12 +1198,13 @@ def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[int]:
     components, the closed-set search and the k-IS hand-off all run on
     them, and the closure is built once.  Nothing is specialised; a NAND
     + implication leaf past the closed-set search's state cap goes to
-    the nand_impl pipeline as the branch read and pruned here.
+    the nand_impl pipeline as its reading, with the alive mask pruned
+    here.
     """
-    alive, succ, pred, nand, _, _ = _unpinned(leaf)
-    k = leaf.k
+    r = _read(leaf)
+    alive, succ, nand, k = r.alive, r.succ, r.nand, r.k
     if k == 0:
-        return leaf.forced
+        return r.forced
     if k > alive.bit_count():
         return None
 
@@ -1185,7 +1213,7 @@ def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[int]:
         picked = _subset_sum_pick([min(c.bit_count(), k + 1) for c in comps], k)
         if picked is None:
             return None
-        return leaf.forced | sum(comps[i] for i in picked)
+        return r.forced | sum(comps[i] for i in picked)
 
     # Implication structure (IMPL or EQ) is pruned through descendant
     # sets and searched; what KIS and Clique leaves keep without it is a
@@ -1196,7 +1224,7 @@ def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[int]:
             if k > alive.bit_count():
                 return None
             got = _closed_set_search(desc, nand, alive, k)
-            return None if got is None else leaf.forced | got
+            return None if got is None else r.forced | got
         if _block(succ, alive):
             # A solution is a NAND-free union of descendant sets, so an
             # exhausted search is a NO; past the cap the pipeline solves
@@ -1204,12 +1232,10 @@ def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[int]:
             try:
                 got = _closed_set_search(desc, nand, alive, k, NAND_IMPL_STATE_CAP)
             except ResourceLimit:
-                return nand_impl._solve_branch(
-                    nand_impl._Branch(succ, pred, nand, alive, leaf.forced, k)
-                )
-            return None if got is None else leaf.forced | got
+                return nand_impl._solve_branch(r._replace(alive=alive))
+            return None if got is None else r.forced | got
     ok, found = kis._decide(nand, alive, (), k, True)
-    return leaf.forced | found if ok else None
+    return r.forced | found if ok else None
 
 
 def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
@@ -1260,18 +1286,18 @@ def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
             return CspResult(True, _verify(phi, got, k, want_witness), "sparse greedy")
     scanned = False
     for leaf in leaves:
-        alive, succ, _, nand, big, unread = _unpinned(leaf)
-        if unread is None and not any(succ):
+        r = _read(leaf)
+        if r.unread is None and not any(r.succ):
             # The large edges inside alive that fit in a k-set.
-            dead = ~alive
-            big = [m for m in big if not m & dead and m.bit_count() <= leaf.k]
+            dead = ~r.alive
+            big = [m for m in r.big if not m & dead and m.bit_count() <= r.k]
             try:
-                ok, found = kis._decide(nand, alive, big, leaf.k, True)
+                ok, found = kis._decide(r.nand, r.alive, big, r.k, True)
             except ResourceLimit:
                 pass
             else:
                 if ok:
-                    got = leaf.forced | found
+                    got = r.forced | found
                     return CspResult(True, _verify(phi, got, k, want_witness), "regime KIS")
                 continue
         scanned = True

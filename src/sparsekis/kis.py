@@ -64,7 +64,8 @@ counting self-reduction after it works on the masks.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Optional, Sequence
+from functools import cache
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -74,18 +75,6 @@ from .hypergraph import Hypergraph, _block, _mask, _vertices
 
 #: Nodes the bounded search may visit before counting takes over.
 SEARCH_NODE_BUDGET = 20_000
-
-
-class _Lazy(dict):
-    """A dict that fills a missing key with make(key)."""
-
-    def __init__(self, make) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: int) -> object:
-        value = self[key] = self.make(key)
-        return value
 
 
 def _edges_by_vertex(big: Sequence[int]) -> dict[int, list[int]]:
@@ -181,10 +170,12 @@ def _nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, flat - r * mask.shape[1]
 
 
-def _leftovers(span: dict[int, int], through: dict[int, list[int]], idx: int) -> list[int]:
+def _leftovers(
+    span: dict[int, int], through: Callable[[int], list[int]], idx: int
+) -> list[int]:
     """What the earlier large edges meeting edge idx leave outside it."""
     m = span[idx]
-    earlier = {p for v in _vertices(m) for p in through[v] if p < idx}
+    earlier = {p for v in _vertices(m) for p in through(v) if p < idx}
     return [span[p] & ~m for p in sorted(earlier)]
 
 
@@ -215,12 +206,12 @@ class _InvalidCounter:
             idx: m for idx, m in enumerate(edge_masks, start=1) if m.bit_count() >= 3
         }
         # Built on demand, for the members of scalar terms only.  The
-        # makers hold no reference to self, so a counter is freed as
+        # closures hold no reference to self, so a counter is freed as
         # soon as its count ends.
         span = self.span
-        through = _Lazy(lambda v: [idx for idx, m in span.items() if m >> (v - 1) & 1])
-        self.nbrs = _Lazy(lambda idx: _block(rows, span[idx]) & ~span[idx])
-        self.actions = _Lazy(lambda idx: _leftovers(span, through, idx))
+        through = cache(lambda v: [idx for idx, m in span.items() if m >> (v - 1) & 1])
+        self.nbrs = cache(lambda idx: _block(rows, span[idx]) & ~span[idx])
+        self.actions = cache(lambda idx: _leftovers(span, through, idx))
         n = len(rows)
         m = len(self.span)
         B = cliques._bits(list(self.span.values()), n)
@@ -392,8 +383,8 @@ class _InvalidCounter:
         forbidden = span_mask
         leftovers: list[int] = []
         for idx in members:
-            forbidden |= self.nbrs[idx]
-            for rmask in self.actions[idx]:
+            forbidden |= self.nbrs(idx)
+            for rmask in self.actions(idx):
                 rem = rmask & ~span_mask
                 if rem == 0:
                     return 0
@@ -426,18 +417,8 @@ class _InvalidCounter:
                 and adj[(rem & -rem).bit_length() - 1] & rem == 0
             }
             return size * (size - 1) // 2 - inside // 2 - len(extra)
-        # Leftover pairs join a copy of the rows; larger leftovers are the
-        # residual's large edges.
-        rows = list(self.adj)
-        hypers: set[int] = set()
-        for rem in leftovers:
-            if rem & ~universe:
-                continue
-            if rem.bit_count() == 2:
-                _add_pair(rows, rem)
-            else:
-                hypers.add(rem)
-        return _count(rows, universe, sorted(hypers), k2)
+        rows, big = _residual(self.adj, universe, leftovers, k2)
+        return _count(rows, universe, big, k2)
 
     def run(self) -> int:
         k, span = self.k, self.span
@@ -447,7 +428,7 @@ class _InvalidCounter:
             if k - size > 2:
                 total += self.term([idx], sm, size)
             if size + self.smin < k:
-                total += self._deeper(t + 1, [idx], sm, size, sm | self.nbrs[idx], -1)
+                total += self._deeper(t + 1, [idx], sm, size, sm | self.nbrs(idx), -1)
         return total
 
     def _deeper(self, start: int, members: list[int], span_mask: int,
@@ -468,16 +449,31 @@ class _InvalidCounter:
             total += sign * self.term(members, span_mask | sm, size2)
             if size2 + self.smin <= k:
                 total += self._deeper(t + 1, members, span_mask | sm, size2,
-                                      blocked | sm | self.nbrs[idx], -sign)
+                                      blocked | sm | self.nbrs(idx), -sign)
             members.pop()
         return total
 
 
-def _add_pair(rows: list[int], pair: int) -> None:
-    """Join the two vertices of the mask `pair` in `rows`."""
-    low = pair & -pair
-    rows[low.bit_length() - 1] |= pair ^ low
-    rows[(pair ^ low).bit_length() - 1] |= low
+def _residual(
+    rows: Sequence[int], alive: int, edges: Sequence[int], k: int
+) -> tuple[list[int], list[int]]:
+    """The residual rows and large edges once `edges`, masks of two or
+    more vertices, join the instance inside `alive`: a copy of `rows`
+    with the two-vertex edges inside `alive` joined, and the larger
+    edges inside `alive` that fit in a k-set, once each in first-seen
+    order."""
+    rows = list(rows)
+    big: dict[int, None] = {}
+    for m in edges:
+        if m & ~alive or m.bit_count() > k:
+            continue
+        if m.bit_count() == 2:
+            low = m & -m
+            rows[low.bit_length() - 1] |= m ^ low
+            rows[(m ^ low).bit_length() - 1] |= low
+        else:
+            big[m] = None
+    return rows, list(big)
 
 
 def _count(rows: Sequence[int], alive: int, big: Sequence[int], k: int) -> int:
@@ -503,8 +499,9 @@ def _witness_by_counting(
 
     The lowest vertex of `alive` is dropped whenever a solution avoids
     it, otherwise committed: its pair neighbours leave `alive`, and the
-    large edges through it shrink, those left with two vertices joining
-    a copy of the rows.  One count per vertex at most; returns the mask.
+    large edges through it shrink (`_residual`), those left with two
+    vertices joining a copy of the rows.  One count per vertex at most;
+    returns the mask.
     """
     chosen = 0
     while k > 0:
@@ -517,17 +514,7 @@ def _witness_by_counting(
         chosen |= bit
         k -= 1
         alive &= ~rows[bit.bit_length() - 1]
-        rows = list(rows)
-        shrunk: dict[int, None] = {}
-        for m in big:
-            m &= ~bit
-            if m & ~alive or m.bit_count() > k:
-                continue
-            if m.bit_count() == 2:
-                _add_pair(rows, m)
-            else:
-                shrunk[m] = None
-        big = list(shrunk)
+        rows, big = _residual(rows, alive, [m & ~bit for m in big], k)
     return chosen
 
 
@@ -627,20 +614,3 @@ def decide_k_is(
     ok, found = _decide(*_masks(H, k), k, want_witness)
     witness = None if found is None else _checked(H, k, found)
     return ok, witness if want_witness else None
-
-
-def witness_k_is(H: Hypergraph, k: int) -> frozenset[int]:
-    """A re-checked k-set containing no edge, for an H known to have one.
-
-    Same search and greedy as decide_k_is, then straight to counting
-    self-reduction without a deciding count; a search that proves no
-    k-set exists raises VerificationError, since the caller's count
-    said otherwise.
-    """
-    rows, alive, big = _masks(H, k)
-    settled, found = _find_k_is(rows, alive, big, k)
-    if not settled:
-        found = _witness_by_counting(rows, alive, big, k)
-    elif found is None:
-        raise VerificationError(f"no independent {k}-set exists")
-    return _checked(H, k, found)

@@ -4,11 +4,12 @@ Variables under implication edges drag their descendant cones into any
 solution, and exclusion (NAND) edges forbid co-selection.  The pipeline
 peels structure until a triangle can finish the job.  A `csp._Leaf` is
 read once, by `csp._read` (the one reader of every 0-valid leaf), in
-the caller's own variable ids, into successor, predecessor and NAND
-rows, and a branch is then a `_Branch`: those rows, masks of the alive
+the caller's own variable ids, and a branch is that reading, a
+`csp._Masks`: successor, predecessor and NAND rows, masks of the alive
 and forced-true variables and the residual budget.  A stage fixes
-variables with `_take`, mask arithmetic on the rows, and answers with
-the mask of a solution's true set (forced variables included) or None.
+variables with `_take`, mask arithmetic on the rows that gives the
+reading new masks, and answers with the mask of a solution's true set
+(forced variables included) or None.
 Descendant and ancestor sets are `csp._closure` on the rows ANDed with
 the branch's alive mask.
 
@@ -40,20 +41,21 @@ is taken with its EQs as they are.
 
 `csp` first searches a leaf for a NAND-free union of descendant sets;
 only when that search hits its state cap does it call `_solve_branch`
-on the branch it has already read and pruned, so the leaf is read once,
-and `solve_csp` checks the mask it gets back against the caller's
-instance, as it checks every YES.  `_solve_leaf`, behind the public
-`solve_nand_impl`, reads and prunes a leaf itself the same way.
+on the leaf's reading, with the alive mask it pruned, so the leaf is
+read once, and `solve_csp` checks the mask it gets back against the
+caller's instance, as it checks every YES.  `_solve_leaf`, behind the
+public `solve_nand_impl`, reads a leaf with `csp._read` and prunes it
+with `csp._pruned`, as the binary leaf solver does.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import cliques
-from .csp import CspInstance, _branch, _closure, _Leaf, _pruned, _reach, _unpinned
+from .csp import CspInstance, _branch, _closure, _Leaf, _Masks, _pruned, _reach, _read
 from .errors import ResourceLimit, VerificationError
 from .hypergraph import _block, _mask, _vertices
 from .kis import _decide
@@ -62,19 +64,6 @@ from .kis import _decide
 NODE_CAP = 200_000
 
 _Group = tuple[Optional[int], int]
-
-
-class _Branch(NamedTuple):
-    """A leaf's successor, predecessor and NAND rows, as `csp._read`
-    gives them and every branch of the leaf shares; then the variables
-    not fixed yet, those set true, and the residual budget."""
-
-    succ: list[int]
-    pred: list[int]
-    nand: list[int]
-    alive: int
-    forced: int
-    k: int
 
 
 def _clean(rows: Sequence[int], m: int) -> bool:
@@ -89,7 +78,7 @@ def _cones(rows: Sequence[int], alive: int) -> list[int]:
     return _closure([r & alive for r in rows], alive)
 
 
-def _take(b: _Branch, true: int, false: int) -> Optional[_Branch]:
+def _take(b: _Masks, true: int, false: int) -> Optional[_Masks]:
     """Set the variables of mask `true` and their descendants true; set
     those of `false`, the true set's NAND neighbours and all their
     ancestors false; None when a variable must be both."""
@@ -102,7 +91,7 @@ def _take(b: _Branch, true: int, false: int) -> Optional[_Branch]:
     )
 
 
-def _restrict(b: _Branch) -> Iterator[_Branch]:
+def _restrict(b: _Masks) -> Iterator[_Masks]:
     """Branch on which heavy descendant cones the solution contains.
 
     A variable is heavy when its descendant set has three or more
@@ -137,7 +126,7 @@ def _restrict(b: _Branch) -> Iterator[_Branch]:
             yield branch
 
 
-def _two_cycle_branches(b: _Branch) -> Iterator[_Branch]:
+def _two_cycle_branches(b: _Masks) -> Iterator[_Masks]:
     """Branch on which mutually-implying pairs the solution contains.
 
     In a restricted branch such pairs touch no other implication edge,
@@ -165,7 +154,7 @@ def _two_cycle_branches(b: _Branch) -> Iterator[_Branch]:
                 yield branch
 
 
-def _groups(b: _Branch) -> list[_Group]:
+def _groups(b: _Masks) -> list[_Group]:
     """Star decomposition of the alive variables of an acyclic restricted
     branch, as (sink, members mask) pairs.
 
@@ -281,7 +270,7 @@ def _distributions(total: int, has_sink: bool) -> Iterator[tuple[tuple[int, int,
                         yield c, t
 
 
-def _solve_acyclic(b: _Branch) -> Optional[int]:
+def _solve_acyclic(b: _Masks) -> Optional[int]:
     """A solution of an acyclic restricted branch, as the mask of its
     true set (forced variables included), or None."""
     k = b.k
@@ -418,7 +407,7 @@ def _branch_triangle(
     return _find_triangle(n, nodes)
 
 
-def _solve_branch(b: _Branch) -> Optional[int]:
+def _solve_branch(b: _Masks) -> Optional[int]:
     """A solution of a pruned branch, as the mask of its true set
     (forced variables included), or None: restrict, take or drop the
     two-cycles, then solve each acyclic branch."""
@@ -438,17 +427,16 @@ def _solve_leaf(leaf: _Leaf) -> Optional[int]:
     and the implication order is pruned as the binary leaf solver prunes
     it.  A table of arity above two is a ValueError.
     """
-    alive, succ, pred, nand, _, _ = _unpinned(leaf)
-    k = leaf.k
-    if k > alive.bit_count():
+    b = _read(leaf)
+    if b.k > b.alive.bit_count():
         return None
-    if k == 0:
-        return leaf.forced
+    if b.k == 0:
+        return b.forced
     wide = next((f for f, _ in leaf.constraints if f.arity > 2), None)
     if wide is not None:
         raise ValueError(f"unsupported constraint {wide.name!r}")
-    _, alive = _pruned(succ, nand, alive, k)
-    return _solve_branch(_Branch(succ, pred, nand, alive, leaf.forced, k))
+    _, alive = _pruned(b.succ, b.nand, b.alive, b.k)
+    return _solve_branch(b._replace(alive=alive))
 
 
 def solve_nand_impl(phi: CspInstance, k: int) -> bool:

@@ -682,3 +682,19 @@ def test_output_bytes_pinned(tmp_path, monkeypatch):
     assert sorted(got) == sorted(pinned)
     changed = [case for case in pinned if got[case] != pinned[case]]
     assert not changed, changed
+
+
+def test_deep_csp_search_answers_yes_under_strict_exit(tmp_path):
+    # One implication on 1500 variables at k = 1200: the closed-set
+    # search grows its union one variable per step, 1199 steps deep.
+    p = tmp_path / "deep.csp"
+    p.write_text("p csp 1500 1\nf impl 2 1011\nc impl 1 2\n")
+    argv = ["solve-csp", str(p), "-k", "1200", "--strict-exit"]
+    script = f"import sys, sparsekis.cli\nsys.exit(sparsekis.cli.main({argv!r}))\n"
+    src = str(Path(sparsekis.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "YES\n"

@@ -364,3 +364,9 @@ def test_parts_match_recursive_reference():
             want = cliques_of_size(rows, alive, size)
             assert len(cols) == len(want[0])
             assert (masks, common_masks) == want, (p, size)
+
+
+def test_count_cliques_rejects_a_negative_k():
+    with pytest.raises(ValueError) as err:
+        cliques._count_cliques(np.zeros((3, 3), dtype=bool), -1)
+    assert type(err.value) is ValueError and str(err.value) == "negative k -1"

@@ -1,11 +1,16 @@
 """Binary CSP core: weights, classification, pipeline stages, routing."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import sparsekis
 from sparsekis import (
     EQ2,
     IMPL,
@@ -32,6 +37,7 @@ from sparsekis import (
     u_min,
 )
 from sparsekis.csp import (
+    NEVER1,
     BadConstraintLine,
     BadFunctionDecl,
     MalformedCspHeader,
@@ -246,6 +252,41 @@ def test_instance_validation():
     always = ConstraintFunction("always", 1, (1, 1))
     with pytest.raises(ValueError):
         CspInstance(2, ((always, (1,)),))
+    never = ConstraintFunction("z", 0, (0,))
+    for make, message in (
+        (lambda: CspInstance(-1, ()), "negative variable count -1"),
+        (lambda: CspInstance(1, ((never, ()),)), "constraint on 'z' has arity 0 < 1"),
+        (lambda: CspInstance(3, ((NAND2, (1,)),)), "'nand2' expects 2 variables, got 1"),
+        (lambda: CspInstance(2, (), labels=(1,)), "labels length must equal n"),
+    ):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert type(err.value) is ValueError and str(err.value) == message
+
+
+@pytest.mark.parametrize("arity, table, message", [
+    (7, (0,) * 128, "arity 7 out of range 0..6"),
+    (2, (1, 0, 1), "table length 3 != 2^2 for 'f'"),
+    (1, (0, 2), "non-bit entry in table of 'f'"),
+])
+def test_constraint_function_validation(arity, table, message):
+    with pytest.raises(ValueError) as err:
+        ConstraintFunction("f", arity, table)
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
+def test_format_renames_distinct_tables_that_share_a_name():
+    nand = ConstraintFunction("f", 2, NAND2.table)
+    impl = ConstraintFunction("f", 2, IMPL.table)
+    phi = CspInstance(4, ((nand, (1, 2)), (impl, (2, 3)), (nand, (3, 4))))
+    text = format_csp(phi)
+    assert "f f 2 1110" in text.splitlines() and "f f_ 2 1011" in text.splitlines()
+    back = parse_csp(text)
+    assert [(f.name, f.table, vs) for f, vs in back.constraints] == [
+        ("f", NAND2.table, (1, 2)), ("f_", IMPL.table, (2, 3)), ("f", NAND2.table, (3, 4)),
+    ]
+    for k in range(phi.n + 1):
+        assert solve_csp(back, k) == solve_csp(phi, k), k
 
 
 def test_preprocess_nor_pins_both_false():
@@ -538,9 +579,9 @@ def test_closure_masks_match_reference():
     for _ in range(300):
         n = rng.randint(1, 14)
         phi = random_csp(rng, n, (IMPL, IMPL, EQ2, NAND2), rng.randint(0, 2 * n))
-        _, succ, pred, _, _, _ = _read(phi)
         every = (1 << n) - 1
-        desc, anc = _closure(succ, every), _closure(pred, every)
+        reading = _read(_Leaf(n, phi.constraints, every))
+        desc, anc = _closure(reading.succ, every), _closure(reading.pred, every)
         want_desc, want_anc = closure_sets(phi)
         assert len(desc) == len(anc) == n
         for v in range(1, n + 1):
@@ -567,6 +608,17 @@ def test_impl_prune_nand_inside_descendants():
     assert out.n == 2
     assert {out.label_of(v) for v in range(1, 3)} == {2, 3}
     assert [f.table for f, _ in out.constraints] == [NAND2.table]
+
+
+def test_impl_prune_leaves_the_unsatisfiable_remnant():
+    # Both OR2 variables drag three variables in, so at k = 1 pruning
+    # fixes them false and the OR2 can no longer hold.
+    phi = CspInstance(4, (
+        (IMPL, (1, 3)), (IMPL, (1, 4)), (IMPL, (2, 3)), (IMPL, (2, 4)), (OR2, (1, 2)),
+    ))
+    out = impl_prune(phi, 1)
+    assert out.n == 4 and out.constraints == ((NEVER1, (1,)),)
+    assert brute_solve_csp(phi, 1) is None
 
 
 def test_impl_prune_preserves_weight_k():
@@ -1346,3 +1398,34 @@ def test_binary_route_never_specializes(monkeypatch, family, n, m, k, route):
         assert res and res.route == route
         assert len(res.assignment) == k and phi.satisfied_by(res.assignment)
         assert len(closures) == (route in ("regime Subexponential", "regime Clique(0)"))
+
+
+DEEP_SEARCHES = """
+from sparsekis.csp import IMPL, NAND2, ConstraintFunction, CspInstance, solve_csp
+one = ConstraintFunction("one", 1, (0, 1))
+cases = [
+    (CspInstance(1500, ((IMPL, (1, 2)),)), 1200),
+    (CspInstance(1500, ((IMPL, (1, 2)), (NAND2, (3, 4)))), 1200),
+    (CspInstance(1200, tuple((one, (v,)) for v in range(1, 1101))), 1100),
+]
+for phi, k in cases:
+    res = solve_csp(phi, k)
+    print(res.route, res.satisfiable and len(res.assignment) == k
+          and phi.satisfied_by(res.assignment))
+"""
+
+
+def test_deep_searches_need_no_deep_python_stack():
+    # A closed-set search (Subexponential, and Clique below its state
+    # cap) whose union grows one variable per step, and a branching path
+    # 1100 deep, each in a fresh interpreter at the default recursion
+    # limit.
+    src = str(Path(sparsekis.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", DEEP_SEARCHES],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "regime Subexponential True", "regime Clique(0) True", "regime Linear True",
+    ]

@@ -216,3 +216,13 @@ def test_random_builders_refuse_more_edges_than_exist():
     with pytest.raises(ValueError, match="4 distinct edges asked of 3 vertices"):
         random_graph(random.Random(0), 3, 4)
     assert random_hypergraph(random.Random(0), 3, {2: 3, 3: 1}).m == 4
+
+
+@pytest.mark.parametrize("edge, message", [
+    (frozenset({1}), "edge [1] has arity 1, need 2..6"),
+    (frozenset(range(1, 8)), "edge [1, 2, 3, 4, 5, 6, 7] has arity 7, need 2..6"),
+])
+def test_hypergraph_rejects_an_edge_arity_out_of_range(edge, message):
+    with pytest.raises(ValueError) as err:
+        Hypergraph(7, (edge,))
+    assert type(err.value) is ValueError and str(err.value) == message

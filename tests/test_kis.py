@@ -351,17 +351,21 @@ def test_residual_hypergraphs_stay_on_masks(monkeypatch):
     assert len(counters) > len(cases) + 1
 
 
-@pytest.mark.parametrize("bad", ["pair", "triple", "short"])
+@pytest.mark.parametrize("bad", ["pair", "triple", "short", "high"])
 def test_checked_rejects_a_bad_witness(monkeypatch, bad):
     # Whatever the search hands back is re-checked against H's own edges.
     H = Hypergraph(6, (frozenset({1, 2}), frozenset({3, 4, 5})))
     k = 3
-    mask = {"pair": 0b001011, "triple": 0b011100, "short": 0b100001}[bad]
+    mask, message = {
+        "pair": (0b001011, "witness contains an edge"),
+        "triple": (0b011100, "witness contains an edge"),
+        "short": (0b100001, "witness has 2 vertices, want 3"),
+        "high": (0b1000101, "witness vertex out of range"),
+    }[bad]
     monkeypatch.setattr(kis, "_find_k_is", lambda rows, alive, big, k: (True, mask))
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError) as err:
         decide_k_is(H, k, want_witness=True)
-    with pytest.raises(VerificationError):
-        kis.witness_k_is(H, k)
+    assert type(err.value) is VerificationError and str(err.value) == message
 
 
 def test_closed_form_leaves_match_oracle(monkeypatch):
@@ -464,7 +468,7 @@ def test_terms_match_definition():
                         assert want == 0
                         continue
                     adjacent = any(
-                        counter.span[a] & (counter.span[b] | counter.nbrs[b])
+                        counter.span[a] & (counter.span[b] | counter.nbrs(b))
                         for a, b in itertools.combinations(members, 2)
                     )
                     if adjacent:
@@ -499,7 +503,7 @@ def scalar_levels(counter) -> tuple[int, int]:
     two = sum(
         counter.term([a, b], span[a] | span[b], k)
         for a, b in itertools.combinations(ok, 2)
-        if size[a] + size[b] == k and span[b] & (span[a] | counter.nbrs[a]) == 0
+        if size[a] + size[b] == k and span[b] & (span[a] | counter.nbrs(a)) == 0
     )
     return one, two
 
@@ -807,13 +811,9 @@ def test_decide_matches_oracle_on_mixed_arities(monkeypatch, budget):
             assert decide_k_is(H, k) == (want, None)
             if not got:
                 assert wit is None
-                if budget == "default":
-                    with pytest.raises(VerificationError):
-                        kis.witness_k_is(H, k)
                 continue
-            for w in (wit, kis.witness_k_is(H, k)):
-                assert len(w) == k and all(1 <= v <= n for v in w)
-                assert all(not e <= w for e in H.edges)
+            assert len(wit) == k and all(1 <= v <= n for v in wit)
+            assert all(not e <= wit for e in H.edges)
     assert bool(greedy_calls) == (budget == "count")
 
 

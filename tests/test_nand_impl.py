@@ -34,8 +34,7 @@ def yes(phi: CspInstance, k: int) -> bool:
 def masks(phi: CspInstance, k: int):
     """phi as the pipeline reads a leaf: the branch over its rows with
     every variable alive, none forced and budget k."""
-    _, succ, pred, nand, _, _ = _read(phi)
-    return nand_impl._Branch(succ, pred, nand, (1 << phi.n) - 1, 0, k)
+    return _read(_root(phi, k))._replace(alive=(1 << phi.n) - 1)
 
 
 def descendants(branch) -> list[int]:

@@ -44,6 +44,9 @@ def test_k_zero_and_negative():
     assert find_k_is_sparse(Graph(4, ()), 0) == frozenset()
     with pytest.raises(ValueError):
         find_k_is_sparse(Graph(4, ()), -1)
+    with pytest.raises(ValueError) as err:
+        sparse_csp_solve(CspInstance(2, ((IMPL, (1, 2)),)), -1)
+    assert type(err.value) is ValueError and str(err.value) == "negative k -1"
 
 
 def test_premise_always_succeeds():
