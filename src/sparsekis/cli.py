@@ -202,8 +202,10 @@ def _cmd_solve_kis(args: argparse.Namespace) -> int:
         if not args.count:
             decision, wit = kis.decide_k_is(H, args.k, want_witness=args.witness)
             return decision, None, wit
-        count = kis.count_k_is_mixed(H, args.k)
-        wit = kis.decide_k_is(H, args.k, want_witness=True)[1] if args.witness and count > 0 else None
+        if args.witness:
+            count, wit = kis._count_and_witness(H, args.k)
+        else:
+            count, wit = kis.count_k_is_mixed(H, args.k), None
         return count > 0, count, wit
 
     return _answer(args, H, solve, _check_kis_witness)

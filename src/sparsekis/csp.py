@@ -730,10 +730,10 @@ def _subset_sum_pick(weights: list[int], k: int) -> Optional[list[int]]:
 class _Masks(NamedTuple):
     """A 0-valid leaf read into masks by `_read`, in the caller's ids:
     the successor, predecessor and NAND rows (index v - 1, bit u - 1),
-    the large edges and the first function not read (None when every
-    table was read); then the alive variables, without the pinned ones
-    and all their ancestors, the forced-true variables and the residual
-    budget.  The nand_impl stages take it as their branch."""
+    the large edges that fit a solution and the first function not read
+    (None when every table was read); then the alive variables, without
+    the pinned ones and all their ancestors, the forced-true variables
+    and the residual budget.  The nand_impl stages take it as a branch."""
 
     succ: list[int]
     pred: list[int]
@@ -750,11 +750,11 @@ def _read(leaf: _Leaf) -> _Masks:
 
     Each table is read as `_reading` gives it, one lookup by function
     object id: one-variable violating supports are pins, two-variable
-    ones NAND rows, and the distinct larger ones the large edges, as
-    masks in first-seen order; implications join the successor and
-    predecessor rows.  Equalities are kept apart and joined to both row
-    lists at the end; with no one-way implication the successor and
-    predecessor rows are one list.  The pins and all their ancestors
+    ones NAND rows, and the distinct larger ones large edges, as masks
+    in first-seen order, kept when inside the final alive mask with at
+    most k variables; implications join the successor and predecessor
+    rows.  Equalities join both row lists at the end, one list when no
+    one-way implication is read.  The pins and all their ancestors
     leave the leaf's alive mask: none of them is true in a solution.
     """
     n = leaf.n
@@ -808,7 +808,8 @@ def _read(leaf: _Leaf) -> _Masks:
             succ = [a | b for a, b in zip(succ, both)]
             pred = [a | b for a, b in zip(pred, both)]
     alive = leaf.alive & ~_reach(pred, pinned)
-    return _Masks(succ, pred, nand, list(big), unread, alive, leaf.forced, leaf.k)
+    fit = [m for m in big if not m & ~alive and m.bit_count() <= leaf.k]
+    return _Masks(succ, pred, nand, fit, unread, alive, leaf.forced, leaf.k)
 
 
 def _reach(rows: Sequence[int], mask: int) -> int:
@@ -1215,26 +1216,28 @@ def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[int]:
             return None
         return r.forced | sum(comps[i] for i in picked)
 
-    # Implication structure (IMPL or EQ) is pruned through descendant
-    # sets and searched; what KIS and Clique leaves keep without it is a
-    # graph of NAND edges.
-    if regime.kind == "Subexponential" or (any(succ) and _block(succ, alive)):
+    # Implication structure (IMPL or EQ) is pruned and searched while an
+    # alive variable has a successor (the lazy scan stops at the first);
+    # without it a leaf is a graph of NAND edges (none if Subexponential).
+    if any(succ) and any(succ[v - 1] for v in _ascending(alive)):
         desc, alive = _pruned(succ, nand, alive, k)
-        if regime.kind == "Subexponential":
-            if k > alive.bit_count():
-                return None
-            got = _closed_set_search(desc, nand, alive, k)
-            return None if got is None else r.forced | got
-        if _block(succ, alive):
+        if k > alive.bit_count():
+            return None
+        if any(succ[v - 1] for v in _ascending(alive)):
             # A solution is a NAND-free union of descendant sets, so an
             # exhausted search is a NO; past the cap the pipeline solves
-            # the leaf.
+            # a Clique leaf.
+            clique = regime.kind == "Clique"
             try:
-                got = _closed_set_search(desc, nand, alive, k, NAND_IMPL_STATE_CAP)
+                got = _closed_set_search(
+                    desc, nand, alive, k, NAND_IMPL_STATE_CAP if clique else SEARCH_STATE_CAP
+                )
             except ResourceLimit:
+                if not clique:
+                    raise
                 return nand_impl._solve_branch(r._replace(alive=alive))
             return None if got is None else r.forced | got
-    ok, found = kis._decide(nand, alive, (), k, True)
+    ok, found = kis._decide(nand, alive, r.big, k, True)
     return r.forced | found if ok else None
 
 
@@ -1288,11 +1291,8 @@ def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
     for leaf in leaves:
         r = _read(leaf)
         if r.unread is None and not any(r.succ):
-            # The large edges inside alive that fit in a k-set.
-            dead = ~r.alive
-            big = [m for m in r.big if not m & dead and m.bit_count() <= r.k]
             try:
-                ok, found = kis._decide(r.nand, r.alive, big, r.k, True)
+                ok, found = kis._decide(r.nand, r.alive, r.big, r.k, True)
             except ResourceLimit:
                 pass
             else:

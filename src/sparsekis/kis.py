@@ -58,7 +58,8 @@ only then do the counts run.  Every caller that wants a k-set, not a
 proof of zero, goes through `_find_k_is`, which follows a budget hit
 with one greedy sweep (`turan.find_k_is_masks`) before giving up.  A
 budget hit searches once: `_decide` passes on to the count, and the
-counting self-reduction after it works on the masks.
+counting self-reduction after it works on the masks.  A count and a
+witness together (`_count_and_witness`) take one search and one count.
 """
 
 from __future__ import annotations
@@ -597,6 +598,21 @@ def _checked(H: Hypergraph, k: int, found: int) -> frozenset[int]:
         if e <= witness:
             raise VerificationError("witness contains an edge")
     return witness
+
+
+def _count_and_witness(H: Hypergraph, k: int) -> tuple[int, Optional[frozenset[int]]]:
+    """The count of `count_k_is_mixed` and the witness of `decide_k_is`
+    from one search and one count: a set `_find_k_is` finds is the
+    witness, and only with none found and a positive count does
+    counting self-reduction build one."""
+    rows, alive, big = _masks(H, k)
+    settled, found = _find_k_is(rows, alive, big, k)
+    count = 0 if settled and found is None else _count(rows, alive, big, k)
+    if found is not None and count == 0:
+        raise VerificationError(f"count 0 for k = {k} beside a found k-set")
+    if found is None and count > 0:
+        found = _witness_by_counting(rows, alive, big, k)
+    return count, None if found is None else _checked(H, k, found)
 
 
 def decide_k_is(

@@ -26,15 +26,18 @@ the branch's alive mask.
      groups' NAND rows, settled by `kis._decide` with its witness;
   5. one branch per composition of k over three or more chosen groups
      reduces to finding a triangle across three bins of candidate
-     part-sets.  Each part-set is a (mask, block) pair, block = mask |
-     NAND neighbours, and the compat matrices come from
-     `cliques._compat` on the masks' vertex columns and the blocks'
-     complements, as the clique count's come from its cliques' columns
-     and commons.  A group's chunk list depends only on (group, take,
-     whole), so each is built once per acyclic branch and shared by
-     every triangle branch.  The first triangle
-     `cliques.find_triangle_tripartite` finds names one part-set per
-     bin, and their masks are the solution.
+     part-sets.  `balance_partition` bins all quotas but the two
+     largest, and `_spreads` spreads those two split groups: the first
+     within each bin's room up to ceil(k/3), the second exactly into the
+     window that brings every bin's load into floor(k/3)..ceil(k/3).  A
+     branch is three lists of (group, take, whole) pieces, each bin's
+     whole groups then its split pieces.  A part-set is a (mask, block)
+     pair, block = mask | NAND neighbours, and the compat matrices come
+     from `cliques._compat` on the masks' vertex columns and the
+     blocks' complements.  A piece's chunk list is built once per
+     acyclic branch and shared by every triangle branch.  The first
+     triangle `cliques.find_triangle_tripartite` finds names one
+     part-set per bin, and their masks are the solution.
 
 Equality constraints read as two implications in every step, so a leaf
 is taken with its EQs as they are.
@@ -256,18 +259,21 @@ def _find_triangle(n: int, nodes: list[list[tuple[int, int]]]) -> Optional[int]:
     return nodes[0][hit[0]][0] | nodes[1][hit[1]][0] | nodes[2][hit[2]][0]
 
 
-def _distributions(total: int, has_sink: bool) -> Iterator[tuple[tuple[int, int, int], Optional[int]]]:
-    """Ways to spread `total` vertices of a split group over three bins,
-    tagging which bin receives the sink (None for sinkless groups)."""
-    for c1 in range(total + 1):
-        for c2 in range(total + 1 - c1):
-            c = (c1, c2, total - c1 - c2)
-            if not has_sink:
-                yield c, None
+def _spreads(
+    total: int, has_sink: bool, lo: Sequence[int], hi: Sequence[int]
+) -> Iterator[tuple[tuple[int, int, int], Optional[int]]]:
+    """Ways to spread `total` vertices of a split group over three bins
+    with lo[t] <= c[t] <= hi[t], c[0] then c[1] ascending, each tagged
+    with the bin that receives the sink, ascending (None for sinkless
+    groups)."""
+    for c0 in range(max(lo[0], 0), min(hi[0], total) + 1):
+        rest = total - c0
+        for c1 in range(max(lo[1], rest - hi[2], 0), min(hi[1], rest - lo[2], rest) + 1):
+            c = (c0, c1, rest - c1)
+            if has_sink:
+                yield from ((c, t) for t in range(3) if c[t])
             else:
-                for t in range(3):
-                    if c[t] >= 1:
-                        yield c, t
+                yield c, None
 
 
 def _solve_acyclic(b: _Masks) -> Optional[int]:
@@ -312,33 +318,31 @@ def _solve_acyclic(b: _Masks) -> Optional[int]:
         for combo in itertools.combinations(range(len(groups)), ell):
             caps = [groups[i][1].bit_count() for i in combo]
             for quotas in _compositions(k, ell, caps):
-                order = sorted(
-                    range(ell),
-                    key=lambda i: (
-                        quotas[i],
-                        groups[combo[i]][0] or 0,
-                    ),
-                )
-                parts = [quotas[i] for i in order]
-                bins = balance_partition(parts)
-                sums = [sum(parts[i - 1] for i in bn) for bn in bins]
-                split1 = order[ell - 2]
-                split2 = order[ell - 1]
-                g1s = groups[combo[split1]][0]
-                g2s = groups[combo[split2]][0]
-                q1 = quotas[split1]
-                q2 = quotas[split2]
-                if not _clean(nand, _mask(s for s in (g1s, g2s) if s is not None)):
+                order = sorted(range(ell), key=lambda i: (quotas[i], groups[combo[i]][0] or 0))
+                ordered = [(combo[i], quotas[i]) for i in order]
+                bins = balance_partition([q for _, q in ordered])
+                (g1, q1), (g2, q2) = ordered[-2:]
+                s1, s2 = groups[g1][0], groups[g2][0]
+                if not _clean(nand, _mask(s for s in (s1, s2) if s is not None)):
                     continue
-                for c1, t1 in _distributions(q1, g1s is not None):
-                    for c2, t2 in _distributions(q2, g2s is not None):
-                        loads = [sums[t] + c1[t] + c2[t] for t in range(3)]
-                        if not all(lo <= x <= hi for x in loads):
-                            continue
-                        got = _branch_triangle(
-                            len(nand), chunks_of, groups, combo, order, quotas, bins,
-                            (split1, c1, t1), (split2, c2, t2),
-                        )
+                # Each bin's whole groups as (group index, take, whole)
+                # pieces: a whole group supplies its quota with its sink.
+                wholes = [
+                    [(g, q, groups[g][0] is not None) for g, q in (ordered[i - 1] for i in bn)]
+                    for bn in bins
+                ]
+                sums = [sum(q for _, q, _ in pieces) for pieces in wholes]
+                # The first split may fill a bin up to hi; the second must
+                # bring every bin's load into lo..hi.
+                for c1, t1 in _spreads(q1, s1 is not None, (0, 0, 0), [hi - x for x in sums]):
+                    load = [x + c for x, c in zip(sums, c1)]
+                    window = ([lo - x for x in load], [hi - x for x in load])
+                    for c2, t2 in _spreads(q2, s2 is not None, *window):
+                        got = _branch_triangle(len(nand), chunks_of, [
+                            wholes[t] + [(g, c[t], s == t) for g, c, s in
+                                         ((g1, c1, t1), (g2, c2, t2)) if c[t]]
+                            for t in range(3)
+                        ])
                         if got is not None:
                             return b.forced | got
     return None
@@ -365,28 +369,16 @@ def _compositions(total: int, ell: int, caps: list[int]) -> Iterator[tuple[int, 
 def _branch_triangle(
     n: int,
     chunks_of: Callable[[int, int, bool], list[tuple[int, int]]],
-    groups: list[_Group],
-    combo: tuple[int, ...],
-    order: list[int],
-    quotas: tuple[int, ...],
-    bins: tuple[list[int], list[int], list[int]],
-    split_a: tuple[int, tuple[int, int, int], Optional[int]],
-    split_b: tuple[int, tuple[int, int, int], Optional[int]],
+    pieces: list[list[tuple[int, int, bool]]],
 ) -> Optional[int]:
     """Materialize the three bins' part-sets for one branch and find a
-    triangle; `chunks_of(group index, take, whole)` is a group's chunk
-    list.  A branch with an empty chunk list, or a bin whose joins leave
-    nothing, has no triangle and stops before any further join."""
+    triangle; `pieces` holds each bin's (group index, take, whole)
+    pieces and `chunks_of` maps a piece to its chunk list.  A branch
+    with an empty chunk list, or a bin whose joins leave nothing, has no
+    triangle and stops before any further join."""
     bin_lists: list[list[list[tuple[int, int]]]] = []
-    for t in range(3):
-        chunk_lists = []
-        for idx in bins[t]:
-            gi = order[idx - 1]
-            whole = groups[combo[gi]][0] is not None
-            chunk_lists.append(chunks_of(combo[gi], quotas[gi], whole))
-        for si, c, tpos in (split_a, split_b):
-            if c[t]:
-                chunk_lists.append(chunks_of(combo[si], c[t], tpos == t))
+    for bin_pieces in pieces:
+        chunk_lists = [chunks_of(*p) for p in bin_pieces]
         if not all(chunk_lists):
             return None
         bin_lists.append(chunk_lists)

@@ -52,18 +52,65 @@ def test_count_and_witness_count_once(tmp_path, capsys, monkeypatch):
     from sparsekis import kis
 
     calls = []
-    real = kis.count_k_is_mixed
+    real = kis._count
 
-    def counted(H, k):
+    def counted(rows, alive, big, k):
         calls.append(k)
-        return real(H, k)
+        return real(rows, alive, big, k)
 
-    monkeypatch.setattr(kis, "count_k_is_mixed", counted)
+    monkeypatch.setattr(kis, "_count", counted)
     p = tmp_path / "one.hgr"
     p.write_text(ONE_EDGE)
     code, out, _ = run(capsys, "solve-kis", str(p), "-k", "3", "--count", "--witness")
     assert code == 0 and out.splitlines()[1] == "count 3"
     assert calls == [3]
+
+
+def test_count_and_witness_search_once_on_a_budget_hit(tmp_path, capsys, monkeypatch):
+    # With no search budget the greedy's set {1, 2, 3} holds the edge, so
+    # the count decides and self-reduction builds the witness; the count
+    # runs once before it, and the search once in all.
+    from sparsekis import kis
+
+    monkeypatch.setattr(kis, "SEARCH_NODE_BUDGET", 0)
+    searches, counts, reducing = [], [], []
+    real_search, real_count, real_reduce = (
+        kis._search_k_is, kis._count, kis._witness_by_counting
+    )
+
+    def searched(*args):
+        searches.append(args[-1])
+        return real_search(*args)
+
+    def counted(*args):
+        counts.append(bool(reducing))
+        return real_count(*args)
+
+    def reduced(*args):
+        reducing.append(1)
+        return real_reduce(*args)
+
+    monkeypatch.setattr(kis, "_search_k_is", searched)
+    monkeypatch.setattr(kis, "_count", counted)
+    monkeypatch.setattr(kis, "_witness_by_counting", reduced)
+    p = tmp_path / "one.hgr"
+    p.write_text(ONE_EDGE)
+    code, out, _ = run(capsys, "solve-kis", str(p), "-k", "3", "--count", "--witness")
+    assert (code, out) == (0, "YES\ncount 3\nwitness 2 3 4\n")
+    assert searches == [3] and reducing == [1]
+    assert counts.count(False) == 1 and counts[0] is False
+
+
+def test_zero_count_beside_a_found_set_exits_4(tmp_path, capsys, monkeypatch):
+    # A count of 0 contradicts the k-set the search found and checked.
+    from sparsekis import kis
+
+    monkeypatch.setattr(kis, "_count", lambda rows, alive, big, k: 0)
+    p = tmp_path / "one.hgr"
+    p.write_text(ONE_EDGE)
+    code, out, err = run(capsys, "solve-kis", str(p), "-k", "3", "--count", "--witness")
+    assert (code, out) == (4, "")
+    assert "count 0 for k = 3 beside a found k-set" in err
 
 
 def test_no_answer_and_strict_exit(tmp_path, capsys):

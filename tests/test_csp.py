@@ -1317,6 +1317,59 @@ def test_binary_leaves_match_reference(monkeypatch, cap):
             for yes in (True, False)} <= routes
 
 
+def test_clique_leaf_pruned_below_k_skips_the_search(monkeypatch):
+    # D(1) = {1, 2} holds the NAND pair, so 1 goes and three variables
+    # are left for k = 4, while 3 -> 4 still implies: NO, with no search.
+    from sparsekis import csp
+
+    searched = []
+    monkeypatch.setattr(csp, "_closed_set_search", lambda *args: searched.append(args))
+    phi = CspInstance(4, ((IMPL, (1, 2)), (NAND2, (1, 2)), (IMPL, (3, 4))))
+    res = solve_csp(phi, 4)
+    assert (res.satisfiable, res.route) == (False, "regime Clique(0)")
+    assert searched == [] and brute_solve_csp(phi, 4) is None
+
+
+def test_subexponential_leaf_pruned_free_of_implications(monkeypatch):
+    # Implication cycles longer than k are pruned whole, so no
+    # implication is left and the leaf goes to k-IS, which must answer
+    # as the reference's closed-set search does: the k lowest survivors.
+    from sparsekis import csp
+
+    rng = random.Random(29)
+    for _ in range(40):
+        k = rng.randint(1, 4)
+        cons = []
+        v = 1
+        for _ in range(rng.randint(1, 3)):
+            cycle = list(range(v, v + rng.randint(k + 1, k + 3)))
+            cons += [(IMPL, (a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+            v = cycle[-1] + 1
+        n = v - 1 + rng.randint(0, 2 * k)
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        phi = CspInstance(n, tuple((f, tuple(order[u - 1] for u in vs)) for f, vs in cons))
+        searched = []
+        real = csp._closed_set_search
+
+        def spied(*args):
+            searched.append(args)
+            return real(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(csp, "_closed_set_search", spied)
+            got = solve_csp(phi, k)
+        with monkeypatch.context() as m:
+            m.setattr(csp, "_branch", binary_leaf.branch)
+            m.setattr(csp, "_solve_leaf_binary", binary_leaf.solve_leaf_binary)
+            want = solve_csp(phi, k)
+        assert (got.satisfiable, got.assignment, got.route) == (
+            want.satisfiable, want.assignment, want.route
+        ), (format_csp(phi), k)
+        assert got.route == "regime Subexponential" and searched == []
+        assert got.satisfiable == (n - len(cons) >= k)
+
+
 def test_branching_bound_cuts_only_empty_nodes(monkeypatch):
     # A cut node packs more disjoint all-false-violated constraints than
     # its budget; the oracle must find no residual solution there, and

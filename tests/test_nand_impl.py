@@ -273,6 +273,64 @@ def test_balance_imbalance_bound():
         assert binned == list(range(1, len(parts) - 1))
 
 
+def distributions(total, has_sink):
+    """Every spread of `total` vertices over three bins, c[0] then c[1]
+    ascending, each tagged with the bin that receives the sink (None
+    for a sinkless group): the enumeration the triangle step filtered
+    by bin load before it enumerated windows."""
+    for c0 in range(total + 1):
+        for c1 in range(total + 1 - c0):
+            c = (c0, c1, total - c0 - c1)
+            if not has_sink:
+                yield c, None
+            else:
+                for t in range(3):
+                    if c[t] >= 1:
+                        yield c, t
+
+
+def test_spreads_yield_the_balanced_splits_in_order():
+    # Windowed enumeration must give exactly the generate-and-filter
+    # sequence: every balanced (c1, t1, c2, t2), in the same order.
+    rng = random.Random(29)
+    balanced = 0
+    for _ in range(400):
+        k = rng.randint(3, 14)
+        lo, hi = k // 3, -(-k // 3)
+        # Bin sums as balance_partition leaves them (one may overshoot),
+        # and the two split quotas making up the rest of k.
+        sums = [rng.randint(0, hi + 1) for _ in range(3)]
+        left = max(k - sum(sums), 2)
+        q1 = rng.randint(1, left - 1)
+        q2 = left - q1
+        sink1, sink2 = rng.random() < 0.5, rng.random() < 0.5
+        want = [
+            (c1, t1, c2, t2)
+            for c1, t1 in distributions(q1, sink1)
+            for c2, t2 in distributions(q2, sink2)
+            if all(lo <= sums[t] + c1[t] + c2[t] <= hi for t in range(3))
+        ]
+        got = []
+        for c1, t1 in nand_impl._spreads(q1, sink1, (0, 0, 0), [hi - x for x in sums]):
+            load = [x + c for x, c in zip(sums, c1)]
+            window = ([lo - x for x in load], [hi - x for x in load])
+            got += [(c1, t1, c2, t2) for c2, t2 in nand_impl._spreads(q2, sink2, *window)]
+        assert got == want, (k, sums, q1, sink1, q2, sink2)
+        balanced += bool(want)
+    assert 50 < balanced < 400
+    # Any window, negative bounds included, filters the full sequence.
+    for _ in range(400):
+        total = rng.randint(0, 9)
+        lo = [rng.randint(-3, 4) for _ in range(3)]
+        hi = [rng.randint(-1, 9) for _ in range(3)]
+        sink = rng.random() < 0.5
+        want = [
+            (c, t) for c, t in distributions(total, sink)
+            if all(lo[i] <= c[i] <= hi[i] for i in range(3))
+        ]
+        assert list(nand_impl._spreads(total, sink, lo, hi)) == want, (total, lo, hi)
+
+
 def test_solver_examples():
     phi = CspInstance(5, ((IMPL, (1, 2)), (NAND2, (2, 3))))
     assert solve_nand_impl(phi, 3)
