@@ -1,10 +1,10 @@
 """Classify binary constraint families into hardness regimes.
 
 A family's regime predicts which solver the dispatcher will lean on:
-Linear families fall to propagation, KIS behaves like hypergraph
-independent set, Clique carries a weight offset from its cheapest
-satisfying row, and Subexponential marks the implication-heavy middle
-ground.
+Linear families fall to equality components and a subset-sum over
+their sizes, KIS behaves like hypergraph independent set, Clique
+carries a weight offset from its cheapest satisfying row, and
+Subexponential marks the implication-heavy middle ground.
 """
 
 from sparsekis import EQ2, IMPL, NAND2, NOR2, OR2, classify_binary_family

@@ -21,7 +21,8 @@ from sparsekis import (
 
 rng = random.Random(21)
 
-# Self-reducing search: the decider peels one vertex at a time.
+# The decider searches for a set first; only when the search spends its
+# node budget does it count, and build the witness by self-reduction.
 edges = {frozenset(rng.sample(range(1, 15), 3)) for _ in range(25)}
 H = Hypergraph(14, tuple(edges))
 ok, wit = decide_k_is(H, 5, want_witness=True)
@@ -49,6 +50,12 @@ cases = [
     ("triple exclusions", CspInstance(30, tuple(
         (NAND3, tuple(rng.sample(range(1, 31), 3))) for _ in range(5)
     )), 4),
+    # Too dense for the greedy and C(60, 8) subsets past the scan's cap:
+    # the implications are searched over closed sets free of triples.
+    ("implications + triple exclusions", CspInstance(60, tuple(
+        [(IMPL, tuple(rng.sample(range(1, 61), 2))) for _ in range(40)]
+        + [(NAND3, tuple(rng.sample(range(1, 61), 3))) for _ in range(120)]
+    )), 8),
 ]
 for label, phi, k in cases:
     res = solve_csp(phi, k)

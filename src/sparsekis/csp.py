@@ -29,19 +29,18 @@ predecessor and NAND rows, its large edges and first unread table, and
 its alive mask, already without the pins and all their ancestors, with
 its forced variables and budget.
 
-`_solve_leaf_binary` reads each binary leaf once: equality components
-feed a subset-sum, descendant sets from one pass over strongly
-connected components prune the implication order and drive the
-closed-set search, and NAND rows go to the independent-set machinery.
-Past the search's state cap the nand_impl pipeline takes the reading
-itself as its branch, with the alive mask pruned.
-
-Higher-arity instances are branched to 0-valid leaves, and the sparse
-greedy `_greedy` tries each leaf first.  A leaf with no implication and
-no unread table is k-IS on its NAND rows and large edges, so
-`kis._decide` answers it, under the route name "regime KIS"; the capped
-exhaustive scan `_exhaustive` answers only the leaves that hold another
-table, or where k-IS meets a resource limit.
+`_solve_leaf` reads each leaf once and answers from the reading:
+equality components of a Linear family feed a subset-sum; an
+implication on an alive variable is pruned by descendant sets from one
+pass over strongly connected components, which then drive the
+closed-set search, cutting NAND pairs and large edges alike; anything
+else is k-IS on the NAND rows and large edges (`kis._decide`).  Past the
+search's state cap on a Clique leaf the nand_impl pipeline takes the
+reading itself as its branch, with the alive mask pruned.  Higher-arity
+leaves first go to the sparse greedy `_greedy`, then to the leaf solver
+under the route name "regime KIS"; the capped exhaustive scan
+`_exhaustive` answers only the leaves with an unread table, or where the
+search or k-IS meets a resource limit.
 
 `solve_csp` keeps the caller's variable ids from entry to verdict.  A
 branch or leaf is a `_Leaf`: a plain list of (function, variables)
@@ -81,8 +80,8 @@ from .hypergraph import _block, _mask, _vertices
 
 MAX_CSP_ARITY = 6
 
-#: Hard cap on states visited by the bounded closed-set search
-#: (Subexponential regime) before giving up with ResourceLimit.
+#: Hard cap on states the closed-set search visits on a leaf outside
+#: the Clique regime before giving up with ResourceLimit.
 SEARCH_STATE_CAP = 500_000
 
 #: States the closed-set search visits on a NAND + implication leaf
@@ -934,16 +933,18 @@ class CspResult:
 
 def _closed_set_search(
     desc: Sequence[int], rows: Sequence[int], alive: int, k: int,
-    state_cap: int = SEARCH_STATE_CAP,
+    big: Sequence[int], state_cap: int,
 ) -> Optional[int]:
     """A weight-k set inside `alive` closed under implication with no
-    NAND pair inside, as a mask, or None when there is none.
+    NAND pair and no large edge inside, as a mask, or None when there
+    is none.
 
-    `desc` are descendant masks (those of `alive` lie inside it) and
-    `rows` the NAND rows.  Bounded DFS over unions of descendant sets,
-    on bitmasks and an explicit stack, with a visited-state memo; a
-    union holding a NAND pair is cut.  Raises ResourceLimit past
-    `state_cap` states.
+    `desc` are descendant masks (those of `alive` lie inside it), `rows`
+    the NAND rows and `big` the large edges (none on a binary leaf).
+    Bounded DFS over unions of descendant sets, on bitmasks and an
+    explicit stack, with a visited-state memo; a union holding a NAND
+    pair or a large edge is cut, and holding either passes to every
+    larger union.  Raises ResourceLimit past `state_cap` states.
     """
     if k == 0:
         return 0
@@ -951,10 +952,12 @@ def _closed_set_search(
         raise ResourceLimit("closed-set search states", state_cap + 1, state_cap)
     budget = state_cap - 1  # the empty union is the first state
     # Each alive variable's descendant set as (mask, its NAND
-    # neighbours); a set with a NAND pair inside is never part of a
-    # solution.
+    # neighbours); a set with a NAND pair or a large edge inside is
+    # never part of a solution.
     gens = [
-        (m, b) for v in _vertices(alive) if (b := _block(rows, m := desc[v - 1])) & m == 0
+        (m, b) for v in _vertices(alive)
+        if (b := _block(rows, m := desc[v - 1])) & m == 0
+        and not (big and any(e & ~m == 0 for e in big))
     ]
     # Minimal start index each set was already explored from; exploring
     # from start s covers all continuations with later generators, so a
@@ -974,7 +977,7 @@ def _closed_set_search(
                 continue
             nxt = current | m
             size = nxt.bit_count()
-            if size > k:
+            if size > k or big and any(e & ~nxt == 0 for e in big):
                 continue
             prev = explored.get(nxt)
             if prev is not None and prev <= i:
@@ -1191,19 +1194,24 @@ def _verify(phi: CspInstance, mask: int, k: int, want_witness: bool) -> Optional
     return tuple(chosen) if want_witness else None
 
 
-def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[int]:
-    """Solve one 0-valid binary leaf: the mask of its true set (forced
-    variables included), or None.
+class _Unread(Exception):
+    """The leaf holds a table `_read` left unread."""
 
-    The leaf is read once into masks: propagation, pruning, the
-    components, the closed-set search and the k-IS hand-off all run on
-    them, and the closure is built once.  Nothing is specialised; a NAND
-    + implication leaf past the closed-set search's state cap goes to
-    the nand_impl pipeline as its reading, with the alive mask pruned
-    here.
+
+def _solve_leaf(leaf: _Leaf, regime: Regime) -> Optional[int]:
+    """Solve one 0-valid leaf: the mask of its true set (forced variables
+    included), or None.
+
+    The leaf is read once and answered from the reading, with nothing
+    specialised.  A Clique leaf past the search's state cap goes to the
+    nand_impl pipeline as its reading, with the alive mask pruned here;
+    past any other limit the ResourceLimit propagates.  A leaf with an
+    unread table raises `_Unread`.
     """
     r = _read(leaf)
-    alive, succ, nand, k = r.alive, r.succ, r.nand, r.k
+    if r.unread is not None:
+        raise _Unread(r.unread.name)
+    alive, succ, nand, big, k = r.alive, r.succ, r.nand, r.big, r.k
     if k == 0:
         return r.forced
     if k > alive.bit_count():
@@ -1216,28 +1224,28 @@ def _solve_leaf_binary(leaf: _Leaf, regime: Regime) -> Optional[int]:
             return None
         return r.forced | sum(comps[i] for i in picked)
 
-    # Implication structure (IMPL or EQ) is pruned and searched while an
-    # alive variable has a successor (the lazy scan stops at the first);
-    # without it a leaf is a graph of NAND edges (none if Subexponential).
+    # Implications (IMPL or EQ) are pruned and searched while an alive
+    # variable has a successor; without one a leaf is k-IS.
     if any(succ) and any(succ[v - 1] for v in _ascending(alive)):
         desc, alive = _pruned(succ, nand, alive, k)
         if k > alive.bit_count():
             return None
+        big = [e for e in big if not e & ~alive]
         if any(succ[v - 1] for v in _ascending(alive)):
-            # A solution is a NAND-free union of descendant sets, so an
-            # exhausted search is a NO; past the cap the pipeline solves
-            # a Clique leaf.
+            # A solution is a union of descendant sets, so an exhausted
+            # search is a NO; past the cap the pipeline solves a Clique leaf.
             clique = regime.kind == "Clique"
             try:
                 got = _closed_set_search(
-                    desc, nand, alive, k, NAND_IMPL_STATE_CAP if clique else SEARCH_STATE_CAP
+                    desc, nand, alive, k, big,
+                    NAND_IMPL_STATE_CAP if clique else SEARCH_STATE_CAP,
                 )
             except ResourceLimit:
                 if not clique:
                     raise
                 return nand_impl._solve_branch(r._replace(alive=alive))
             return None if got is None else r.forced | got
-    ok, found = kis._decide(nand, alive, r.big, k, True)
+    ok, found = kis._decide(nand, alive, big, k, True)
     return r.forced | found if ok else None
 
 
@@ -1245,14 +1253,13 @@ def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
     """Decide weight-k satisfiability, routing by family and density.
 
     Binary instances go through the regime classifier; very sparse ones
-    first try the free-variable shortcut.  Higher-arity instances get
-    branch-and-bound and the sparse greedy solver; then k-IS on the
-    violating supports answers the leaves whose constraints are all
-    downward closed ("regime KIS"), and an exhaustive scan behind a size
-    guard the others.  Every leaf solver answers with the
-    mask of a true set in phi's own variable ids, and every YES is
-    verified against `phi` once before this function returns, whether
-    or not a witness is wanted.
+    first try the free-variable shortcut.  Higher-arity instances try
+    the sparse greedy solver, then the leaf solver on each leaf ("regime
+    KIS"), and an exhaustive scan behind a size guard on the leaves with
+    an unread table or where the leaf solver meets a resource limit.
+    Every leaf solver answers with the mask of a true set in phi's own
+    variable ids, and every YES is verified against `phi` once before
+    this function returns, whether or not a witness is wanted.
     """
     if k < 0:
         raise ValueError(f"negative weight budget {k}")
@@ -1264,46 +1271,36 @@ def solve_csp(phi: CspInstance, k: int, want_witness: bool = True) -> CspResult:
         return CspResult(False, None, "weight zero")
 
     leaves = _branch(phi, k)
-    n_funcs = max(1, len(phi.functions))
-    if phi.max_arity <= 2:
-        if 2 * k * n_funcs * phi.m < phi.n:
+    binary = phi.max_arity <= 2
+    if binary:
+        if 2 * k * max(1, len(phi.functions)) * phi.m < phi.n:
             for leaf in leaves:
                 got = _free_variables(leaf)
                 if got is not None:
                     return CspResult(True, _verify(phi, got, k, want_witness), "free variables")
         regime = classify_binary_family(phi.functions)
+    else:
+        # The sparse greedy first (None is its "no guarantee"); the
+        # leaf solver reads the leaves as k-IS, searching implications.
         for leaf in leaves:
-            got = _solve_leaf_binary(leaf, regime)
+            got = _greedy(leaf)
             if got is not None:
-                return CspResult(True, _verify(phi, got, k, want_witness), f"regime {regime}")
-        return CspResult(False, None, f"regime {regime}")
-
-    # Higher-arity route: make leaves 0-valid and try the sparse greedy
-    # solver (None is its "no guarantee").  Then a leaf whose
-    # constraints are all downward closed is k-IS on their violating
-    # supports; the capped exhaustive scan takes the other leaves, and
-    # any leaf where k-IS meets a resource limit.
-    for leaf in leaves:
-        got = _greedy(leaf)
-        if got is not None:
-            return CspResult(True, _verify(phi, got, k, want_witness), "sparse greedy")
+                return CspResult(True, _verify(phi, got, k, want_witness), "sparse greedy")
+        regime = Regime("KIS")
     scanned = False
     for leaf in leaves:
-        r = _read(leaf)
-        if r.unread is None and not any(r.succ):
-            try:
-                ok, found = kis._decide(r.nand, r.alive, r.big, r.k, True)
-            except ResourceLimit:
-                pass
-            else:
-                if ok:
-                    got = r.forced | found
-                    return CspResult(True, _verify(phi, got, k, want_witness), "regime KIS")
-                continue
-        scanned = True
-        got = _exhaustive(leaf)
+        try:
+            got = _solve_leaf(leaf, regime)
+        except (ResourceLimit, _Unread):
+            if binary:
+                raise
+            scanned = True
+            got = _exhaustive(leaf)
+            if got is not None:
+                return CspResult(True, _verify(phi, got, k, want_witness), "exhaustive fallback")
+            continue
         if got is not None:
-            return CspResult(True, _verify(phi, got, k, want_witness), "exhaustive fallback")
+            return CspResult(True, _verify(phi, got, k, want_witness), f"regime {regime}")
     if scanned:
         return CspResult(False, None, "exhaustive fallback")
-    return CspResult(False, None, "regime KIS")
+    return CspResult(False, None, f"regime {regime}")

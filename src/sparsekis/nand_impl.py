@@ -48,7 +48,7 @@ on the leaf's reading, with the alive mask it pruned, so the leaf is
 read once, and `solve_csp` checks the mask it gets back against the
 caller's instance, as it checks every YES.  `_solve_leaf`, behind the
 public `solve_nand_impl`, reads a leaf with `csp._read` and prunes it
-with `csp._pruned`, as the binary leaf solver does.
+with `csp._pruned`, as `csp._solve_leaf` does.
 """
 
 from __future__ import annotations
@@ -416,7 +416,7 @@ def _solve_leaf(leaf: _Leaf) -> Optional[int]:
     the mask of its true set (forced variables included), or None.
 
     The leaf is read once: its pinned variables and their ancestors go,
-    and the implication order is pruned as the binary leaf solver prunes
+    and the implication order is pruned as `csp._solve_leaf` prunes
     it.  A table of arity above two is a ValueError.
     """
     b = _read(leaf)

@@ -1,4 +1,4 @@
-"""Definitional reference for the binary leaf solver.
+"""Definitional reference for `csp._solve_leaf` on binary leaves.
 
 `sparsekis.csp` reads a 0-valid binary leaf once into pin, implication
 and NAND masks, and propagates, prunes and searches on those masks.

@@ -478,7 +478,7 @@ CORRUPTIONS = {
     ),
     "csp_verify": (
         NAND_PAIR, "solve-csp", "2",
-        "sparsekis.csp._solve_leaf_binary = lambda *a: 0b11",
+        "sparsekis.csp._solve_leaf = lambda *a: 0b11",
     ),
     "check_csp_witness": (
         NAND_PAIR, "solve-csp", "2",

@@ -462,11 +462,12 @@ def test_branching_builds_no_instance_per_node(monkeypatch):
 
 def test_exhaustive_fallback_matches_oracle(monkeypatch):
     # With the greedy abstaining everywhere, every higher-arity answer
-    # comes from the k-IS route on leaves whose constraints are all
-    # downward closed and from the exhaustive leaf scan on the others;
-    # the scan runs only on leaves that hold a table that is not
-    # downward closed.  On a 0-valid instance (one leaf, nothing fixed)
-    # either must return the oracle's lexicographically first assignment.
+    # comes from the leaf solver ("regime KIS") on leaves whose tables
+    # are all read (downward closed, or binary) and from the exhaustive
+    # leaf scan on the others; the scan runs only on leaves that hold a
+    # table that is not downward closed.  On a 0-valid instance (one
+    # leaf, nothing fixed) either must return the oracle's
+    # lexicographically first assignment.
     from sparsekis import csp
 
     monkeypatch.setattr(csp, "_greedy", lambda leaf: None)
@@ -520,7 +521,7 @@ def linear_leaf_decides(phi, k):
     """The Linear leaf of `solve_csp` on the whole of an EQ-only instance."""
     from sparsekis import csp
 
-    return csp._solve_leaf_binary(csp._root(phi, k), Regime("Linear")) is not None
+    return csp._solve_leaf(csp._root(phi, k), Regime("Linear")) is not None
 
 
 def test_eq_subset_sum_examples():
@@ -742,19 +743,22 @@ def test_min_violations_by_definition():
 
 
 def kis_forms(phi: CspInstance, k: int) -> list:
-    """What solve_csp hands `kis._decide` with the sparse greedy
-    abstaining: (rows, alive, big) per leaf it reaches, in leaf order."""
-    from sparsekis import csp, kis
+    """The k-IS form of each leaf solve_csp reads with the sparse greedy
+    abstaining: (NAND rows, alive, large edges) per leaf it reaches with
+    no unread table and no implication, in leaf order."""
+    from sparsekis import csp
 
     handed = []
-    real = kis._decide
+    real = csp._read
 
-    def spied(rows, alive, big, k, want_witness=False):
-        handed.append((rows, alive, big))
-        return real(rows, alive, big, k, want_witness)
+    def spied(leaf):
+        r = real(leaf)
+        if r.unread is None and not any(r.succ):
+            handed.append((r.nand, r.alive, r.big))
+        return r
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(kis, "_decide", spied)
+        m.setattr(csp, "_read", spied)
         m.setattr(csp, "_greedy", lambda leaf: None)
         solve_csp(phi, k)
     return handed
@@ -885,6 +889,133 @@ def test_read_matches_the_support_form_reference(mixed):
             compared += 1
             forced += leaf.forced != 0
     assert compared > 100 and forced > 20
+
+
+def no_scan(leaf):
+    raise AssertionError("exhaustive scan on a leaf with every table read")
+
+
+def test_implication_leaves_match_oracle(monkeypatch):
+    # IMPL or EQ2 mixed with NAND_r, at-most-t-of-r, NOR2, OR2 and
+    # NOT_TWO: the leaf solver searches the higher-arity leaves that
+    # hold an implication, and the exhaustive scan runs only on leaves
+    # with a table that is neither binary nor downward closed, the one
+    # kind the reading leaves unread.
+    from sparsekis import csp
+
+    scans = []
+    real_scan = csp._exhaustive
+
+    def spied(leaf):
+        assert any(f.arity > 2 and min_violations(f) is None for f, _ in leaf.constraints)
+        scans.append(leaf)
+        return real_scan(leaf)
+
+    searches = []
+    real_search = csp._closed_set_search
+
+    def searched(*args):
+        searches.append(args)
+        return real_search(*args)
+
+    monkeypatch.setattr(csp, "_exhaustive", spied)
+    monkeypatch.setattr(csp, "_closed_set_search", searched)
+    rng = random.Random(91)
+    tables = [NAND3, at_most(3, 4), at_most(1, 3), at_most(2, 4), NAND2, NOR2, OR2, NOT_TWO]
+    seen = set()
+    for _ in range(300):
+        fam = [rng.choice((IMPL, EQ2))] + rng.sample(tables, rng.randint(1, 3))
+        n = rng.randint(4, 10)
+        phi = random_csp(rng, n, fam, rng.randint(2, 14))
+        if phi.max_arity < 3:
+            continue
+        for k in range(1, n + 1):
+            res = solve_csp(phi, k)
+            want = brute_solve_csp(phi, k)
+            assert res.satisfiable == (want is not None), (format_csp(phi), k)
+            if res.satisfiable:
+                assert len(res.assignment) == k and phi.satisfied_by(res.assignment)
+            seen.add((res.satisfiable, res.route))
+    assert {(yes, "regime KIS") for yes in (True, False)} <= seen
+    assert (True, "exhaustive fallback") in seen
+    assert scans and any(args[4] for args in searches)
+
+
+def impl_nand3_instance(n: int) -> CspInstance:
+    """2n/3 IMPL and 2n NAND3 constraints on n variables, drawn from
+    random.Random(5); at n = 60, k = 8 is C(60, 8) > 2.5 * 10^9 subsets."""
+    rng = random.Random(5)
+    cons = [(IMPL, tuple(rng.sample(range(1, n + 1), 2))) for _ in range(2 * n // 3)]
+    cons += [(NAND3, tuple(rng.sample(range(1, n + 1), 3))) for _ in range(2 * n)]
+    return CspInstance(n, tuple(cons))
+
+
+@pytest.mark.parametrize("n", [60, 200, 400])
+def test_implication_leaf_past_the_scan_cap(monkeypatch, n):
+    # Far past the scan's cap, the leaf's implications are searched over
+    # closed sets free of NAND3 triples, and the scan never runs.
+    from sparsekis import csp
+
+    monkeypatch.setattr(csp, "_exhaustive", no_scan)
+    phi = impl_nand3_instance(n)
+    assert comb(n, 8) > csp.FALLBACK_CAP
+    res = solve_csp(phi, 8)
+    assert res and res.route == "regime KIS"
+    assert len(res.assignment) == 8 and phi.satisfied_by(res.assignment)
+
+
+@pytest.mark.parametrize(
+    "cons",
+    [
+        # D(1) = {1, 2, 3} holds the triple on its own.
+        ((IMPL, (1, 2)), (IMPL, (2, 3)), (IMPL, (3, 1)), (IMPL, (4, 1)), (IMPL, (5, 1)),
+         (NAND3, (1, 2, 3))),
+        # Only the union D(1) | D(3) = {1, 2, 3} holds the triple.
+        ((IMPL, (1, 2)), (IMPL, (3, 2)),
+         (NAND3, (1, 2, 3)), (NAND3, (1, 2, 4)), (NAND3, (2, 3, 4))),
+    ],
+    ids=["generator", "union"],
+)
+def test_closed_sets_holding_a_large_edge_are_cut(monkeypatch, cons):
+    # Every closed 3-set holds a NAND3 triple, so k = 3 is NO, though
+    # the search would settle on a closed 3-set with the triples left
+    # out.
+    from sparsekis import csp
+
+    searches = []
+    real_search = csp._closed_set_search
+
+    def searched(*args):
+        searches.append(args)
+        return real_search(*args)
+
+    monkeypatch.setattr(csp, "_exhaustive", no_scan)
+    monkeypatch.setattr(csp, "_closed_set_search", searched)
+    phi = CspInstance(max(v for _, vs in cons for v in vs), cons)
+    res = solve_csp(phi, 3)
+    assert (res.satisfiable, res.route) == (False, "regime KIS")
+    assert brute_solve_csp(phi, 3) is None
+    [(desc, rows, alive, k, big, cap)] = searches
+    assert big and real_search(desc, rows, alive, k, [], cap) is not None
+    for k in range(phi.n + 1):
+        assert solve_csp(phi, k).satisfiable == (brute_solve_csp(phi, k) is not None), k
+
+
+def test_search_state_cap_falls_back_to_the_scan_only_past_binary(monkeypatch):
+    # With no search states to spend, a higher-arity leaf with an
+    # implication goes to the exhaustive scan, while a Subexponential
+    # binary leaf still raises ResourceLimit.
+    from sparsekis import csp
+
+    monkeypatch.setattr(csp, "SEARCH_STATE_CAP", 0)
+    phi = CspInstance(6, ((IMPL, (1, 2)), (NAND3, (2, 3, 4))))
+    res = solve_csp(phi, 3)
+    assert res.route == "exhaustive fallback"
+    assert res.assignment == brute_solve_csp(phi, 3) == (1, 2, 3)
+    chain = CspInstance(3, ((IMPL, (1, 2)), (IMPL, (2, 3))))
+    assert classify_binary_family(chain.functions) == Regime("Subexponential")
+    with pytest.raises(ResourceLimit, match="closed-set search states"):
+        solve_csp(chain, 2)
 
 
 # Every table of arity at most two, the constant ones included.
@@ -1115,7 +1246,7 @@ def test_corrupted_leaf_mask_raises_without_witness(monkeypatch, pair_mask, trip
     # mask are each refused, on a binary route and on the greedy.
     from sparsekis import csp
 
-    monkeypatch.setattr(csp, "_solve_leaf_binary", lambda leaf, regime: pair_mask)
+    monkeypatch.setattr(csp, "_solve_leaf", lambda leaf, regime: pair_mask)
     monkeypatch.setattr(csp, "_greedy", lambda leaf: triple_mask)
     for phi, k, mask in (
         (CspInstance(2, ((NAND2, (1, 2)),)), 2, pair_mask),
@@ -1162,9 +1293,9 @@ def test_nand_impl_leaf_search_matches_oracle(monkeypatch, cap):
     searched = []
     real_search = csp._closed_set_search
 
-    def spied(desc, rows, alive, k, state_cap=csp.SEARCH_STATE_CAP):
+    def spied(desc, rows, alive, k, big, state_cap):
         searched.append(state_cap)
-        return real_search(desc, rows, alive, k, state_cap)
+        return real_search(desc, rows, alive, k, big, state_cap)
 
     monkeypatch.setattr(csp, "_closed_set_search", spied)
     rng = random.Random(63)
@@ -1260,7 +1391,7 @@ def test_nand_impl_pipeline_reads_its_leaf_once(monkeypatch):
     for name in seen:
         monkeypatch.setattr(csp, name, spy(name, getattr(csp, name)))
     leaves = []
-    real_leaf = csp._solve_leaf_binary
+    real_leaf = csp._solve_leaf
 
     def leaf_solver(leaf, regime):
         leaves.append(leaf)
@@ -1275,7 +1406,7 @@ def test_nand_impl_pipeline_reads_its_leaf_once(monkeypatch):
         finally:
             inside.clear()
 
-    monkeypatch.setattr(csp, "_solve_leaf_binary", leaf_solver)
+    monkeypatch.setattr(csp, "_solve_leaf", leaf_solver)
     monkeypatch.setattr(nand_impl, "_solve_branch", pipeline)
     res = solve_csp(phi, k)
     assert res.satisfiable and res.route == "regime Clique(0)"
@@ -1307,7 +1438,7 @@ def test_binary_leaves_match_reference(monkeypatch, cap):
             got = solve_csp(phi, k)
             with monkeypatch.context() as m:
                 m.setattr(csp, "_branch", binary_leaf.branch)
-                m.setattr(csp, "_solve_leaf_binary", binary_leaf.solve_leaf_binary)
+                m.setattr(csp, "_solve_leaf", binary_leaf.solve_leaf_binary)
                 want = solve_csp(phi, k)
             assert (got.satisfiable, got.assignment, got.route) == (
                 want.satisfiable, want.assignment, want.route
@@ -1361,7 +1492,7 @@ def test_subexponential_leaf_pruned_free_of_implications(monkeypatch):
             got = solve_csp(phi, k)
         with monkeypatch.context() as m:
             m.setattr(csp, "_branch", binary_leaf.branch)
-            m.setattr(csp, "_solve_leaf_binary", binary_leaf.solve_leaf_binary)
+            m.setattr(csp, "_solve_leaf", binary_leaf.solve_leaf_binary)
             want = solve_csp(phi, k)
         assert (got.satisfiable, got.assignment, got.route) == (
             want.satisfiable, want.assignment, want.route

@@ -410,7 +410,7 @@ def test_pipeline_reads_pins_and_both_implication_directions(monkeypatch):
     # The pipeline reads a leaf as branching left it, so pin tables and
     # backward implications reach it unpropagated; at a zero state cap
     # solve_csp sends every such Clique leaf through it too, as the
-    # branch its binary leaf solver read.
+    # branch csp's leaf solver read.
     monkeypatch.setattr(csp, "NAND_IMPL_STATE_CAP", 0)
     runs = []
     from_csp = 0
