@@ -17,14 +17,17 @@ time from the previous size's arrays.  A compatibility matrix is the AND,
 over a part's vertex columns, of row gathers from the other part's
 transposed commons.  The `Graph` entry points are thin wrappers over it.
 
-All arithmetic is exact.  Matrix products run in float32 (in row blocks
-for the triangles), which is lossless here: entries are 0/1, so every
-product entry is an integer bounded by the inner dimension, and a
-ValueError guards the 2^24 limit on it.  Each product is checked to hold
-only such integers (a VerificationError otherwise); the triangle blocks
-are summed in float64 and the totals accumulated in Python integers.
-The triangle count and the triangle find share that loop, and `kis`
-uses the same checked product.
+All arithmetic is exact.  Matrix products run in float32, which is
+lossless here: entries are 0/1, so every product entry is an integer
+bounded by the inner dimension, and a ValueError guards the 2^24 limit
+on it.  Each product is checked to hold only such integers (a
+VerificationError otherwise).  The triangles run over row blocks of AB
+whose product output holds at most `_BLOCK_CELLS` cells; BC is
+converted to float32 once, and when k is divisible by 3 the three
+matrices are one, so AB's blocks are slices of that same copy.  The
+blocks are summed in float64 and the totals accumulated in Python
+integers.  The triangle count and the triangle find share that loop,
+and `kis` uses the same checked product and block budget.
 """
 
 from __future__ import annotations
@@ -38,11 +41,14 @@ from .errors import ResourceLimit, VerificationError
 from .hypergraph import Graph
 
 #: Cliques materialized per part, and per size on the way to it, before
-#: giving up; three boolean matrices of this side length must fit in
-#: memory.  Read at call time.
+#: giving up; at this side length the boolean compatibility matrices,
+#: one float32 copy per distinct matrix and one output block must fit
+#: in memory.  Read at call time.
 NODE_CAP = 12_000
 
-_ROW_BLOCK = 1024
+#: Cells in one product block's output: 256 KB in float32.  The triangle
+#: blocks and `kis`'s blocked scans size their row blocks by it.
+_BLOCK_CELLS = 1 << 16
 
 
 def _bits(masks: Sequence[int], n: int) -> np.ndarray:
@@ -87,7 +93,9 @@ def _product_blocks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Check the shapes of three boolean matrices, then yield (lo, block)
     per block of AB rows from lo, with block = AC * (AB @ BC) on those
-    rows in float32, checked by `_product`."""
+    rows in float32, checked by `_product`.  A block has at most
+    _BLOCK_CELLS cells, or one row.  BC is converted once; when AB is
+    BC, its row blocks are slices of that copy."""
     if ab.ndim != 2 or bc.ndim != 2 or ac.ndim != 2:
         raise ValueError("inputs must be matrices")
     na, nb = ab.shape
@@ -99,9 +107,10 @@ def _product_blocks(
     if 0 in (na, nb, nc):
         return
     bc_f = bc.astype(np.float32)
-    for lo in range(0, na, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, na)
-        yield lo, _product(ab[lo:hi].astype(np.float32), bc_f, ac[lo:hi])
+    step = max(1, _BLOCK_CELLS // nc)
+    for lo in range(0, na, step):
+        rows = bc_f[lo:lo + step] if ab is bc else ab[lo:lo + step].astype(np.float32)
+        yield lo, _product(rows, bc_f, ac[lo:lo + step])
 
 
 def _related(ab, bc, ac) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -14,7 +14,8 @@ cuts a node when more variable-disjoint violated constraints remain than
 its budget, since each needs a true variable of its own.  Its leaves are
 0-valid: the all-false row satisfies every constraint left.  It walks
 the tree on a stack of its own, as the closed-set search below does, so
-a path thousands of variables deep needs no Python recursion.
+a path thousands of variables deep needs no Python recursion, and it
+raises ResourceLimit past SEARCH_STATE_CAP leaves.
 
 One reader, `_read`, takes every 0-valid leaf into masks, from one
 cached reading per table (`_reading`).  A table closed downward (NAND_r,
@@ -80,8 +81,9 @@ from .hypergraph import _block, _mask, _vertices
 
 MAX_CSP_ARITY = 6
 
-#: Hard cap on states the closed-set search visits on a leaf outside
-#: the Clique regime before giving up with ResourceLimit.
+#: Hard cap on the leaves branch-and-bound builds, and on the states the
+#: closed-set search visits on a leaf outside the Clique regime, before
+#: giving up with ResourceLimit.  Read at call time.
 SEARCH_STATE_CAP = 500_000
 
 #: States the closed-set search visits on a NAND + implication leaf
@@ -657,7 +659,8 @@ def _first_violated(leaf: _Leaf) -> Optional[tuple[int, ...]]:
 
 
 def _branch(phi: CspInstance, k: int) -> list[_Leaf]:
-    """The 0-valid leaves of branching on all-false-violated constraints."""
+    """The 0-valid leaves of branching on all-false-violated constraints;
+    ResourceLimit past SEARCH_STATE_CAP leaves."""
     root = _root(phi, k)
     if all(f.table[0] for f in phi.functions):
         return [root]
@@ -670,6 +673,8 @@ def _branch(phi: CspInstance, k: int) -> list[_Leaf]:
         viol = _first_violated(leaf)
         if viol is None:
             leaves.append(leaf)
+            if len(leaves) > SEARCH_STATE_CAP:
+                raise ResourceLimit("branch-and-bound leaves", len(leaves), SEARCH_STATE_CAP)
             continue
         children = []
         for v in viol:
@@ -690,7 +695,8 @@ def branch_and_bound(phi: CspInstance, k: int) -> list[BranchLeaf]:
     specializes, and recurses with budget k-1; infeasible branches are
     pruned.  Leaves are 0-valid instances whose solutions (of the
     residual weights), unioned with the forced variables, are exactly
-    the weight-k solutions of `phi`.  An empty list means UNSAT.
+    the weight-k solutions of `phi`.  An empty list means UNSAT.  Raises
+    ResourceLimit past SEARCH_STATE_CAP leaves.
     """
     return [
         BranchLeaf(
@@ -953,11 +959,12 @@ def _closed_set_search(
     budget = state_cap - 1  # the empty union is the first state
     # Each alive variable's descendant set as (mask, its NAND
     # neighbours); a set with a NAND pair or a large edge inside is
-    # never part of a solution.
+    # never part of a solution.  A large edge has three or more
+    # variables, so only sets that large are tested against them.
     gens = [
         (m, b) for v in _vertices(alive)
         if (b := _block(rows, m := desc[v - 1])) & m == 0
-        and not (big and any(e & ~m == 0 for e in big))
+        and not (big and m.bit_count() >= 3 and any(e & ~m == 0 for e in big))
     ]
     # Minimal start index each set was already explored from; exploring
     # from start s covers all continuations with later generators, so a
@@ -977,7 +984,7 @@ def _closed_set_search(
                 continue
             nxt = current | m
             size = nxt.bit_count()
-            if size > k or big and any(e & ~nxt == 0 for e in big):
+            if size > k or big and size >= 3 and any(e & ~nxt == 0 for e in big):
                 continue
             prev = explored.get(nxt)
             if prev is not None and prev <= i:

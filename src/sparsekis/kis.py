@@ -24,7 +24,8 @@ every term through it is 0 and it is no member at all.  The terms that
 close without a nested count run as numpy arrays over all large edges
 at once, on their incidence matrix B, the pair adjacency A and the
 overlaps B Bᵀ, all float32 products of 0/1 matrices (exact, and checked
-to be), in row blocks of about a megabyte:
+to be), in row blocks of `cliques._BLOCK_CELLS` // m rows for m large
+edges, so an edges-by-edges block holds at most that many cells:
 
 - depth 1 with k2 = k - |e| <= 2: the universe U is the alive vertices
   outside e, its pair neighbours and every vertex an earlier edge
@@ -158,11 +159,6 @@ def _find_k_is(
     return True, mask
 
 
-#: Cells in one row block of an edges-by-edges array: 256 KB in float32,
-#: about 1 MB for all the temporaries of a block.
-_BLOCK_CELLS = 1 << 16
-
-
 def _nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.nonzero of a 2-D mask, by way of its flat indices, which numpy
     finds several times faster."""
@@ -232,7 +228,7 @@ class _InvalidCounter:
         self.level1 = 0
         fit = np.flatnonzero(~(B & pair_nbrs).any(1) & (self.s <= k))
         dead = np.zeros(len(fit), dtype=bool)
-        step = max(1, _BLOCK_CELLS // max(m, 1))
+        step = max(1, cliques._BLOCK_CELLS // max(m, 1))
         for lo in range(0, len(fit), step):
             dead[lo:lo + step], terms = self._scan(fit[lo:lo + step])
             self.level1 += terms
@@ -301,7 +297,7 @@ class _InvalidCounter:
         hi = rows[-1]
         D = np.full((m, n + 1), m, dtype=np.int32)
         before = self.Bf[:hi]
-        step = max(1, _BLOCK_CELLS // m)
+        step = max(1, cliques._BLOCK_CELLS // m)
         for lo in range(0, len(rows), step):
             block = rows[lo:lo + step]
             overlap = cliques._product(self.Bf[block], before.T)
@@ -332,7 +328,7 @@ class _InvalidCounter:
         targets = self.Bf[cp].T
         wide = bool(((self.s >= 4) & (self.s <= k)).any())
         total = 0
-        step = max(1, _BLOCK_CELLS // len(cp))
+        step = max(1, cliques._BLOCK_CELLS // len(cp))
         for lo in range(0, len(first), step):
             block = first[lo:lo + step]
             apart = cliques._product(self.touch[block].astype(np.float32), targets) == 0

@@ -370,3 +370,73 @@ def test_count_cliques_rejects_a_negative_k():
     with pytest.raises(ValueError) as err:
         cliques._count_cliques(np.zeros((3, 3), dtype=bool), -1)
     assert type(err.value) is ValueError and str(err.value) == "negative k -1"
+
+
+def _spy_products(monkeypatch) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Record (a, b, output) for every cliques._product call."""
+    calls = []
+    real = cliques._product
+
+    def spy(a, b, mask=None):
+        out = real(a, b, mask)
+        calls.append((a, b, out))
+        return out
+
+    monkeypatch.setattr(cliques, "_product", spy)
+    return calls
+
+
+@pytest.mark.parametrize("k", [3, 6, 9])
+def test_one_matrix_in_all_three_places_is_converted_once(monkeypatch, k):
+    # At k divisible by 3 the three parts are one clique list, so the
+    # engine passes one compatibility matrix F three times.  Its float32
+    # copy is made once and every row block is a slice of that copy;
+    # the counts and finds equal those on three separate copies, and
+    # the clique counts those of the recursive reference.
+    calls = _spy_products(monkeypatch)
+    monkeypatch.setattr(cliques, "_BLOCK_CELLS", 200)
+    rng = random.Random(90 + k)
+    found = most_blocks = 0
+    for p in (0.15, 0.5, 0.85):
+        n = rng.randint(16, 22)
+        rows = _random_rows(rng, n, p)
+        alive = (1 << n) - 1
+        M = cliques._inside(rows, alive)
+        F = cliques._compat(*cliques._cliques_of_size(M, k // 3))
+        calls.clear()
+        shared = count_triangles_tripartite(F, F, F)
+        most_blocks = max(most_blocks, len(calls))
+        assert all(a.base is b and b is calls[0][1] for a, b, _ in calls)
+        calls.clear()
+        copies = (F.copy(), F.copy(), F.copy())
+        assert count_triangles_tripartite(*copies) == shared
+        assert not any(a.base is b for a, b, _ in calls)
+        assert find_triangle_tripartite(F, F, F) == find_triangle_tripartite(*copies)
+        comp = complement_rows(rows, alive)
+        for got, ref_rows in ((count_k_cliques_masks, rows), (count_k_is_masks, comp)):
+            want = len(cliques_of_size(ref_rows, alive, k)[0])
+            assert got(rows, alive, k) == want, (n, p, k)
+            found += want > 0
+    assert found >= 2 and most_blocks > 1
+
+
+@pytest.mark.parametrize("cells", [1, 37, None])
+def test_triangle_blocks_stay_within_the_cell_budget(monkeypatch, cells):
+    # Every triangle block's output holds at most _BLOCK_CELLS cells
+    # unless it is a single row, and the blocks cover AB's rows.  At
+    # the default budget the 45-vertex graph's 2-clique matrix still
+    # takes several blocks.
+    if cells is not None:
+        monkeypatch.setattr(cliques, "_BLOCK_CELLS", cells)
+    budget = cliques._BLOCK_CELLS
+    calls = _spy_products(monkeypatch)
+    rng = random.Random(91)
+    n = 45 if cells is None else 16
+    rows = _random_rows(rng, n, 0.4)
+    alive = (1 << n) - 1
+    want = len(cliques_of_size(complement_rows(rows, alive), alive, 6)[0])
+    assert count_k_is_masks(rows, alive, 6) == want > 0
+    na = len(cliques_of_size(complement_rows(rows, alive), alive, 2)[0])
+    assert sum(len(a) for a, _, _ in calls) == na
+    assert all(out.size <= budget or len(out) == 1 for _, _, out in calls)
+    assert len(calls) > 1

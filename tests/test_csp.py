@@ -517,6 +517,33 @@ def test_branch_and_bound_prunes_to_unsat():
     assert branch_and_bound(phi, 2) == []
 
 
+def test_branch_and_bound_leaves_are_capped(monkeypatch, tmp_path, capsys):
+    # 12 disjoint OR2 pairs at k = 12 branch into 2^12 = 4096 leaves:
+    # under a cap of 1000 branching stops with ResourceLimit, and
+    # solve-csp exits 3; at the default cap they answer as before.
+    from sparsekis import csp
+    from sparsekis.cli import main
+
+    p = 12
+    phi = CspInstance(2 * p, tuple((OR2, (2 * i + 1, 2 * i + 2)) for i in range(p)))
+    path = tmp_path / "pairs.csp"
+    path.write_text(f"p csp {2 * p} {p}\nf or2 2 0111\n" + "".join(
+        f"c or2 {2 * i + 1} {2 * i + 2}\n" for i in range(p)
+    ))
+    assert len(branch_and_bound(phi, p)) == 2 ** p
+    res = solve_csp(phi, p)
+    assert res and phi.satisfied_by(res.assignment)
+    assert main(["solve-csp", str(path), "-k", str(p)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "YES"
+    monkeypatch.setattr(csp, "SEARCH_STATE_CAP", 1000)
+    with pytest.raises(ResourceLimit, match="branch-and-bound leaves"):
+        branch_and_bound(phi, p)
+    with pytest.raises(ResourceLimit, match="branch-and-bound leaves"):
+        solve_csp(phi, p)
+    assert main(["solve-csp", str(path), "-k", str(p)]) == 3
+    assert "branch-and-bound leaves" in capsys.readouterr().err
+
+
 def linear_leaf_decides(phi, k):
     """The Linear leaf of `solve_csp` on the whole of an EQ-only instance."""
     from sparsekis import csp

@@ -16,6 +16,7 @@ from sparsekis import (
     VerificationError,
     brute_count_invalid,
     brute_count_k_is,
+    cliques,
     count_invalid,
     count_k_is,
     count_k_is_hypergraph,
@@ -614,7 +615,7 @@ def test_bulk_levels_in_tiny_blocks(monkeypatch, cells):
     # One row per block with a single cell, one or more with 24 cells:
     # every blocked pass runs many triangular blocks, among them the
     # block holding position 0 alone, which reads no earlier edge.
-    monkeypatch.setattr(kis, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(cliques, "_BLOCK_CELLS", cells)
     blocks: list[tuple[int, int]] = []
     real_scan = kis._InvalidCounter._scan
 
